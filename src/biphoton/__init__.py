@@ -95,4 +95,6 @@ from .dataio import (
     render_table,
     sinc_dip_kernel,
     table_report,
+    write_grid,
+    write_rows,
 )

@@ -26,10 +26,9 @@ from .dataio import (
     export_jsa_csv,
     export_jsi_csv,
     fit_dip,
-    format_float,
     load_scan,
-    provenance_line,
     sinc_dip_kernel,
+    write_rows,
 )
 from .errors import DomainError
 from .hom import (
@@ -157,10 +156,9 @@ def cmd_simulate(args) -> int:
 
     sig, idl = marginals(state)
     lam_pdc = 2 * np.pi * C_M_PER_S / source.pm.omega_s0
-    lines = [provenance_line(meta), "nu_rad_s,signal,idler"]
-    for j, nu in enumerate(state.grid.nu_s):
-        lines.append(f"{format_float(nu)},{format_float(sig[j])},{format_float(idl[j])}")
-    (outdir / "marginals.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_rows(
+        outdir / "marginals.csv", meta, "nu_rad_s,signal,idler", [state.grid.nu_s, sig, idl]
+    )
 
     schmidt = schmidt_decompose(state)
     rho, label = correlation_classification(state)
@@ -261,22 +259,13 @@ def cmd_sweep(args) -> int:
     meta = _meta(config)
 
     values = np.linspace(start, stop, steps)
-    rows = []
+    t_c_ps, visibility = [], []
     for value in values:
-        pump_fwhm = None
-        beta = source.pump.beta
-        length_scale = 1.0
-        if axis == "pump_fwhm":
-            pump_fwhm = value
-        elif axis == "length":
-            length_scale = (value * 1e-3) / source.pm.length_L
-        else:
-            beta = value * 1e-30
         point = preset_with_pump(
             source,
-            pump_fwhm_nm=pump_fwhm,
-            beta=beta,
-            length_scale=length_scale,
+            pump_fwhm_nm=value if axis == "pump_fwhm" else None,
+            beta=value * 1e-30 if axis == "chirp" else None,
+            length_scale=(value * 1e-3) / source.pm.length_L if axis == "length" else 1.0,
         )
         if model == "gaussian":
             pm = point.pm if point.pm.profile == "gaussian" else preset_with_pump(
@@ -292,12 +281,12 @@ def cmd_sweep(args) -> int:
             state = _build_state(args, point)
             scan = coincidence_scan(state, default_delays(point.pm))
             result = extract_dip(scan, model="numeric")
-        rows.append((value, result.t_c, result.visibility))
+        t_c_ps.append(result.t_c * 1e12)
+        visibility.append(result.visibility)
 
-    lines = [provenance_line(meta), f"{axis},t_c_ps,visibility"]
-    for value, t_c, vis in rows:
-        lines.append(f"{format_float(value)},{format_float(t_c * 1e12)},{format_float(vis)}")
-    (outdir / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_rows(
+        outdir / "sweep.csv", meta, f"{axis},t_c_ps,visibility", [values, t_c_ps, visibility]
+    )
     print(f"sweep: {axis} over [{start}, {stop}] in {steps} steps -> {outdir / 'sweep.csv'}")
     return 0
 

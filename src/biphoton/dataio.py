@@ -8,10 +8,19 @@ CSV conventions
   or ``nu_s_rad_s,nu_i_rad_s,intensity`` with detuning axes;
 * joint amplitudes: ``nu_s_rad_s,nu_i_rad_s,re,im``.
 
-Leading ``#`` lines are preserved comments; files written here start with a
+Every CSV file is written by one of two writers: :func:`write_grid` for the
+N x N joint grids (one row per cell, signal-major) and :func:`write_rows` for
+1-D tables (scans, marginals, sweeps).  Files written here start with a
 single ``# biphoton: {json}`` provenance line when metadata is supplied.
-Floats are written with 9 significant digits, which round-trips exactly
-through parse/format cycles and keeps repeated runs byte-identical.
+Floats are written with 9 significant digits (``%.9g``, the routine behind
+:func:`format_float`), which round-trips exactly through parse/format cycles
+and keeps repeated runs byte-identical.
+
+The readers share one parser: blank lines and ``#`` lines are skipped
+anywhere, cells may be padded with whitespace, the numeric body is parsed in
+one pass, and a malformed line is reported as ``path:lineno:``.
+:func:`load_jsi` accepts grid rows in any order but rejects duplicate and
+missing cells.
 """
 
 from __future__ import annotations
@@ -47,6 +56,10 @@ PROVENANCE_PREFIX = "# biphoton: "
 
 _FOUR_LN2 = 4.0 * math.log(2.0)
 
+# Signal rows that write_grid formats per call: enough to amortize the call,
+# few enough that the temporary cells stay a few MB even at n=1024.
+_GRID_BLOCK_ROWS = 32
+
 
 def format_float(x: float) -> str:
     """Canonical 9-significant-digit float formatting for all CSV output."""
@@ -55,6 +68,106 @@ def format_float(x: float) -> str:
 
 def provenance_line(meta: dict) -> str:
     return PROVENANCE_PREFIX + json.dumps(meta, sort_keys=True, separators=(",", ":"))
+
+
+def _write_csv(path, meta: dict | None, header: str, body, comments=()) -> None:
+    """Write the provenance line, comment lines, header and the ``body`` chunks."""
+    head = [] if meta is None else [provenance_line(meta)]
+    head += [*comments, header]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(head) + "\n")
+        fh.writelines(body)
+
+
+def write_rows(path, meta: dict | None, header: str, columns, comments=()) -> None:
+    """Write equal-length 1-D float ``columns`` as CSV rows."""
+    cells = np.column_stack(columns)
+    row = ",".join(["%.9g"] * cells.shape[1]) + "\n"
+    body = row * cells.shape[0] % tuple(cells.ravel().tolist())
+    _write_csv(path, meta, header, [body], comments)
+
+
+def write_grid(path, meta: dict | None, header: str, axis_s, axis_i, values) -> None:
+    """Write 2-D ``values`` sampled on (``axis_s``, ``axis_i``), one CSV row per cell.
+
+    Rows run signal-major as ``axis_s[j],axis_i[k],values[0][j,k],...``.  Each
+    axis value is formatted once; the body is formatted one block of signal
+    rows at a time by a single ``%`` call, so temporary memory stays bounded.
+    """
+    labels_s = np.array([format_float(x) for x in axis_s], dtype=object)
+    labels_i = np.array([format_float(x) for x in axis_i], dtype=object)
+    values = [np.asarray(v, dtype=float) for v in values]
+    row = "%s,%s" + ",%.9g" * len(values) + "\n"
+    cells = np.empty(
+        (min(_GRID_BLOCK_ROWS, labels_s.size), labels_i.size, 2 + len(values)), dtype=object
+    )
+    cells[:, :, 1] = labels_i
+
+    def blocks():
+        for start in range(0, labels_s.size, _GRID_BLOCK_ROWS):
+            block = cells[: labels_s.size - start]
+            rows = slice(start, start + block.shape[0])
+            block[:, :, 0] = labels_s[rows, None]
+            for m, v in enumerate(values):
+                block[:, :, 2 + m] = v[rows]
+            yield row * (block.shape[0] * labels_i.size) % tuple(block.ravel())
+
+    _write_csv(path, meta, header, blocks())
+
+
+def _read_csv(path: Path, header_problem) -> tuple[list[str], list[str], np.ndarray]:
+    """The lines, header cells and numeric body rows of a CSV file.
+
+    ``header_problem(cells)`` returns why a header is wrong, or None.  The
+    body is parsed by one ``np.loadtxt`` call; only when that fails are its
+    lines scanned one by one, to report the first bad line.
+    """
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            break
+    else:
+        raise ParseError(f"{path}: no header row found")
+    header = [c.strip() for c in line.split(",")]
+    problem = header_problem(header)
+    if problem is not None:
+        raise ParseError(f"{path}:{lineno}: {problem}")
+    body = [s for s in map(str.strip, lines[lineno:]) if s and s[0] != "#"]
+    if not body:
+        raise ParseError(f"{path}: no data rows found")
+    try:
+        data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        if data.shape[1] == len(header):
+            return lines, header, data
+    except ValueError:
+        pass
+    raise _first_bad_line(path, lines, lineno + 1, len(header))
+
+
+def _first_bad_line(path: Path, lines: list[str], start: int, n_columns: int) -> ParseError:
+    """The error for the first body line from ``start`` on that is not a numeric row."""
+    for lineno, raw in enumerate(lines[start - 1 :], start=start):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        cells = line.split(",")
+        if len(cells) != n_columns:
+            return ParseError(f"{path}:{lineno}: expected {n_columns} columns, got {len(cells)}")
+        if not all(map(_is_plain_number, cells)):
+            return ParseError(f"{path}:{lineno}: non-numeric cell in {raw!r}")
+    return ParseError(f"{path}: data rows are not plain numeric CSV")
+
+
+def _is_plain_number(cell: str) -> bool:
+    """Whether ``np.loadtxt`` reads ``cell``: ``float()`` minus ``1_0`` and non-ASCII digits."""
+    if not cell.isascii() or "_" in cell:
+        return False
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -92,175 +205,100 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _scan_header_problem(header: list[str]) -> str | None:
+    if header[0] not in ("delay_ps", "delay_mm"):
+        return f"first column must be delay_ps or delay_mm, got {header[0]!r}"
+    if len(header) < 2 or header[1] != "coincidences":
+        return "second column must be coincidences"
+    if len(header) > 3 or (len(header) == 3 and header[2] != "sigma"):
+        return f"unexpected columns {header[2:]}"
+    return None
+
+
 def load_scan(path) -> MeasuredScan:
     """Read a measured scan CSV; delay unit comes from the header, never guessed."""
     path = Path(path)
-    comments: list[str] = []
-    header: list[str] | None = None
-    delays: list[float] = []
-    counts: list[float] = []
-    sigmas: list[float] = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            comments.append(raw)
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        if header is None:
-            header = cells
-            if header[0] not in ("delay_ps", "delay_mm"):
-                raise ParseError(
-                    f"{path}:{lineno}: first column must be delay_ps or delay_mm, "
-                    f"got {header[0]!r}"
-                )
-            if len(header) < 2 or header[1] != "coincidences":
-                raise ParseError(f"{path}:{lineno}: second column must be coincidences")
-            if len(header) > 3 or (len(header) == 3 and header[2] != "sigma"):
-                raise ParseError(f"{path}:{lineno}: unexpected columns {header[2:]}")
-            continue
-        if len(cells) != len(header):
-            raise ParseError(
-                f"{path}:{lineno}: expected {len(header)} columns, got {len(cells)}"
-            )
-        try:
-            values = [float(c) for c in cells]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: non-numeric cell in {raw!r}") from exc
-        delays.append(values[0])
-        counts.append(values[1])
-        if len(values) == 3:
-            sigmas.append(values[2])
-    if header is None:
-        raise ParseError(f"{path}: no header row found")
-    if not delays:
-        raise ParseError(f"{path}: no data rows found")
-
-    d = np.asarray(delays)
+    lines, header, data = _read_csv(path, _scan_header_problem)
     if header[0] == "delay_ps":
-        delays_s = d * 1e-12
+        delays_s = data[:, 0] * 1e-12
     else:
         # double-pass delay stage: path difference is twice the travel
-        delays_s = 2.0 * d * 1e-3 / C_M_PER_S
+        delays_s = 2.0 * data[:, 0] * 1e-3 / C_M_PER_S
+    counts = data[:, 1]
     for check, message in (
         (np.all(np.diff(delays_s) > 0), "delays are not strictly increasing"),
-        (not np.any(np.asarray(counts) < 0), "negative counts"),
+        (not np.any(counts < 0), "negative counts"),
     ):
         if not check:
             raise ParseError(f"{path}: {message}")
     return MeasuredScan(
         delays=delays_s,
-        counts=np.asarray(counts),
-        sigma=np.asarray(sigmas) if sigmas else None,
-        comments=tuple(comments),
+        counts=counts,
+        sigma=data[:, 2] if data.shape[1] == 3 else None,
+        comments=tuple(raw for raw in lines if raw.lstrip().startswith("#")),
     )
 
 
 def export_scan(scan: MeasuredScan, path, meta: dict | None = None) -> None:
     """Write a measured scan in the canonical CSV layout (delays in ps)."""
-    path = Path(path)
-    lines: list[str] = []
-    if meta is not None:
-        lines.append(provenance_line(meta))
-    lines.extend(scan.comments)
-    has_sigma = scan.sigma is not None
-    lines.append("delay_ps,coincidences,sigma" if has_sigma else "delay_ps,coincidences")
-    for k in range(scan.delays.size):
-        row = [format_float(scan.delays[k] * 1e12), format_float(scan.counts[k])]
-        if has_sigma:
-            row.append(format_float(scan.sigma[k]))
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = "delay_ps,coincidences"
+    columns = [scan.delays * 1e12, scan.counts]
+    if scan.sigma is not None:
+        header += ",sigma"
+        columns.append(scan.sigma)
+    write_rows(path, meta, header, columns, scan.comments)
 
 
 def export_delay_scan(scan: DelayScan, path, meta: dict | None = None) -> None:
     """Write a simulated scan as ``tau_ps,rate``."""
-    path = Path(path)
-    lines = [] if meta is None else [provenance_line(meta)]
-    lines.append("tau_ps,rate")
-    for tau, rate in zip(scan.delays, scan.rates):
-        lines.append(f"{format_float(tau * 1e12)},{format_float(rate)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_rows(path, meta, "tau_ps,rate", [scan.delays * 1e12, scan.rates])
 
 
 def export_jsa_csv(state: JointSpectralAmplitude, path, meta: dict | None = None) -> None:
     """Write the complex amplitude as ``nu_s_rad_s,nu_i_rad_s,re,im``."""
-    path = Path(path)
-    header_meta = {"grid": _grid_meta(state.grid), "provenance": state.provenance}
-    if meta:
-        header_meta.update(meta)
-    lines = [provenance_line(header_meta), "nu_s_rad_s,nu_i_rad_s,re,im"]
-    nu_s = state.grid.nu_s
-    nu_i = state.grid.nu_i
     amp = state.amplitude
-    for j in range(nu_s.size):
-        for k in range(nu_i.size):
-            lines.append(
-                ",".join(
-                    (
-                        format_float(nu_s[j]),
-                        format_float(nu_i[k]),
-                        format_float(amp[j, k].real),
-                        format_float(amp[j, k].imag),
-                    )
-                )
-            )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_grid(
+        path,
+        _state_meta(state, meta),
+        "nu_s_rad_s,nu_i_rad_s,re,im",
+        state.grid.nu_s,
+        state.grid.nu_i,
+        (amp.real, amp.imag),
+    )
 
 
 def export_jsi_csv(
     state: JointSpectralAmplitude, path, meta: dict | None = None, axes: str = "nm"
 ) -> None:
     """Write |f|^2 with nm axes (default) or rad/s detuning axes."""
-    path = Path(path)
-    header_meta = {"grid": _grid_meta(state.grid), "provenance": state.provenance}
-    if meta:
-        header_meta.update(meta)
-    intensity = np.abs(state.amplitude) ** 2
-    lines = [provenance_line(header_meta)]
     if axes == "nm":
         omega_s0, omega_i0 = _central_frequencies(state)
         lam_s = 2.0 * math.pi * C_M_PER_S / (omega_s0 + state.grid.nu_s) * 1e9
         lam_i = 2.0 * math.pi * C_M_PER_S / (omega_i0 + state.grid.nu_i) * 1e9
-        lines.append("lambda_s_nm,lambda_i_nm,intensity")
-        col_s, col_i = lam_s, lam_i
+        header, col_s, col_i = "lambda_s_nm,lambda_i_nm,intensity", lam_s, lam_i
     elif axes == "rad_s":
-        lines.append("nu_s_rad_s,nu_i_rad_s,intensity")
-        col_s, col_i = state.grid.nu_s, state.grid.nu_i
+        header, col_s, col_i = "nu_s_rad_s,nu_i_rad_s,intensity", state.grid.nu_s, state.grid.nu_i
     else:
         raise DomainError(f"axes must be 'nm' or 'rad_s', got {axes!r}")
-    for j in range(col_s.size):
-        for k in range(col_i.size):
-            lines.append(
-                f"{format_float(col_s[j])},{format_float(col_i[k])},"
-                f"{format_float(intensity[j, k])}"
-            )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    intensity = np.abs(state.amplitude) ** 2
+    write_grid(path, _state_meta(state, meta), header, col_s, col_i, (intensity,))
 
 
 def export_jta_csv(jta, path, meta: dict | None = None) -> None:
     """Write a joint temporal amplitude as ``t_s_ps,t_i_ps,re,im``."""
-    path = Path(path)
     header_meta = {"dt_s": jta.dt, "n": int(jta.times.size), "provenance": jta.provenance}
     if meta:
         header_meta.update(meta)
-    lines = [provenance_line(header_meta), "t_s_ps,t_i_ps,re,im"]
     times_ps = jta.times * 1e12
     amp = jta.amplitude
-    for j in range(times_ps.size):
-        for k in range(times_ps.size):
-            lines.append(
-                ",".join(
-                    (
-                        format_float(times_ps[j]),
-                        format_float(times_ps[k]),
-                        format_float(amp[j, k].real),
-                        format_float(amp[j, k].imag),
-                    )
-                )
-            )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_grid(path, header_meta, "t_s_ps,t_i_ps,re,im", times_ps, times_ps, (amp.real, amp.imag))
+
+
+def _state_meta(state: JointSpectralAmplitude, meta: dict | None) -> dict:
+    header_meta = {"grid": _grid_meta(state.grid), "provenance": state.provenance}
+    if meta:
+        header_meta.update(meta)
+    return header_meta
 
 
 def _grid_meta(grid: FrequencyGrid) -> dict:
@@ -283,44 +321,38 @@ def _central_frequencies(state: JointSpectralAmplitude) -> tuple[float, float]:
     raise DomainError("state provenance does not carry central frequencies")
 
 
+def _jsi_header_problem(header: list[str]) -> str | None:
+    if header in (
+        ["lambda_s_nm", "lambda_i_nm", "intensity"],
+        ["nu_s_rad_s", "nu_i_rad_s", "intensity"],
+    ):
+        return None
+    return f"unrecognized JSI header {header}"
+
+
 def load_jsi(path) -> JointSpectralAmplitude:
     """Read a measured joint spectral intensity grid.
 
-    Wavelength axes are converted to detunings about the axis midpoint; the
-    amplitude is sqrt(intensity) with zero phase, and the provenance is
-    flagged accordingly so downstream interference predictions can be
-    labeled approximate.
+    Rows may come in any order, but every (signal, idler) cell must appear
+    exactly once.  Wavelength axes are converted to detunings about the axis
+    midpoint; the amplitude is sqrt(intensity) with zero phase, and the
+    provenance is flagged accordingly so downstream interference predictions
+    can be labeled approximate.
     """
     path = Path(path)
-    header: list[str] | None = None
-    rows: list[tuple[float, float, float]] = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        if header is None:
-            header = cells
-            if header not in (
-                ["lambda_s_nm", "lambda_i_nm", "intensity"],
-                ["nu_s_rad_s", "nu_i_rad_s", "intensity"],
-            ):
-                raise ParseError(f"{path}:{lineno}: unrecognized JSI header {header}")
-            continue
-        if len(cells) != 3:
-            raise ParseError(f"{path}:{lineno}: expected 3 columns, got {len(cells)}")
-        try:
-            rows.append((float(cells[0]), float(cells[1]), float(cells[2])))
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: non-numeric cell in {raw!r}") from exc
-    if header is None or not rows:
-        raise ParseError(f"{path}: no data found")
-
-    data = np.asarray(rows)
+    _, header, data = _read_csv(path, _jsi_header_problem)
+    if not np.all(np.isfinite(data)):
+        raise ParseError(f"{path}: non-finite cells")
     if np.any(data[:, 2] < 0):
         raise ParseError(f"{path}: negative intensities")
-    axis_s = np.unique(data[:, 0])
-    axis_i = np.unique(data[:, 1])
+    axis_s, inv_s = np.unique(data[:, 0], return_inverse=True)
+    axis_i, inv_i = np.unique(data[:, 1], return_inverse=True)
+    hits = np.bincount(inv_s * axis_i.size + inv_i)
+    if hits.max() > 1:
+        j, k = divmod(int(np.argmax(hits)), axis_i.size)
+        raise ParseError(
+            f"{path}: duplicate cell ({format_float(axis_s[j])}, {format_float(axis_i[k])})"
+        )
     if axis_s.size * axis_i.size != data.shape[0]:
         raise ParseError(
             f"{path}: rows do not form a full {axis_s.size}x{axis_i.size} grid"
@@ -334,10 +366,7 @@ def load_jsi(path) -> JointSpectralAmplitude:
         omega_s, omega_i = axis_s.copy(), axis_i.copy()
 
     intensity = np.zeros((axis_s.size, axis_i.size))
-    index_s = {v: j for j, v in enumerate(axis_s)}
-    index_i = {v: k for k, v in enumerate(axis_i)}
-    for ls, li, value in rows:
-        intensity[index_s[ls], index_i[li]] = value
+    intensity[inv_s, inv_i] = data[:, 2]
 
     warnings: list[str] = []
     if in_nm:

@@ -132,17 +132,20 @@ def load_preset(name: str) -> SourcePreset:
 def preset_with_pump(
     preset: SourcePreset,
     pump_fwhm_nm: float | None = None,
-    beta: float = 0.0,
+    beta: float | None = None,
     profile: str | None = None,
     length_scale: float = 1.0,
 ) -> SourcePreset:
     """Return a copy of ``preset`` with pump width, chirp, profile or length overridden.
 
     ``pump_fwhm_nm`` is an intensity FWHM in nm at the preset's pump carrier;
+    ``beta`` is the pump chirp in s^2, and None keeps the preset's chirp;
     ``length_scale`` rescales the waveguide length and both walk-offs with it.
     """
     pump = preset.pump
     pm = preset.pm
+    if beta is None:
+        beta = pump.beta
     if pump_fwhm_nm is not None:
         lam_p = 2.0 * math.pi * 299792458.0 / pump.omega_p0
         sigma = wavelength_fwhm_to_sigma(lam_p, pump_fwhm_nm * 1e-9)

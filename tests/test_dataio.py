@@ -11,22 +11,31 @@ from biphoton import (
     FitError,
     MeasuredScan,
     ParseError,
+    SpectralFilter,
+    apply_spectral_filter,
+    auto_grid,
     build_jsa,
     coincidence_scan,
     convolved_duration,
     default_delays,
+    export_delay_scan,
+    export_jsa_csv,
     export_jsi_csv,
+    export_jta_csv,
     export_scan,
     extract_dip,
     fit_dip,
     gaussian_scan,
+    jta_from_jsa,
     load_jsi,
     load_scan,
     preset_with_pump,
     render_table,
     sinc_dip_kernel,
     table_report,
+    write_rows,
 )
+from biphoton.dataio import format_float, provenance_line
 from biphoton.hom import gaussian_dip_width
 from biphoton.spectral import GAUSSIAN_FWHM_FACTOR
 
@@ -104,6 +113,146 @@ class TestLoadScan:
         assert first.read_bytes() == second.read_bytes()
 
 
+def seed_csv_text(meta, header, rows) -> str:
+    """The per-cell ``format_float`` loop the writers replaced: the byte reference."""
+    lines = [] if meta is None else [provenance_line(meta)]
+    lines.append(header)
+    for row in rows:
+        lines.append(",".join(format_float(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def seed_grid_rows(axis_s, axis_i, *values):
+    for j in range(len(axis_s)):
+        for k in range(len(axis_i)):
+            yield (axis_s[j], axis_i[k], *(v[j, k] for v in values))
+
+
+@pytest.fixture(scope="module")
+def deep_state(ppktp):
+    """Chirped, filtered sinc state on a wide 70-point grid.
+
+    The wide span drives the far corners down to subnormal magnitudes and
+    leaves zero and negative-zero imaginary parts; 70 rows is not a multiple
+    of the writer's block, so a partial last block is written too.
+    """
+    src = preset_with_pump(ppktp, pump_fwhm_nm=2.3, beta=3e-27, profile="sinc")
+    state = build_jsa(src.pump, src.pm, auto_grid(src.pump, src.pm, n=70, span_fwhms=12.0))
+    state = apply_spectral_filter(
+        state, SpectralFilter(shape="gaussian", center=0.0, width=3e12, target="both")
+    )
+    amp = state.amplitude
+    magnitudes = np.abs(amp[amp != 0])
+    assert magnitudes.min() < 1e-300 and magnitudes.max() > 0.1
+    assert np.any((amp.imag == 0) & np.signbit(amp.imag))
+    return state
+
+
+def state_meta(state, meta):
+    grid = state.grid
+    return {
+        "grid": {
+            "n_s": grid.n_s,
+            "n_i": grid.n_i,
+            "nu_s_min": grid.nu_s_min,
+            "nu_s_max": grid.nu_s_max,
+            "nu_i_min": grid.nu_i_min,
+            "nu_i_max": grid.nu_i_max,
+        },
+        "provenance": state.provenance,
+        **meta,
+    }
+
+
+class TestWritersByteIdentical:
+    META = {"tool": "test", "config_sha256": "0123456789abcdef"}
+
+    def test_jsa(self, tmp_path, deep_state):
+        path = tmp_path / "jsa.csv"
+        export_jsa_csv(deep_state, path, self.META)
+        amp = deep_state.amplitude
+        grid = deep_state.grid
+        expected = seed_csv_text(
+            state_meta(deep_state, self.META),
+            "nu_s_rad_s,nu_i_rad_s,re,im",
+            seed_grid_rows(grid.nu_s, grid.nu_i, amp.real, amp.imag),
+        )
+        assert path.read_bytes() == expected.encode()
+
+    def test_jsi_nm_axes(self, tmp_path, deep_state):
+        path = tmp_path / "jsi.csv"
+        export_jsi_csv(deep_state, path, self.META)
+        pm = deep_state.provenance["pm"]
+        lam_s = 2.0 * math.pi * C_M_PER_S / (pm["omega_s0"] + deep_state.grid.nu_s) * 1e9
+        lam_i = 2.0 * math.pi * C_M_PER_S / (pm["omega_i0"] + deep_state.grid.nu_i) * 1e9
+        expected = seed_csv_text(
+            state_meta(deep_state, self.META),
+            "lambda_s_nm,lambda_i_nm,intensity",
+            seed_grid_rows(lam_s, lam_i, np.abs(deep_state.amplitude) ** 2),
+        )
+        assert path.read_bytes() == expected.encode()
+
+    def test_jsi_rad_s_axes(self, tmp_path, deep_state):
+        path = tmp_path / "jsi.csv"
+        export_jsi_csv(deep_state, path, self.META, axes="rad_s")
+        grid = deep_state.grid
+        expected = seed_csv_text(
+            state_meta(deep_state, self.META),
+            "nu_s_rad_s,nu_i_rad_s,intensity",
+            seed_grid_rows(grid.nu_s, grid.nu_i, np.abs(deep_state.amplitude) ** 2),
+        )
+        assert path.read_bytes() == expected.encode()
+
+    def test_jta(self, tmp_path, deep_state):
+        jta = jta_from_jsa(deep_state, oversample=1)
+        path = tmp_path / "jta.csv"
+        export_jta_csv(jta, path, self.META)
+        times_ps = jta.times * 1e12
+        meta = {"dt_s": jta.dt, "n": int(jta.times.size), "provenance": jta.provenance}
+        expected = seed_csv_text(
+            {**meta, **self.META},
+            "t_s_ps,t_i_ps,re,im",
+            seed_grid_rows(times_ps, times_ps, jta.amplitude.real, jta.amplitude.imag),
+        )
+        assert path.read_bytes() == expected.encode()
+
+    def test_rows(self, tmp_path, deep_state):
+        # the marginals.csv layout: one 1-D column per quantity
+        nu = deep_state.grid.nu_s
+        sig = np.sum(np.abs(deep_state.amplitude) ** 2, axis=1)
+        path = tmp_path / "marginals.csv"
+        write_rows(path, self.META, "nu_rad_s,signal,idler", [nu, sig, -sig])
+        expected = seed_csv_text(self.META, "nu_rad_s,signal,idler", zip(nu, sig, -sig))
+        assert path.read_bytes() == expected.encode()
+
+    def test_scans(self, tmp_path, ppktp):
+        _, delays, counts = synthetic_counts(ppktp)
+        scan = MeasuredScan(
+            delays=delays, counts=counts, sigma=np.sqrt(counts), comments=("# run 7",)
+        )
+        path = tmp_path / "scan.csv"
+        export_scan(scan, path, self.META)
+        rows = zip(delays * 1e12, counts, np.sqrt(counts))
+        head = seed_csv_text(self.META, "delay_ps,coincidences,sigma", rows).split("\n", 1)
+        assert path.read_bytes() == "\n".join([head[0], "# run 7", head[1]]).encode()
+
+        sim = gaussian_scan(ppktp.pump, ppktp.pm, delays)
+        export_delay_scan(sim, path)
+        expected = seed_csv_text(None, "tau_ps,rate", zip(sim.delays * 1e12, sim.rates))
+        assert path.read_bytes() == expected.encode()
+
+
+def jsi_lines(n=4):
+    """Header and rows of an n x n nm-axis JSI with distinct values per cell."""
+    lams = 1535.0 + 2.0 * (np.arange(n) - n // 2)
+    rows = [
+        f"{ls:g},{li:g},{1.0 + j * n + k:g}"
+        for j, ls in enumerate(lams)
+        for k, li in enumerate(lams)
+    ]
+    return ["lambda_s_nm,lambda_i_nm,intensity"], rows
+
+
 class TestLoadJsi:
     def test_nm_grid_conversion(self, tmp_path):
         # 11x11 grid at 1.8 nm pitch around 1535 nm
@@ -131,6 +280,72 @@ class TestLoadJsi:
         path = tmp_path / "jsi.csv"
         write_scan_lines(path, lines)
         with pytest.raises(ParseError, match="full"):
+            load_jsi(path)
+
+    def test_any_row_order(self, tmp_path, rng):
+        header, rows = jsi_lines()
+        write_scan_lines(tmp_path / "a.csv", header + rows)
+        shuffled = [rows[i] for i in rng.permutation(len(rows))]
+        write_scan_lines(tmp_path / "b.csv", header + shuffled)
+        np.testing.assert_array_equal(
+            load_jsi(tmp_path / "b.csv").amplitude, load_jsi(tmp_path / "a.csv").amplitude
+        )
+
+    def test_padded_cells_and_interleaved_blank_and_comment_lines(self, tmp_path):
+        header, rows = jsi_lines()
+        write_scan_lines(tmp_path / "a.csv", header + rows)
+        padded = [" " + row.replace(",", " ,\t") + "  " for row in rows]
+        for at, extra in ((12, "# lamp drift check"), (7, ""), (3, "   "), (0, "  # start")):
+            padded.insert(at, extra)
+        write_scan_lines(tmp_path / "b.csv", ["# measured", "", " " + header[0]] + padded)
+        np.testing.assert_array_equal(
+            load_jsi(tmp_path / "b.csv").amplitude, load_jsi(tmp_path / "a.csv").amplitude
+        )
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("1535,1535,high", "non-numeric"),
+            ("1535,1535", "expected 3 columns, got 2"),
+            ("1535,1535,1,1", "expected 3 columns, got 4"),
+            ("1535,1535,1 # note", "non-numeric"),
+        ],
+        ids=["non-numeric", "too-few", "too-many", "trailing-comment"],
+    )
+    def test_bad_row_reports_line(self, tmp_path, bad, message):
+        header, rows = jsi_lines()
+        rows[9] = bad
+        path = tmp_path / "jsi.csv"
+        # comment, header, blank line, then rows: row 9 sits on line 13
+        write_scan_lines(path, ["# c"] + header + [""] + rows)
+        with pytest.raises(ParseError, match=f":13: {message}"):
+            load_jsi(path)
+
+    def test_duplicate_cell(self, tmp_path):
+        # the repeat fills the row count, so only the missing cell betrays it
+        lines = ["lambda_s_nm,lambda_i_nm,intensity", "1533,1533,1", "1533,1535,1",
+                 "1535,1533,1", "1533,1533,2"]
+        path = tmp_path / "jsi.csv"
+        write_scan_lines(path, lines)
+        with pytest.raises(ParseError, match=r"duplicate cell \(1533, 1533\)"):
+            load_jsi(path)
+
+    @pytest.mark.parametrize("digits", ["1_5", "\u0661\u0665"], ids=["grouped", "non-ascii"])
+    def test_float_only_digits_report_line(self, tmp_path, digits):
+        # float() reads these as 15, the numeric parser does not
+        header, rows = jsi_lines()
+        rows[5] = digits + rows[5][2:]
+        path = tmp_path / "jsi.csv"
+        write_scan_lines(path, header + rows)
+        with pytest.raises(ParseError, match=":7: non-numeric"):
+            load_jsi(path)
+
+    def test_non_finite_cell(self, tmp_path):
+        header, rows = jsi_lines()
+        rows[5] = rows[5].rsplit(",", 1)[0] + ",nan"
+        path = tmp_path / "jsi.csv"
+        write_scan_lines(path, header + rows)
+        with pytest.raises(ParseError, match="non-finite"):
             load_jsi(path)
 
     def test_bad_header(self, tmp_path):

@@ -141,3 +141,16 @@ class TestOverrides:
     def test_chirp_override(self, ppktp):
         src = preset_with_pump(ppktp, pump_fwhm_nm=2.0, beta=5e-27)
         assert src.pump.beta == 5e-27
+
+    @pytest.mark.parametrize(
+        "override",
+        [{"profile": "sinc"}, {"length_scale": 1.5}, {"pump_fwhm_nm": 3.0}],
+        ids=["profile", "length_scale", "pump_fwhm_nm"],
+    )
+    def test_chirp_kept_through_other_overrides(self, ppktp, override):
+        chirped = preset_with_pump(ppktp, beta=5e-27)
+        assert preset_with_pump(chirped, **override).pump.beta == 5e-27
+
+    def test_explicit_zero_chirp_clears_it(self, ppktp):
+        chirped = preset_with_pump(ppktp, beta=5e-27)
+        assert preset_with_pump(chirped, profile="sinc", beta=0.0).pump.beta == 0.0
