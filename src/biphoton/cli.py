@@ -138,7 +138,9 @@ def cmd_simulate(args) -> int:
     state = _build_state(args, source)
     outdir = _outdir(args)
     config = _config_dict(
-        args, ("preset", "pump_fwhm_nm", "chirp_fs2", "profile", "grid_n", "grid_span_fwhms")
+        args,
+        ("preset", "pump_fwhm_nm", "chirp_fs2", "profile", "length_mm", "grid_n",
+         "grid_span_fwhms", "filter_fwhm_nm"),
     )
     meta = _meta(config)
 
@@ -184,16 +186,19 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_hom(args) -> int:
+    n_delays = int(_resolve(args, "delay_points", int, 201))
+    if n_delays < 2:
+        raise DomainError(f"--delay-points must be >= 2, got {n_delays}")
     source = _load_source(args)
     outdir = _outdir(args)
     model = _resolve(args, "model", str, "numeric")
     config = _config_dict(
         args,
-        ("preset", "pump_fwhm_nm", "chirp_fs2", "profile", "model", "grid_n", "delay_span"),
+        ("preset", "pump_fwhm_nm", "chirp_fs2", "profile", "length_mm", "model", "grid_n",
+         "grid_span_fwhms", "delay_points", "delay_span"),
     )
     meta = _meta(config)
 
-    n_delays = int(_resolve(args, "delay_points", int, 201))
     span = float(_resolve(args, "delay_span", float, 4.0))
 
     if model == "gaussian":
@@ -239,6 +244,9 @@ def cmd_hom(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    steps = int(_resolve(args, "steps", int, 9))
+    if steps < 1:
+        raise DomainError(f"--steps must be >= 1, got {steps}")
     source = _load_source(args)
     outdir = _outdir(args)
     axis = _resolve(args, "axis", str, None)
@@ -251,10 +259,11 @@ def cmd_sweep(args) -> int:
         print("error: sweep needs --start and --stop", file=sys.stderr)
         return 2
     start, stop = float(start), float(stop)
-    steps = int(_resolve(args, "steps", int, 9))
     model = _resolve(args, "model", str, "gaussian")
     config = _config_dict(
-        args, ("preset", "pump_fwhm_nm", "profile", "axis", "start", "stop", "steps", "model")
+        args,
+        ("preset", "pump_fwhm_nm", "chirp_fs2", "profile", "length_mm", "grid_n",
+         "grid_span_fwhms", "axis", "start", "stop", "steps", "model"),
     )
     meta = _meta(config)
 

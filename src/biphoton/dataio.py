@@ -21,6 +21,9 @@ anywhere, cells may be padded with whitespace, the numeric body is parsed in
 one pass, and a malformed line is reported as ``path:lineno:``.
 :func:`load_jsi` accepts grid rows in any order but rejects duplicate and
 missing cells.
+
+``scipy.optimize`` is imported inside :func:`fit_dip`, its one user, so that
+commands which fit no dip do not pay its import time (most of the package's).
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .errors import DomainError, FitError, ParseError
 from .hom import DelayScan, coincidence_scan, default_delays, extract_dip
@@ -434,7 +436,7 @@ def sinc_dip_kernel(preset: SourcePreset, pump_fwhm_nm: float, n_grid: int = 512
     measured scans from a sinc-phasematched device.
     """
     src = preset_with_pump(preset, pump_fwhm_nm=pump_fwhm_nm, profile="sinc")
-    state = build_jsa(src.pump, src.pm, grid=None)
+    state = build_jsa(src.pump, src.pm, auto_grid(src.pump, src.pm, n=n_grid))
     delays = default_delays(src.pm, n=801, spans=4.0)
     scan = coincidence_scan(state, delays)
     depth = 1.0 - scan.rates
@@ -537,6 +539,8 @@ def fit_dip(scan: MeasuredScan, model: str = "gaussian-dip", kernel: DipKernel |
     else:
         sigma = None
         absolute = False
+
+    from scipy.optimize import curve_fit
 
     try:
         popt, pcov = curve_fit(

@@ -1,10 +1,16 @@
 """End-to-end CLI behaviour through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import biphoton
 from biphoton.cli import main
 from biphoton.dataio import load_scan
 
@@ -15,6 +21,11 @@ def data_rows(path):
 
 def run(tmp_path, *argv):
     return main([*argv, "--out", str(tmp_path)])
+
+
+def config_hash(path):
+    first = path.read_text().splitlines()[0]
+    return json.loads(first[len("# biphoton: "):])["config_sha256"]
 
 
 class TestSimulate:
@@ -96,6 +107,15 @@ class TestHom:
         t_b = json.loads((b / "hom.json").read_text())["t_c_ps"]
         assert t_a == t_b
 
+    @pytest.mark.parametrize("points", ["0", "1"])
+    def test_too_few_delay_points_rejected(self, tmp_path, capsys, points):
+        code = run(tmp_path, "hom", "--preset", "ppktp-8mm", "--model", "gaussian",
+                   "--delay-points", points)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--delay-points" in err and "Traceback" not in err
+        assert not (tmp_path / "scan.csv").exists()
+
     def test_narrow_delay_range_fails(self, tmp_path, capsys):
         code = run(tmp_path, "hom", "--preset", "ppktp-8mm", "--delay-span", "0.4")
         assert code != 0
@@ -129,6 +149,14 @@ class TestSweep:
         t_cs = np.array([float(r.split(",")[1]) for r in data_rows(tmp_path / "sweep.csv")[1:]])
         assert t_cs[0] < t_cs[1] < t_cs[2]
 
+    def test_zero_steps_rejected(self, tmp_path, capsys):
+        code = run(tmp_path, "sweep", "--preset", "ppktp-8mm", "--axis", "pump_fwhm",
+                   "--start", "1", "--stop", "2", "--steps", "0")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--steps" in err and "Traceback" not in err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_missing_axis(self, tmp_path, capsys):
         code = run(tmp_path, "sweep", "--preset", "ppktp-8mm", "--start", "1", "--stop", "2")
         assert code == 2
@@ -161,3 +189,67 @@ class TestPresets:
         assert main(["presets"]) == 0
         out = capsys.readouterr().out
         assert "ppktp-8mm" in out
+
+
+# (base argv, file holding the provenance line) per command
+_HASH_BASES = {
+    "simulate": (["simulate", "--preset", "ppktp-8mm", "--grid-n", "64"], "jsi.csv"),
+    "hom": (["hom", "--preset", "ppktp-8mm", "--model", "gaussian"], "scan.csv"),
+    "sweep": (["sweep", "--preset", "ppktp-8mm", "--axis", "pump_fwhm", "--start", "1",
+               "--stop", "2", "--steps", "3", "--model", "gaussian"], "sweep.csv"),
+}
+
+
+class TestProvenanceHash:
+    @pytest.mark.parametrize("command,flag,value", [
+        ("simulate", "--length-mm", "16"),
+        ("simulate", "--filter-fwhm-nm", "1"),
+        ("hom", "--length-mm", "16"),
+        ("hom", "--grid-span-fwhms", "6"),
+        ("hom", "--delay-points", "51"),
+        ("sweep", "--chirp-fs2", "5000"),
+        ("sweep", "--length-mm", "16"),
+        ("sweep", "--grid-n", "256"),
+        ("sweep", "--grid-span-fwhms", "6"),
+    ])
+    def test_flag_changes_hash(self, tmp_path, command, flag, value):
+        argv, name = _HASH_BASES[command]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main([*argv, "--out", str(a)]) == 0
+        assert main([*argv, flag, value, "--out", str(b)]) == 0
+        assert config_hash(a / name) != config_hash(b / name)
+
+    def test_unflagged_hash_unchanged(self, tmp_path):
+        argv, name = _HASH_BASES["hom"]
+        assert run(tmp_path, *argv) == 0
+        assert config_hash(tmp_path / name) == "091104b2f13fc231"
+
+
+def test_only_fit_dip_imports_scipy(tmp_path):
+    # a fresh interpreter: other tests have already imported scipy in this one
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from biphoton.cli import main
+
+        out = sys.argv[1]
+        assert main(["presets"]) == 0
+        assert main(["hom", "--preset", "ppktp-8mm", "--model", "gaussian", "--out", out]) == 0
+        assert main(["sweep", "--preset", "ppktp-8mm", "--axis", "pump_fwhm", "--start", "1",
+                     "--stop", "2", "--steps", "3", "--model", "gaussian", "--out", out]) == 0
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        assert not loaded, loaded
+
+        from biphoton.dataio import MeasuredScan, fit_dip
+        delays = np.linspace(-5e-12, 5e-12, 101)
+        counts = 1e4 * (1.0 - 0.9 * np.exp(-4 * np.log(2) * (delays / 1e-12) ** 2))
+        report = fit_dip(MeasuredScan(delays=delays, counts=counts))
+        assert abs(report.t_c / 1e-12 - 1.0) < 1e-3, report.t_c
+        assert "scipy.optimize" in sys.modules
+    """)
+    src = str(Path(biphoton.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

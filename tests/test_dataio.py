@@ -26,6 +26,7 @@ from biphoton import (
     extract_dip,
     fit_dip,
     gaussian_scan,
+    intensity_fwhm,
     jta_from_jsa,
     load_jsi,
     load_scan,
@@ -434,6 +435,25 @@ class TestFitDip:
             MeasuredScan(delays=delays, counts=counts), model="sinc-kernel-dip", kernel=kernel
         )
         assert report.t_c == pytest.approx(t_ref, rel=5e-3)
+
+    def test_sinc_kernel_default_grid_unchanged(self, ppktp):
+        # the kernel as built when sinc_dip_kernel ignored n_grid (build_jsa's own grid)
+        src = preset_with_pump(ppktp, pump_fwhm_nm=2.0, profile="sinc")
+        scan = coincidence_scan(
+            build_jsa(src.pump, src.pm, grid=None), default_delays(src.pm, n=801, spans=4.0)
+        )
+        depth = 1.0 - scan.rates
+        depth = depth / depth.max()
+        center = scan.delays[int(np.argmax(depth))]
+        u = (scan.delays - center) / intensity_fwhm(scan.delays, depth)
+        kernel = sinc_dip_kernel(ppktp, 2.0)
+        np.testing.assert_array_equal(kernel.u, u)
+        np.testing.assert_array_equal(kernel.depth, depth)
+
+    def test_sinc_kernel_honours_n_grid(self, ppktp):
+        default = sinc_dip_kernel(ppktp, 2.0)
+        coarse = sinc_dip_kernel(ppktp, 2.0, n_grid=256)
+        assert not np.array_equal(coarse.depth, default.depth)
 
     def test_kernel_required(self, ppktp):
         _, delays, counts = synthetic_counts(ppktp)
