@@ -64,8 +64,14 @@ def _meta(config: dict) -> dict:
     return {"tool": f"biphoton {__version__}", "config_sha256": _config_hash(config)}
 
 
-def _read_config_file(path: str) -> dict:
-    values: dict[str, str] = {}
+def _read_config_file(path: str, types: dict) -> dict:
+    """``key = value`` lines, each value cast with its flag's argparse type.
+
+    Casting here gives a value the same type, and so the same hash, whether
+    it comes from a flag or from the file.  Keys that are no typed flag of
+    the command stay strings.
+    """
+    values: dict = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -73,22 +79,29 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise DomainError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key, value = key.strip().replace("-", "_"), value.strip()
+        cast = types.get(key)
+        if cast is not None:
+            try:
+                value = cast(value)
+            except ValueError:
+                raise DomainError(
+                    f"{path}:{lineno}: {key} = {value!r} is not a valid {cast.__name__}"
+                ) from None
+        values[key] = value
     return values
 
 
-def _resolve(args: argparse.Namespace, key: str, cast=float, default=None):
+def _resolve(args: argparse.Namespace, key: str, default=None):
     """CLI flag beats config file beats default."""
     value = getattr(args, key, None)
     if value is not None:
         return value
-    if args._config and key in args._config:
-        return cast(args._config[key])
-    return default
+    return args._config.get(key, default)
 
 
 def _outdir(args) -> Path:
-    out = _resolve(args, "out", cast=str, default=None)
+    out = _resolve(args, "out")
     if out is None:
         out = os.environ.get("BIPHOTON_OUTDIR", ".")
     path = Path(out)
@@ -97,14 +110,14 @@ def _outdir(args) -> Path:
 
 
 def _load_source(args):
-    name = _resolve(args, "preset", cast=str, default=None)
+    name = _resolve(args, "preset")
     if name is None:
         raise DomainError("a --preset is required")
     preset = load_preset(name)
-    pump_fwhm_nm = _resolve(args, "pump_fwhm_nm", float, None)
-    chirp_fs2 = _resolve(args, "chirp_fs2", float, 0.0) or 0.0
-    profile = _resolve(args, "profile", str, None)
-    length_mm = _resolve(args, "length_mm", float, None)
+    pump_fwhm_nm = _resolve(args, "pump_fwhm_nm")
+    chirp_fs2 = _resolve(args, "chirp_fs2", 0.0) or 0.0
+    profile = _resolve(args, "profile")
+    length_mm = _resolve(args, "length_mm")
     length_scale = 1.0
     if length_mm is not None:
         length_scale = (length_mm * 1e-3) / preset.pm.length_L
@@ -118,8 +131,8 @@ def _load_source(args):
 
 
 def _build_state(args, source):
-    n = int(_resolve(args, "grid_n", int, 512))
-    span = float(_resolve(args, "grid_span_fwhms", float, 4.0))
+    n = int(_resolve(args, "grid_n", 512))
+    span = float(_resolve(args, "grid_span_fwhms", 4.0))
     grid = auto_grid(source.pump, source.pm, n=n, span_fwhms=span)
     return build_jsa(source.pump, source.pm, grid)
 
@@ -127,7 +140,7 @@ def _build_state(args, source):
 def _config_dict(args, keys) -> dict:
     config = {}
     for key in keys:
-        value = _resolve(args, key, cast=str, default=None)
+        value = _resolve(args, key)
         if value is not None:
             config[key] = value if isinstance(value, (int, float, str)) else str(value)
     return config
@@ -144,7 +157,7 @@ def cmd_simulate(args) -> int:
     )
     meta = _meta(config)
 
-    filter_fwhm_nm = _resolve(args, "filter_fwhm_nm", float, None)
+    filter_fwhm_nm = _resolve(args, "filter_fwhm_nm")
     if filter_fwhm_nm is not None:
         lam = 2 * np.pi * C_M_PER_S / source.pm.omega_s0
         width = filter_fwhm_nm * 1e-9 * 2 * np.pi * C_M_PER_S / lam**2
@@ -186,12 +199,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_hom(args) -> int:
-    n_delays = int(_resolve(args, "delay_points", int, 201))
+    n_delays = int(_resolve(args, "delay_points", 201))
     if n_delays < 2:
         raise DomainError(f"--delay-points must be >= 2, got {n_delays}")
     source = _load_source(args)
     outdir = _outdir(args)
-    model = _resolve(args, "model", str, "numeric")
+    model = _resolve(args, "model", "numeric")
     config = _config_dict(
         args,
         ("preset", "pump_fwhm_nm", "chirp_fs2", "profile", "length_mm", "model", "grid_n",
@@ -199,7 +212,7 @@ def cmd_hom(args) -> int:
     )
     meta = _meta(config)
 
-    span = float(_resolve(args, "delay_span", float, 4.0))
+    span = float(_resolve(args, "delay_span", 4.0))
 
     if model == "gaussian":
         pm = source.pm
@@ -244,22 +257,22 @@ def cmd_hom(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    steps = int(_resolve(args, "steps", int, 9))
+    steps = int(_resolve(args, "steps", 9))
     if steps < 1:
         raise DomainError(f"--steps must be >= 1, got {steps}")
     source = _load_source(args)
     outdir = _outdir(args)
-    axis = _resolve(args, "axis", str, None)
+    axis = _resolve(args, "axis")
     if axis not in ("pump_fwhm", "length", "chirp"):
         print("error: --axis must be pump_fwhm | length | chirp", file=sys.stderr)
         return 2
-    start = _resolve(args, "start", float, None)
-    stop = _resolve(args, "stop", float, None)
+    start = _resolve(args, "start")
+    stop = _resolve(args, "stop")
     if start is None or stop is None:
         print("error: sweep needs --start and --stop", file=sys.stderr)
         return 2
     start, stop = float(start), float(stop)
-    model = _resolve(args, "model", str, "gaussian")
+    model = _resolve(args, "model", "gaussian")
     config = _config_dict(
         args,
         ("preset", "pump_fwhm_nm", "chirp_fs2", "profile", "length_mm", "grid_n",
@@ -302,16 +315,16 @@ def cmd_sweep(args) -> int:
 
 def cmd_analyze(args) -> int:
     scan = load_scan(args.scan_file)
-    model = _resolve(args, "model", str, "gaussian-dip")
+    model = _resolve(args, "model", "gaussian-dip")
     outdir = _outdir(args)
     config = _config_dict(args, ("model", "preset", "pump_fwhm_nm"))
-    config["scan_file"] = str(args.scan_file)
+    config["scan_sha256"] = hashlib.sha256(Path(args.scan_file).read_bytes()).hexdigest()
     meta = _meta(config)
 
     kernel = None
     if model == "sinc-kernel-dip":
-        name = _resolve(args, "preset", str, None)
-        pump_fwhm_nm = _resolve(args, "pump_fwhm_nm", float, None)
+        name = _resolve(args, "preset")
+        pump_fwhm_nm = _resolve(args, "pump_fwhm_nm")
         if name is None or pump_fwhm_nm is None:
             print(
                 "error: sinc-kernel-dip needs --preset and --pump-fwhm-nm for the kernel",
@@ -404,6 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     presets = subs.add_parser("presets", help="list shipped source presets")
     presets.set_defaults(func=cmd_presets)
+    for sub in subs.choices.values():
+        sub.set_defaults(_types={a.dest: a.type for a in sub._actions if a.type is not None})
     return parser
 
 
@@ -411,8 +426,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     config_path = getattr(args, "config", None)
-    args._config = _read_config_file(config_path) if config_path else {}
     try:
+        args._config = _read_config_file(config_path, args._types) if config_path else {}
         return args.func(args)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

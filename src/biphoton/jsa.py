@@ -41,6 +41,29 @@ CLASSIFICATION_DEAD_ZONE = 0.1
 
 MIN_SAMPLES_PER_FWHM = 8.0
 
+# Largest set of arrays, in bytes, that one grid or transform may allocate.
+# Sizes are estimated before allocating, so an oversized request fails with a
+# DomainError instead of exhausting memory.  The budget admits the JTA of an
+# n=1024 grid at 4x oversampling (about 0.54 GB with its projection buffer)
+# and rejects that of n=2048 (about 2.1 GB).
+MEMORY_BUDGET_BYTES = 1 << 30
+
+_COMPLEX_BYTES = np.dtype(complex).itemsize
+
+
+def check_memory_budget(what: str, nbytes: int) -> None:
+    """Raise DomainError if ``what`` would need more than the memory budget."""
+    if nbytes > MEMORY_BUDGET_BYTES:
+        raise DomainError(
+            f"{what} would need about {nbytes / 2**20:.0f} MiB, above the "
+            f"{MEMORY_BUDGET_BYTES / 2**20:.0f} MiB memory budget"
+        )
+
+
+def jsa_bytes(n_s: int, n_i: int) -> int:
+    """Bytes of the complex amplitude on an ``n_s`` x ``n_i`` grid."""
+    return _COMPLEX_BYTES * n_s * n_i
+
 
 @dataclass(frozen=True)
 class FrequencyGrid:
@@ -273,6 +296,7 @@ def build_jsa(
     """
     if grid is None:
         grid = auto_grid(pump, pm)
+    check_memory_budget("the joint spectral amplitude", jsa_bytes(grid.n_s, grid.n_i))
     ns = grid.nu_s[:, None]
     ni = grid.nu_i[None, :]
     amp = pump_envelope(pump, ns + ni) * phasematching_profile(pm, ns, ni)

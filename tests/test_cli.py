@@ -86,6 +86,28 @@ class TestSimulate:
                      "--pump-fwhm-nm", "2.0", "--out", str(b)]) == 0
         assert json.loads((b / "schmidt.json").read_text())["correlation"] == "decorrelated"
 
+    @pytest.mark.parametrize("text,message", [
+        ("grid_n = abc\n", "run.conf:1: grid_n = 'abc' is not a valid int"),
+        (None, "No such file"),
+    ])
+    def test_bad_config_file(self, tmp_path, capsys, text, message):
+        config = tmp_path / "run.conf"
+        if text is not None:
+            config.write_text(text)
+        code = run(tmp_path / "out", "simulate", "--preset", "ppktp-8mm", "--config", str(config))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "hom"])
+    def test_oversized_grid_rejected(self, tmp_path, capsys, command):
+        code = run(tmp_path, command, "--preset", "ppktp-8mm", "--grid-n", "100000")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "memory budget" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
 
 class TestHom:
     def test_numeric_sinc_dip(self, tmp_path):
@@ -183,6 +205,27 @@ class TestAnalyze:
         # file parses back as a measured scan
         assert load_scan(scan_file).delays.size == len(rows)
 
+    def test_hash_follows_scan_contents(self, tmp_path):
+        delays = np.linspace(-5.0, 5.0, 101)
+
+        def write_scan(path, width_ps):
+            counts = 1e4 * (1.0 - 0.9 * np.exp(-4 * np.log(2) * (delays / width_ps) ** 2))
+            path.parent.mkdir(exist_ok=True)
+            path.write_text("delay_ps,coincidences\n"
+                            + "".join(f"{d},{c}\n" for d, c in zip(delays, counts)))
+
+        def fit_hash(scan_file, out):
+            assert main(["analyze", str(scan_file), "--out", str(out)]) == 0
+            return json.loads((out / "fit.json").read_text())["provenance"]["config_sha256"]
+
+        first, second = tmp_path / "a" / "scan.csv", tmp_path / "b" / "scan.csv"
+        write_scan(first, 1.0)
+        write_scan(second, 1.0)
+        same = fit_hash(first, tmp_path / "fit_a")
+        assert fit_hash(second, tmp_path / "fit_b") == same
+        write_scan(first, 1.2)
+        assert fit_hash(first, tmp_path / "fit_a2") != same
+
 
 class TestPresets:
     def test_listing(self, capsys):
@@ -197,6 +240,25 @@ _HASH_BASES = {
     "hom": (["hom", "--preset", "ppktp-8mm", "--model", "gaussian"], "scan.csv"),
     "sweep": (["sweep", "--preset", "ppktp-8mm", "--axis", "pump_fwhm", "--start", "1",
                "--stop", "2", "--steps", "3", "--model", "gaussian"], "sweep.csv"),
+}
+
+
+# (file holding the provenance line, every hashed key with a value) per command
+_HASH_FLAGS = {
+    "simulate": ("jsi.csv", {
+        "preset": "ppktp-8mm", "pump_fwhm_nm": "2", "chirp_fs2": "500", "profile": "sinc",
+        "length_mm": "16", "grid_n": "64", "grid_span_fwhms": "5", "filter_fwhm_nm": "3",
+    }),
+    "hom": ("scan.csv", {
+        "preset": "ppktp-8mm", "pump_fwhm_nm": "2", "chirp_fs2": "500", "profile": "gaussian",
+        "length_mm": "16", "model": "numeric", "grid_n": "128", "grid_span_fwhms": "5",
+        "delay_points": "51", "delay_span": "5",
+    }),
+    "sweep": ("sweep.csv", {
+        "preset": "ppktp-8mm", "pump_fwhm_nm": "2", "chirp_fs2": "500", "profile": "gaussian",
+        "length_mm": "16", "grid_n": "64", "grid_span_fwhms": "5", "axis": "pump_fwhm",
+        "start": "1", "stop": "2", "steps": "3", "model": "gaussian",
+    }),
 }
 
 
@@ -218,6 +280,27 @@ class TestProvenanceHash:
         assert main([*argv, "--out", str(a)]) == 0
         assert main([*argv, flag, value, "--out", str(b)]) == 0
         assert config_hash(a / name) != config_hash(b / name)
+
+    @pytest.mark.parametrize("command,key", [
+        (command, key) for command, (_, values) in _HASH_FLAGS.items() for key in values
+    ])
+    def test_config_file_hashes_like_flag(self, tmp_path, command, key):
+        name, values = _HASH_FLAGS[command]
+
+        def argv(skip=None):
+            flags = [command]
+            for k, v in values.items():
+                if k != skip:
+                    flags += ["--" + k.replace("_", "-"), v]
+            return flags
+
+        config = tmp_path / "run.conf"
+        config.write_text(f"{key} = {values[key]}\n")
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main([*argv(), "--out", str(a)]) == 0
+        assert main([*argv(skip=key), "--config", str(config), "--out", str(b)]) == 0
+        assert config_hash(a / name) == config_hash(b / name)
+        assert data_rows(a / name) == data_rows(b / name)
 
     def test_unflagged_hash_unchanged(self, tmp_path):
         argv, name = _HASH_BASES["hom"]

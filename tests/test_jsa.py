@@ -26,7 +26,7 @@ from biphoton import (
     schmidt_decompose,
 )
 from biphoton.errors import CoverageError
-from biphoton.jsa import GaussianJsaParams, gaussian_marginal_fwhms
+from biphoton.jsa import MEMORY_BUDGET_BYTES, GaussianJsaParams, gaussian_marginal_fwhms, jsa_bytes
 
 from helpers import make_pm, make_pump, random_source
 
@@ -65,6 +65,17 @@ class TestGridAnalyticOracle:
         grid = auto_grid(ppktp.pump, ppktp.pm, n=16)
         state = build_jsa(ppktp.pump, ppktp.pm, grid)
         assert any("samples per FWHM" in w for w in state.provenance["warnings"])
+
+
+class TestMemoryBudget:
+    def test_estimate(self):
+        assert jsa_bytes(512, 256) == 16 * 512 * 256
+        assert jsa_bytes(2048, 2048) <= MEMORY_BUDGET_BYTES < jsa_bytes(8193, 8193)
+
+    def test_oversized_grid_refused_before_allocating(self, ppktp):
+        grid = auto_grid(ppktp.pump, ppktp.pm, n=100_000)
+        with pytest.raises(DomainError, match="memory budget"):
+            build_jsa(ppktp.pump, ppktp.pm, grid)
 
 
 class TestGaussianParams:

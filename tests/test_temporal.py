@@ -1,12 +1,16 @@
 """Joint temporal amplitude: transform correctness and timing widths."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from biphoton import (
     CoverageError,
+    DomainError,
     GridError,
     FrequencyGrid,
     JointSpectralAmplitude,
@@ -20,8 +24,36 @@ from biphoton import (
     preset_with_pump,
     timing_gain,
 )
-from biphoton.temporal import JointTemporalAmplitude
+from biphoton.jsa import MEMORY_BUDGET_BYTES, auto_grid
+from biphoton.temporal import JointTemporalAmplitude, _projections, jta_bytes
+from helpers import random_source
 
+
+def reference_jta(state, oversample):
+    """The transform as fftshift(fft2(ifftshift(padded))), with its Parseval mismatch."""
+    n = state.grid.n_s
+    dnu = state.grid.d_nu_s
+    big_n = oversample * n
+    padded = np.zeros((big_n, big_n), dtype=complex)
+    start = (big_n - n) // 2
+    padded[start : start + n, start : start + n] = state.amplitude
+    out = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(padded)))
+    out *= dnu * dnu / (2.0 * math.pi)
+    dt = 2.0 * math.pi / (big_n * dnu)
+    power_nu = float(np.sum(np.abs(state.amplitude) ** 2)) * dnu * dnu
+    power_t = float(np.sum(np.abs(out) ** 2)) * dt * dt
+    return out, abs(power_nu - power_t) / power_nu
+
+
+def reference_projections(amplitude):
+    """Difference and sum bins of |A|^2 by bincount over meshgrid indices."""
+    power = np.abs(amplitude) ** 2
+    n = amplitude.shape[0]
+    idx = np.arange(n)
+    j_idx, k_idx = np.meshgrid(idx, idx, indexing="ij")
+    minus = np.bincount((j_idx - k_idx + n - 1).ravel(), weights=power.ravel(), minlength=2 * n - 1)
+    plus = np.bincount((j_idx + k_idx).ravel(), weights=power.ravel(), minlength=2 * n - 1)
+    return minus, plus
 
 
 class TestTransform:
@@ -65,12 +97,66 @@ class TestTransform:
         rho_time = cov / math.sqrt(var_s * var_i)
         assert rho_freq < -0.5 and rho_time > 0.3
 
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        profile=st.sampled_from(("gaussian", "sinc")),
+        n=st.integers(8, 128),
+        oversample=st.integers(1, 4),
+    )
+    @example(seed=1, profile="sinc", n=101, oversample=3)
+    @example(seed=2, profile="gaussian", n=128, oversample=4)
+    def test_matches_fft2_reference(self, seed, profile, n, oversample):
+        pump, pm = random_source(np.random.default_rng(seed), profile)
+        state = build_jsa(pump, pm, auto_grid(pump, pm, n=n))
+        expected, mismatch = reference_jta(state, oversample)
+        jta = jta_from_jsa(state, oversample)
+        assert jta.amplitude.tobytes() == expected.tobytes()
+        assert jta.provenance["transform"] == {"oversample": oversample, "parseval_mismatch": mismatch}
+        assert mismatch < 1e-9
+        for got, want in zip(_projections(jta.amplitude), reference_projections(expected)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * want.max())
+
+    def test_caller_array_is_copied(self):
+        times = np.linspace(-1e-12, 1e-12, 8)
+        amp = np.ones((8, 8), dtype=complex)
+        view = amp[:]
+        view.flags.writeable = False
+        for given_amp in (amp, view):
+            jta = JointTemporalAmplitude(times=times, amplitude=given_amp, provenance={})
+            amp[0, 0] = 5.0
+            assert jta.amplitude[0, 0] == 1.0 and not jta.amplitude.flags.writeable
+            amp[0, 0] = 1.0
+
+    def test_allocation_peak(self, ppktp):
+        # a full-size temporary besides the result would add 1x nbytes
+        state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=128))
+        tracemalloc.start()
+        try:
+            jta = jta_from_jsa(state, oversample=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * jta.amplitude.nbytes
+
     def test_non_square_grid_rejected(self):
         grid = FrequencyGrid(32, 32, -1e13, 1e13, -0.6e13, 1e13)
         amp = np.ones((32, 32))
         state = JointSpectralAmplitude(grid, amp, {})
         with pytest.raises(GridError):
             jta_from_jsa(state)
+
+
+class TestMemoryBudget:
+    def test_estimate(self):
+        assert jta_bytes(1024, 4) == 2 * 16 * 4096**2
+        # the traced benchmark sweep transforms n=1024 at 4x; n=2048 is refused
+        assert jta_bytes(1024, 4) <= MEMORY_BUDGET_BYTES < jta_bytes(2048, 4)
+
+    def test_oversized_transform_refused_before_allocating(self, ppktp):
+        state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=64))
+        with pytest.raises(DomainError, match="memory budget"):
+            jta_from_jsa(state, oversample=1000)
 
 
 class TestDiagonalWidths:
