@@ -4,9 +4,16 @@ Runs are deterministic: outputs carry a provenance header with the tool
 version and a hash of the resolved configuration, never timestamps, so
 identical configurations produce byte-identical files.
 
-Option precedence is CLI flag > config file (``key = value`` lines) >
-preset defaults.  The output directory defaults to $BIPHOTON_OUTDIR or the
-current directory.
+Each run is resolved once, into one options map that the command both runs
+and hashes.  It holds every option of the subcommand that is set: its flag,
+else its line in the ``--config`` file (``key = value``), else nothing, and
+the command falls back to the preset's or its own default.  A config-file
+value is cast with its flag's type and checked against its flag's choices,
+so it runs and hashes exactly as the flag would; a non-finite float from
+either source is refused.  The hash covers the whole map except ``out``,
+``config`` and ``scan_file`` (``analyze`` hashes the scan file's sha256 in
+its place), so no option can change an output without changing the hash.
+The output directory defaults to $BIPHOTON_OUTDIR or the current directory.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -49,115 +57,113 @@ from .jsa import (
     marginals,
     schmidt_decompose,
 )
-from .presets import available_presets, load_preset, preset_with_pump
+from .presets import _key_value_lines, available_presets, load_preset, preset_with_pump
 from .spectral import omega_fwhm_to_wavelength_fwhm, C_M_PER_S
 
 _N_SCHMIDT_REPORTED = 16
 
-
-def _config_hash(config: dict) -> str:
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+# Options that locate inputs and outputs but do not change an output's content.
+_UNHASHED = {"out", "config", "scan_file"}
 
 
-def _meta(config: dict) -> dict:
-    return {"tool": f"biphoton {__version__}", "config_sha256": _config_hash(config)}
+def _meta(opts: dict, **extra) -> dict:
+    hashed = {key: value for key, value in opts.items() if key not in _UNHASHED}
+    blob = json.dumps({**hashed, **extra}, sort_keys=True, separators=(",", ":")).encode()
+    digest = hashlib.sha256(blob).hexdigest()[:16]
+    return {"tool": f"biphoton {__version__}", "config_sha256": digest}
 
 
-def _read_config_file(path: str, types: dict) -> dict:
-    """``key = value`` lines, each value cast with its flag's argparse type.
+def _read_config_file(path: str, actions: dict) -> dict:
+    """``key = value`` lines, each value cast and checked like its flag.
 
-    Casting here gives a value the same type, and so the same hash, whether
-    it comes from a flag or from the file.  Keys that are no typed flag of
-    the command stay strings.
+    The value is cast with the flag's argparse type and must be one of the
+    flag's choices, so it runs and hashes the same from a flag or the file.
+    Keys that are no option of the command are ignored.
     """
     values: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, key, value in _key_value_lines(Path(path).read_text(encoding="utf-8"), path):
+        key = key.replace("-", "_")
+        action = actions.get(key)
+        if action is None:
             continue
-        if "=" not in line:
-            raise DomainError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip().replace("-", "_"), value.strip()
-        cast = types.get(key)
-        if cast is not None:
+        where = f"{path}:{lineno}: {key} = {value!r}"
+        if action.type is not None:
             try:
-                value = cast(value)
+                value = action.type(value)
             except ValueError:
-                raise DomainError(
-                    f"{path}:{lineno}: {key} = {value!r} is not a valid {cast.__name__}"
-                ) from None
+                raise DomainError(f"{where} is not a valid {action.type.__name__}") from None
+        if action.choices is not None and value not in action.choices:
+            raise DomainError(f"{where} is not one of {', '.join(action.choices)}")
         values[key] = value
     return values
 
 
-def _resolve(args: argparse.Namespace, key: str, default=None):
-    """CLI flag beats config file beats default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return args._config.get(key, default)
+def _options(args: argparse.Namespace) -> dict:
+    """The run's options map: flag beats config file, unset options left out."""
+    flags = {dest: getattr(args, dest) for dest in args._actions}
+    config = _read_config_file(flags["config"], args._actions) if flags.get("config") else {}
+    opts = {**config, **{key: value for key, value in flags.items() if value is not None}}
+    for key, value in opts.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            flag = args._actions[key].option_strings[0]
+            raise DomainError(f"{flag} must be a finite number, got {value}")
+    return opts
 
 
-def _outdir(args) -> Path:
-    out = _resolve(args, "out")
-    if out is None:
-        out = os.environ.get("BIPHOTON_OUTDIR", ".")
-    path = Path(out)
+def _outdir(opts: dict) -> Path:
+    path = Path(opts.get("out", os.environ.get("BIPHOTON_OUTDIR", ".")))
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _load_source(args):
-    name = _resolve(args, "preset")
+def _load_source(opts: dict):
+    name = opts.get("preset")
     if name is None:
         raise DomainError("a --preset is required")
     preset = load_preset(name)
-    pump_fwhm_nm = _resolve(args, "pump_fwhm_nm")
-    chirp_fs2 = _resolve(args, "chirp_fs2", 0.0) or 0.0
-    profile = _resolve(args, "profile")
-    length_mm = _resolve(args, "length_mm")
     length_scale = 1.0
-    if length_mm is not None:
-        length_scale = (length_mm * 1e-3) / preset.pm.length_L
+    if "length_mm" in opts:
+        length_scale = (opts["length_mm"] * 1e-3) / preset.pm.length_L
     return preset_with_pump(
         preset,
-        pump_fwhm_nm=pump_fwhm_nm,
-        beta=chirp_fs2 * 1e-30,
-        profile=profile,
+        pump_fwhm_nm=opts.get("pump_fwhm_nm"),
+        beta=(opts.get("chirp_fs2") or 0.0) * 1e-30,
+        profile=opts.get("profile"),
         length_scale=length_scale,
     )
 
 
-def _build_state(args, source):
-    n = int(_resolve(args, "grid_n", 512))
-    span = float(_resolve(args, "grid_span_fwhms", 4.0))
+def _build_state(opts: dict, source):
+    n, span = opts.get("grid_n", 512), opts.get("grid_span_fwhms", 4.0)
     grid = auto_grid(source.pump, source.pm, n=n, span_fwhms=span)
     return build_jsa(source.pump, source.pm, grid)
 
 
-def _config_dict(args, keys) -> dict:
-    config = {}
-    for key in keys:
-        value = _resolve(args, key)
-        if value is not None:
-            config[key] = value if isinstance(value, (int, float, str)) else str(value)
-    return config
+def _dip(opts: dict, source, model: str, n_delays: int = 201, delay_span: float = 4.0):
+    """HOM scan and dip readout of ``source`` under ``model``.
+
+    ``gaussian`` is the closed form on the Gaussian-approximated profile;
+    ``numeric`` integrates the gridded JSA with the source's own profile, and
+    ``numeric-sinc``/``numeric-gaussian`` force that profile first.  Returns
+    the ``HOMResult`` and the source the model ran on.
+    """
+    if model != "numeric":
+        source = preset_with_pump(source, profile=model.removeprefix("numeric-"))
+    delays = default_delays(source.pm, n=n_delays, spans=delay_span)
+    if model == "gaussian":
+        scan = gaussian_scan(source.pump, source.pm, delays)
+        return extract_dip(scan, model="gaussian-analytic"), source
+    scan = coincidence_scan(_build_state(opts, source), delays)
+    return extract_dip(scan, model="numeric"), source
 
 
-def cmd_simulate(args) -> int:
-    source = _load_source(args)
-    state = _build_state(args, source)
-    outdir = _outdir(args)
-    config = _config_dict(
-        args,
-        ("preset", "pump_fwhm_nm", "chirp_fs2", "profile", "length_mm", "grid_n",
-         "grid_span_fwhms", "filter_fwhm_nm"),
-    )
-    meta = _meta(config)
+def cmd_simulate(opts: dict) -> int:
+    source = _load_source(opts)
+    state = _build_state(opts, source)
+    outdir = _outdir(opts)
+    meta = _meta(opts)
 
-    filter_fwhm_nm = _resolve(args, "filter_fwhm_nm")
+    filter_fwhm_nm = opts.get("filter_fwhm_nm")
     if filter_fwhm_nm is not None:
         lam = 2 * np.pi * C_M_PER_S / source.pm.omega_s0
         width = filter_fwhm_nm * 1e-9 * 2 * np.pi * C_M_PER_S / lam**2
@@ -198,47 +204,23 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_hom(args) -> int:
-    n_delays = int(_resolve(args, "delay_points", 201))
+def cmd_hom(opts: dict) -> int:
+    n_delays = opts.get("delay_points", 201)
     if n_delays < 2:
         raise DomainError(f"--delay-points must be >= 2, got {n_delays}")
-    source = _load_source(args)
-    outdir = _outdir(args)
-    model = _resolve(args, "model", "numeric")
-    config = _config_dict(
-        args,
-        ("preset", "pump_fwhm_nm", "chirp_fs2", "profile", "length_mm", "model", "grid_n",
-         "grid_span_fwhms", "delay_points", "delay_span"),
-    )
-    meta = _meta(config)
+    source = _load_source(opts)
+    outdir = _outdir(opts)
+    model = opts.get("model", "numeric")
+    meta = _meta(opts)
 
-    span = float(_resolve(args, "delay_span", 4.0))
-
+    result, source = _dip(opts, source, model, n_delays, opts.get("delay_span", 4.0))
     if model == "gaussian":
-        pm = source.pm
-        if pm.profile != "gaussian":
-            source = preset_with_pump(source, profile="gaussian")
-            pm = source.pm
-        delays = default_delays(pm, n=n_delays, spans=span)
-        scan = gaussian_scan(source.pump, pm, delays)
-        result = extract_dip(scan, model="gaussian-analytic")
         extra = {
-            "closed_form_t_c_ps": correlation_time_gaussian(pm) * 1e12,
-            "visibility_coefficient": visibility_coefficient(source.pump, pm),
+            "closed_form_t_c_ps": correlation_time_gaussian(source.pm) * 1e12,
+            "visibility_coefficient": visibility_coefficient(source.pump, source.pm),
         }
-    elif model in ("numeric", "numeric-sinc", "numeric-gaussian"):
-        if model == "numeric-sinc":
-            source = preset_with_pump(source, profile="sinc")
-        elif model == "numeric-gaussian":
-            source = preset_with_pump(source, profile="gaussian")
-        state = _build_state(args, source)
-        delays = default_delays(source.pm, n=n_delays, spans=span)
-        scan = coincidence_scan(state, delays)
-        result = extract_dip(scan, model="numeric")
-        extra = {"profile": source.pm.profile}
     else:
-        print(f"error: unknown hom model {model!r}", file=sys.stderr)
-        return 2
+        extra = {"profile": source.pm.profile}
 
     export_delay_scan(result.scan, outdir / "scan.csv", meta)
     payload = {
@@ -256,29 +238,23 @@ def cmd_hom(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    steps = int(_resolve(args, "steps", 9))
+def cmd_sweep(opts: dict) -> int:
+    steps = opts.get("steps", 9)
     if steps < 1:
         raise DomainError(f"--steps must be >= 1, got {steps}")
-    source = _load_source(args)
-    outdir = _outdir(args)
-    axis = _resolve(args, "axis")
-    if axis not in ("pump_fwhm", "length", "chirp"):
+    source = _load_source(opts)
+    outdir = _outdir(opts)
+    axis = opts.get("axis")
+    if axis is None:
         print("error: --axis must be pump_fwhm | length | chirp", file=sys.stderr)
         return 2
-    start = _resolve(args, "start")
-    stop = _resolve(args, "stop")
+    start = opts.get("start")
+    stop = opts.get("stop")
     if start is None or stop is None:
         print("error: sweep needs --start and --stop", file=sys.stderr)
         return 2
-    start, stop = float(start), float(stop)
-    model = _resolve(args, "model", "gaussian")
-    config = _config_dict(
-        args,
-        ("preset", "pump_fwhm_nm", "chirp_fs2", "profile", "length_mm", "grid_n",
-         "grid_span_fwhms", "axis", "start", "stop", "steps", "model"),
-    )
-    meta = _meta(config)
+    model = opts.get("model", "gaussian")
+    meta = _meta(opts)
 
     values = np.linspace(start, stop, steps)
     t_c_ps, visibility = [], []
@@ -289,20 +265,7 @@ def cmd_sweep(args) -> int:
             beta=value * 1e-30 if axis == "chirp" else None,
             length_scale=(value * 1e-3) / source.pm.length_L if axis == "length" else 1.0,
         )
-        if model == "gaussian":
-            pm = point.pm if point.pm.profile == "gaussian" else preset_with_pump(
-                point, profile="gaussian"
-            ).pm
-            scan = gaussian_scan(point.pump, pm, default_delays(pm))
-            result = extract_dip(scan, model="gaussian-analytic")
-        else:
-            if model == "numeric-sinc":
-                point = preset_with_pump(point, profile="sinc")
-            elif model == "numeric-gaussian":
-                point = preset_with_pump(point, profile="gaussian")
-            state = _build_state(args, point)
-            scan = coincidence_scan(state, default_delays(point.pm))
-            result = extract_dip(scan, model="numeric")
+        result, _ = _dip(opts, point, model)
         t_c_ps.append(result.t_c * 1e12)
         visibility.append(result.visibility)
 
@@ -313,18 +276,17 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_analyze(args) -> int:
-    scan = load_scan(args.scan_file)
-    model = _resolve(args, "model", "gaussian-dip")
-    outdir = _outdir(args)
-    config = _config_dict(args, ("model", "preset", "pump_fwhm_nm"))
-    config["scan_sha256"] = hashlib.sha256(Path(args.scan_file).read_bytes()).hexdigest()
-    meta = _meta(config)
+def cmd_analyze(opts: dict) -> int:
+    scan = load_scan(opts["scan_file"])
+    model = opts.get("model", "gaussian-dip")
+    outdir = _outdir(opts)
+    scan_sha256 = hashlib.sha256(Path(opts["scan_file"]).read_bytes()).hexdigest()
+    meta = _meta(opts, scan_sha256=scan_sha256)
 
     kernel = None
     if model == "sinc-kernel-dip":
-        name = _resolve(args, "preset")
-        pump_fwhm_nm = _resolve(args, "pump_fwhm_nm")
+        name = opts.get("preset")
+        pump_fwhm_nm = opts.get("pump_fwhm_nm")
         if name is None or pump_fwhm_nm is None:
             print(
                 "error: sinc-kernel-dip needs --preset and --pump-fwhm-nm for the kernel",
@@ -349,7 +311,7 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def cmd_presets(args) -> int:
+def cmd_presets(opts: dict) -> int:
     for name in available_presets():
         preset = load_preset(name)
         print(f"{name}: {preset.notes}")
@@ -418,17 +380,15 @@ def build_parser() -> argparse.ArgumentParser:
     presets = subs.add_parser("presets", help="list shipped source presets")
     presets.set_defaults(func=cmd_presets)
     for sub in subs.choices.values():
-        sub.set_defaults(_types={a.dest: a.type for a in sub._actions if a.type is not None})
+        sub.set_defaults(_actions={a.dest: a for a in sub._actions if a.dest != "help"})
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config_path = getattr(args, "config", None)
     try:
-        args._config = _read_config_file(config_path, args._types) if config_path else {}
-        return args.func(args)
+        return args.func(_options(args))
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -69,8 +69,12 @@ def derive_walkoffs_from_ridge_and_dip(
     return tau_s, tau_i
 
 
-def _parse_preset_text(text: str, origin: str) -> SourcePreset:
-    values: dict[str, str] = {}
+def _key_value_lines(text: str, origin: str):
+    """Yield ``(lineno, key, value)`` for each ``key = value`` line, both stripped.
+
+    Blank lines and ``#`` comments are skipped; any other line without ``=``
+    raises ParseError at ``origin:lineno``.  Preset and config files share it.
+    """
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -78,7 +82,11 @@ def _parse_preset_text(text: str, origin: str) -> SourcePreset:
         if "=" not in line:
             raise ParseError(f"{origin}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        yield lineno, key.strip(), value.strip()
+
+
+def _parse_preset_text(text: str, origin: str) -> SourcePreset:
+    values = {key: value for _, key, value in _key_value_lines(text, origin)}
 
     def need(key: str) -> str:
         if key not in values:

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour through main(argv)."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import biphoton
-from biphoton.cli import main
+from biphoton.cli import build_parser, main
 from biphoton.dataio import load_scan
 
 
@@ -89,6 +90,11 @@ class TestSimulate:
     @pytest.mark.parametrize("text,message", [
         ("grid_n = abc\n", "run.conf:1: grid_n = 'abc' is not a valid int"),
         (None, "No such file"),
+        ("grid_n 128\n", "run.conf:1: expected 'key = value', got 'grid_n 128'"),
+        ("profile = bogus\n", "run.conf:1: profile = 'bogus' is not one of gaussian, sinc"),
+        ("pump_fwhm_nm = nan\n", "--pump-fwhm-nm must be a finite number, got nan"),
+        ("length_mm = inf\n", "--length-mm must be a finite number, got inf"),
+        ("filter_fwhm_nm = -inf\n", "--filter-fwhm-nm must be a finite number, got -inf"),
     ])
     def test_bad_config_file(self, tmp_path, capsys, text, message):
         config = tmp_path / "run.conf"
@@ -138,6 +144,23 @@ class TestHom:
         assert "--delay-points" in err and "Traceback" not in err
         assert not (tmp_path / "scan.csv").exists()
 
+    @pytest.mark.parametrize("by_config", [False, True])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected(self, tmp_path, capsys, value, by_config):
+        argv = ["hom", "--preset", "ppktp-8mm", "--model", "gaussian"]
+        if by_config:
+            config = tmp_path / "run.conf"
+            config.write_text(f"chirp_fs2 = {value}\n")
+            argv += ["--config", str(config)]
+        else:
+            argv.append(f"--chirp-fs2={value}")
+        code = run(tmp_path / "out", *argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"--chirp-fs2 must be a finite number, got {value}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_narrow_delay_range_fails(self, tmp_path, capsys):
         code = run(tmp_path, "hom", "--preset", "ppktp-8mm", "--delay-span", "0.4")
         assert code != 0
@@ -183,6 +206,24 @@ class TestSweep:
         code = run(tmp_path, "sweep", "--preset", "ppktp-8mm", "--start", "1", "--stop", "2")
         assert code == 2
         assert "--axis" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,key,allowed", [
+    (["sweep", "--axis", "pump_fwhm", "--start", "1", "--stop", "2", "--steps", "2"],
+     "model", "gaussian, numeric-sinc, numeric-gaussian"),
+    (["sweep", "--start", "1", "--stop", "2", "--steps", "2"],
+     "axis", "pump_fwhm, length, chirp"),
+    (["hom"], "model", "numeric, numeric-sinc, numeric-gaussian, gaussian"),
+])
+def test_config_value_outside_choices(tmp_path, capsys, argv, key, allowed):
+    config = tmp_path / "run.conf"
+    config.write_text(f"# choices\n{key} = bogus\n")
+    code = run(tmp_path / "out", *argv, "--preset", "ppktp-8mm", "--config", str(config))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"run.conf:2: {key} = 'bogus' is not one of {allowed}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestAnalyze:
@@ -262,6 +303,29 @@ _HASH_FLAGS = {
 }
 
 
+# config_sha256 of runs by flag and by config file, pinned from before the
+# options map; "SCAN" stands for a fixed synthetic scan file
+_PINNED_HASHES = [
+    (["simulate", "--preset", "ppktp-8mm", "--grid-n", "128", "--filter-fwhm-nm", "1.5",
+      "--grid-span-fwhms", "5"], None, "jsi.csv", "37db34d52ffd6549"),
+    (["simulate", "--preset", "ppktp-8mm"], "pump_fwhm_nm = 0.7\nprofile = sinc\ngrid_n = 64\n",
+     "jsi.csv", "6cbf5ac61a52b68d"),
+    (["hom", "--preset", "ppktp-8mm", "--model", "gaussian", "--pump-fwhm-nm", "4.5",
+      "--chirp-fs2", "500", "--length-mm", "12", "--delay-points", "51"], None, "scan.csv",
+     "a4ce3a159bfc7577"),
+    (["hom", "--preset", "ppktp-8mm"], "model = gaussian\nlength_mm = 12\ndelay_points = 51\n",
+     "scan.csv", "55450f1a9e19f07a"),
+    (["sweep", "--preset", "ppktp-8mm", "--axis", "pump_fwhm", "--start", "0.5", "--stop", "4.5",
+      "--steps", "5"], None, "sweep.csv", "3947122358089979"),
+    (["sweep", "--preset", "ppktp-8mm"],
+     "axis = length\nstart = 8\nstop = 16\nsteps = 3\nmodel = gaussian\n", "sweep.csv",
+     "38163345de375617"),
+    (["analyze", "SCAN"], None, "fit.json", "6fa44c04a301666e"),
+    (["analyze", "SCAN"], "model = gaussian-dip\npreset = ppktp-8mm\npump_fwhm_nm = 2\n",
+     "fit.json", "a85a418b673b1fad"),
+]
+
+
 class TestProvenanceHash:
     @pytest.mark.parametrize("command,flag,value", [
         ("simulate", "--length-mm", "16"),
@@ -306,6 +370,30 @@ class TestProvenanceHash:
         argv, name = _HASH_BASES["hom"]
         assert run(tmp_path, *argv) == 0
         assert config_hash(tmp_path / name) == "091104b2f13fc231"
+
+    @pytest.mark.parametrize("command", sorted(_HASH_FLAGS))
+    def test_hash_flags_cover_every_option(self, command):
+        subs = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+        dests = {action.dest for action in subs.choices[command]._actions}
+        assert set(_HASH_FLAGS[command][1]) == dests - {"help", "out", "config"}
+
+    @pytest.mark.parametrize("argv,config,name,expected", _PINNED_HASHES)
+    def test_pinned_hash(self, tmp_path, argv, config, name, expected):
+        scan = tmp_path / "scan.csv"
+        scan.write_text("delay_ps,coincidences\n" + "".join(
+            f"{d / 10:.1f},{1e4 * (1 - 0.9 * 2.0 ** (-(d / 10) ** 2 * 4)):.3f}\n"
+            for d in range(-50, 51)))
+        argv = [str(scan) if arg == "SCAN" else arg for arg in argv]
+        if config is not None:
+            (tmp_path / "run.conf").write_text(config)
+            argv += ["--config", str(tmp_path / "run.conf")]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 0
+        if name.endswith(".json"):
+            assert json.loads((out / name).read_text())["provenance"]["config_sha256"] == expected
+        else:
+            assert config_hash(out / name) == expected
 
 
 def test_only_fit_dip_imports_scipy(tmp_path):

@@ -1,6 +1,7 @@
 """JSA construction, closed-form agreement, marginals, filters, Schmidt, labels."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from biphoton import (
 )
 from biphoton.errors import CoverageError
 from biphoton.jsa import MEMORY_BUDGET_BYTES, GaussianJsaParams, gaussian_marginal_fwhms, jsa_bytes
+from biphoton.jsa import BUILD_JSA_PEAK_FACTOR, check_memory_budget
 
 from helpers import make_pm, make_pump, random_source
 
@@ -74,6 +76,27 @@ class TestMemoryBudget:
 
     def test_oversized_grid_refused_before_allocating(self, ppktp):
         grid = auto_grid(ppktp.pump, ppktp.pm, n=100_000)
+        with pytest.raises(DomainError, match="memory budget"):
+            build_jsa(ppktp.pump, ppktp.pm, grid)
+
+    @pytest.mark.parametrize("profile", ["gaussian", "sinc"])
+    def test_build_peak_within_charge(self, ppktp, profile):
+        source = preset_with_pump(ppktp, profile=profile)
+        grid = auto_grid(source.pump, source.pm, n=128)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            build_jsa(source.pump, source.pm, grid)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert jsa_bytes(128, 128) < peak <= BUILD_JSA_PEAK_FACTOR * jsa_bytes(128, 128)
+
+    def test_build_charge_admits_n1024_refuses_n4096(self, ppktp):
+        check_memory_budget("n=1024", int(BUILD_JSA_PEAK_FACTOR * jsa_bytes(1024, 1024)))
+        # 256 MiB for the amplitude alone, under the budget; the build's peak is not
+        grid = auto_grid(ppktp.pump, ppktp.pm, n=4096)
+        assert jsa_bytes(4096, 4096) < MEMORY_BUDGET_BYTES
         with pytest.raises(DomainError, match="memory budget"):
             build_jsa(ppktp.pump, ppktp.pm, grid)
 
