@@ -10,9 +10,12 @@ else its line in the ``--config`` file (``key = value``), else nothing, and
 the command falls back to the preset's or its own default.  A config-file
 value is cast with its flag's type and checked against its flag's choices,
 so it runs and hashes exactly as the flag would; a non-finite float from
-either source is refused.  The hash covers the whole map except ``out``,
-``config`` and ``scan_file`` (``analyze`` hashes the scan file's sha256 in
-its place), so no option can change an output without changing the hash.
+either source is refused.  A key that is an option of another subcommand is
+ignored, so one file can serve several commands; a key that is an option of
+no subcommand is refused as a typo.  The hash covers the whole map except
+``out``, ``config`` and ``scan_file`` (``analyze`` hashes the scan file's
+sha256 in its place), so no option can change an output without changing
+the hash.
 The output directory defaults to $BIPHOTON_OUTDIR or the current directory.
 """
 
@@ -38,7 +41,7 @@ from .dataio import (
     sinc_dip_kernel,
     write_rows,
 )
-from .errors import DomainError
+from .errors import DomainError, ParseError
 from .hom import (
     coincidence_scan,
     correlation_time_gaussian,
@@ -73,18 +76,21 @@ def _meta(opts: dict, **extra) -> dict:
     return {"tool": f"biphoton {__version__}", "config_sha256": digest}
 
 
-def _read_config_file(path: str, actions: dict) -> dict:
+def _read_config_file(path: str, actions: dict, known: frozenset) -> dict:
     """``key = value`` lines, each value cast and checked like its flag.
 
     The value is cast with the flag's argparse type and must be one of the
     flag's choices, so it runs and hashes the same from a flag or the file.
-    Keys that are no option of the command are ignored.
+    Keys that are an option of another subcommand are ignored; a key in no
+    subcommand's ``known`` options raises ``ParseError``.
     """
     values: dict = {}
     for lineno, key, value in _key_value_lines(Path(path).read_text(encoding="utf-8"), path):
         key = key.replace("-", "_")
         action = actions.get(key)
         if action is None:
+            if key not in known:
+                raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
             continue
         where = f"{path}:{lineno}: {key} = {value!r}"
         if action.type is not None:
@@ -101,7 +107,10 @@ def _read_config_file(path: str, actions: dict) -> dict:
 def _options(args: argparse.Namespace) -> dict:
     """The run's options map: flag beats config file, unset options left out."""
     flags = {dest: getattr(args, dest) for dest in args._actions}
-    config = _read_config_file(flags["config"], args._actions) if flags.get("config") else {}
+    config = (
+        _read_config_file(flags["config"], args._actions, args._known)
+        if flags.get("config") else {}
+    )
     opts = {**config, **{key: value for key, value in flags.items() if value is not None}}
     for key, value in opts.items():
         if isinstance(value, float) and not math.isfinite(value):
@@ -242,8 +251,6 @@ def cmd_sweep(opts: dict) -> int:
     steps = opts.get("steps", 9)
     if steps < 1:
         raise DomainError(f"--steps must be >= 1, got {steps}")
-    source = _load_source(opts)
-    outdir = _outdir(opts)
     axis = opts.get("axis")
     if axis is None:
         print("error: --axis must be pump_fwhm | length | chirp", file=sys.stderr)
@@ -253,6 +260,8 @@ def cmd_sweep(opts: dict) -> int:
     if start is None or stop is None:
         print("error: sweep needs --start and --stop", file=sys.stderr)
         return 2
+    source = _load_source(opts)
+    outdir = _outdir(opts)
     model = opts.get("model", "gaussian")
     meta = _meta(opts)
 
@@ -279,20 +288,20 @@ def cmd_sweep(opts: dict) -> int:
 def cmd_analyze(opts: dict) -> int:
     scan = load_scan(opts["scan_file"])
     model = opts.get("model", "gaussian-dip")
+    name = opts.get("preset")
+    pump_fwhm_nm = opts.get("pump_fwhm_nm")
+    if model == "sinc-kernel-dip" and (name is None or pump_fwhm_nm is None):
+        print(
+            "error: sinc-kernel-dip needs --preset and --pump-fwhm-nm for the kernel",
+            file=sys.stderr,
+        )
+        return 2
     outdir = _outdir(opts)
     scan_sha256 = hashlib.sha256(Path(opts["scan_file"]).read_bytes()).hexdigest()
     meta = _meta(opts, scan_sha256=scan_sha256)
 
     kernel = None
     if model == "sinc-kernel-dip":
-        name = opts.get("preset")
-        pump_fwhm_nm = opts.get("pump_fwhm_nm")
-        if name is None or pump_fwhm_nm is None:
-            print(
-                "error: sinc-kernel-dip needs --preset and --pump-fwhm-nm for the kernel",
-                file=sys.stderr,
-            )
-            return 2
         kernel = sinc_dip_kernel(load_preset(name), pump_fwhm_nm)
 
     report = fit_dip(scan, model=model, kernel=kernel)
@@ -379,8 +388,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     presets = subs.add_parser("presets", help="list shipped source presets")
     presets.set_defaults(func=cmd_presets)
-    for sub in subs.choices.values():
-        sub.set_defaults(_actions={a.dest: a for a in sub._actions if a.dest != "help"})
+    actions = {
+        name: {a.dest: a for a in sub._actions if a.dest != "help"}
+        for name, sub in subs.choices.items()
+    }
+    known = frozenset().union(*actions.values())
+    for name, sub in subs.choices.items():
+        sub.set_defaults(_actions=actions[name], _known=known)
     return parser
 
 

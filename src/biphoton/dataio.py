@@ -282,8 +282,7 @@ def export_jsi_csv(
         header, col_s, col_i = "nu_s_rad_s,nu_i_rad_s,intensity", state.grid.nu_s, state.grid.nu_i
     else:
         raise DomainError(f"axes must be 'nm' or 'rad_s', got {axes!r}")
-    intensity = np.abs(state.amplitude) ** 2
-    write_grid(path, _state_meta(state, meta), header, col_s, col_i, (intensity,))
+    write_grid(path, _state_meta(state, meta), header, col_s, col_i, (state.intensity,))
 
 
 def export_jta_csv(jta, path, meta: dict | None = None) -> None:

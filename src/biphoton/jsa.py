@@ -6,12 +6,18 @@ convention that linear phases of the phasematching function are dropped:
 they only shift the pair in time, and dropping them keeps the grid
 amplitude equal to the closed-form Gaussian expression and makes a
 symmetric-walk-off state exchange symmetric at zero delay.
+
+A state's intensity |f|^2 is computed once, on first use, and kept
+read-only next to the amplitude as ``intensity``; the resolution warnings,
+marginals, correlation label, norm, HOM normalization, JSI export and the
+JTA's Parseval check all read that one array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,14 +50,14 @@ MIN_SAMPLES_PER_FWHM = 8.0
 # Largest set of arrays, in bytes, that one grid or transform may allocate.
 # Sizes are estimated before allocating, so an oversized request fails with a
 # DomainError instead of exhausting memory.  The budget admits the JTA of an
-# n=1024 grid at 4x oversampling (about 0.54 GB with its projection buffer)
-# and rejects that of n=2048 (about 2.1 GB).
+# n=1024 grid at 4x oversampling (charged about 0.54 GB, see jta_bytes) and
+# rejects that of n=2048 (about 2.1 GB).
 MEMORY_BUDGET_BYTES = 1 << 30
 
-# build_jsa's peak allocation in units of the amplitude it returns (jsa_bytes):
-# the broadcast pump and phasematching factors and the intensity used for the
-# resolution warnings live next to it.  tracemalloc measured 2.5x for the
-# gaussian profile and 4.07x for the sinc at n = 128 to 1024; the budget
+# build_jsa's peak allocation in units of the amplitude it returns (jsa_bytes),
+# kept as an upper bound: the phasematching profile's float temporaries and
+# then the intensity used for the resolution warnings live next to it.
+# tracemalloc measures about 2x for either profile at n = 128; the budget
 # charges 4.5x, so it admits square grids up to n = 3861 (n = 1024 is charged
 # 72 MiB).
 BUILD_JSA_PEAK_FACTOR = 4.5
@@ -66,6 +72,14 @@ def check_memory_budget(what: str, nbytes: int) -> None:
             f"{what} would need about {nbytes / 2**20:.0f} MiB, above the "
             f"{MEMORY_BUDGET_BYTES / 2**20:.0f} MiB memory budget"
         )
+
+
+def _squared_modulus(amplitude: np.ndarray) -> np.ndarray:
+    """Read-only |amplitude|^2, the bits of ``np.abs(amplitude) ** 2``."""
+    power = np.abs(amplitude)
+    np.square(power, out=power)
+    power.flags.writeable = False
+    return power
 
 
 def jsa_bytes(n_s: int, n_i: int) -> int:
@@ -146,20 +160,30 @@ class JointSpectralAmplitude:
             raise DomainError("amplitude contains non-finite entries")
         if not np.any(amp):
             raise EmptyStateError("amplitude is identically zero")
-        amp = amp.copy()
-        amp.flags.writeable = False
+        # an array that owns its data and is already read-only (as the
+        # builders hand over) is adopted; anything else is copied
+        if amp.flags.writeable or amp.base is not None:
+            amp = amp.copy()
+            amp.flags.writeable = False
         object.__setattr__(self, "amplitude", amp)
+
+    @cached_property
+    def intensity(self) -> np.ndarray:
+        """Joint spectral intensity |f|^2, computed at most once, read-only."""
+        return _squared_modulus(self.amplitude)
 
     @property
     def norm_squared(self) -> float:
         """L2 norm integral, sum |f|^2 dnu_s dnu_i."""
-        return float(np.sum(np.abs(self.amplitude) ** 2)) * self.grid.d_nu_s * self.grid.d_nu_i
+        return float(np.sum(self.intensity)) * self.grid.d_nu_s * self.grid.d_nu_i
 
     def normalized(self) -> "JointSpectralAmplitude":
         scale = 1.0 / math.sqrt(self.norm_squared)
         prov = dict(self.provenance)
         prov["normalized"] = True
-        return JointSpectralAmplitude(self.grid, self.amplitude * scale, prov)
+        amp = self.amplitude * scale
+        amp.flags.writeable = False
+        return JointSpectralAmplitude(self.grid, amp, prov)
 
 
 @dataclass(frozen=True)
@@ -310,25 +334,12 @@ def build_jsa(
     )
     ns = grid.nu_s[:, None]
     ni = grid.nu_i[None, :]
-    amp = pump_envelope(pump, ns + ni) * phasematching_profile(pm, ns, ni)
+    amp = pump_envelope(pump, ns + ni)
+    amp *= phasematching_profile(pm, ns, ni)
+    amp.flags.writeable = False
 
+    # filled below from the state's intensity, before the state is returned
     warnings: list[str] = []
-    intensity = np.abs(amp) ** 2
-    for label, curve, d in (
-        ("signal", intensity.sum(axis=1), grid.d_nu_s),
-        ("idler", intensity.sum(axis=0), grid.d_nu_i),
-    ):
-        try:
-            width = intensity_fwhm(np.arange(curve.size) * d, curve)
-        except (DomainError, CoverageError):
-            warnings.append(f"{label} marginal FWHM not resolved on this grid")
-            continue
-        if width / d < MIN_SAMPLES_PER_FWHM:
-            warnings.append(
-                f"{label} marginal has {width / d:.1f} samples per FWHM "
-                f"(< {MIN_SAMPLES_PER_FWHM:g}); results may be inaccurate"
-            )
-
     provenance = {
         "kind": "model",
         "pump": {"omega_p0": pump.omega_p0, "sigma_p": pump.sigma_p, "beta": pump.beta},
@@ -345,17 +356,31 @@ def build_jsa(
         "warnings": warnings,
     }
     out = JointSpectralAmplitude(grid, amp, provenance)
+    for label, curve, d in (
+        ("signal", out.intensity.sum(axis=1), grid.d_nu_s),
+        ("idler", out.intensity.sum(axis=0), grid.d_nu_i),
+    ):
+        try:
+            width = intensity_fwhm(np.arange(curve.size) * d, curve)
+        except (DomainError, CoverageError):
+            warnings.append(f"{label} marginal FWHM not resolved on this grid")
+            continue
+        if width / d < MIN_SAMPLES_PER_FWHM:
+            warnings.append(
+                f"{label} marginal has {width / d:.1f} samples per FWHM "
+                f"(< {MIN_SAMPLES_PER_FWHM:g}); results may be inaccurate"
+            )
     return out.normalized() if normalize else out
 
 
 def jsi(state: JointSpectralAmplitude) -> np.ndarray:
-    """Joint spectral intensity |f|^2."""
-    return np.abs(state.amplitude) ** 2
+    """Joint spectral intensity |f|^2 (the state's read-only ``intensity``)."""
+    return state.intensity
 
 
 def marginals(state: JointSpectralAmplitude) -> tuple[np.ndarray, np.ndarray]:
     """Signal and idler marginal spectra (JSI row/column sums times spacing)."""
-    intensity = jsi(state)
+    intensity = state.intensity
     if not np.any(intensity):
         raise DomainError("cannot take marginals of an all-zero intensity")
     signal = intensity.sum(axis=1) * state.grid.d_nu_i
@@ -409,6 +434,7 @@ def apply_spectral_filter(
         amp *= t[None, :]
     if not np.any(amp):
         raise EmptyStateError("filter leaves no amplitude inside the grid")
+    amp.flags.writeable = False
     prov = dict(state.provenance)
     prov.setdefault("filters", [])
     prov["filters"] = list(prov["filters"]) + [
@@ -475,7 +501,7 @@ def correlation_classification(state: JointSpectralAmplitude) -> tuple[float, st
     ``anticorrelated`` (rho < -0.1), ``decorrelated`` (|rho| <= 0.1),
     ``correlated`` (rho > 0.1).
     """
-    weights = jsi(state)
+    weights = state.intensity
     peak = weights.max()
     if not peak > 0:
         raise DomainError("JSI carries no weight")

@@ -197,7 +197,13 @@ def pump_envelope(pump: PumpSpec, nu_sum):
     detuning, and the modulus is independent of the chirp.
     """
     nu = np.asarray(nu_sum, dtype=float)
-    out = np.exp(-((nu / pump.sigma_p) ** 2) + 1j * pump.beta * nu * nu)
+    out = np.empty(nu.shape, dtype=complex)
+    np.square(nu / pump.sigma_p, out=out.real)
+    np.negative(out.real, out=out.real)
+    np.multiply(pump.beta * nu, nu, out=out.imag)
+    # a -0 phase becomes +0, as in the sum of a real and a complex array
+    out.imag += 0.0
+    np.exp(out, out=out)
     return out if out.ndim else complex(out)
 
 
@@ -205,10 +211,10 @@ def sinc(x):
     """sin(x)/x with sinc(0) = 1, series branch below |x| = 1e-4."""
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < 1e-4
-    safe = np.where(small, 1.0, x)
-    x2 = x * x
-    series = 1.0 - x2 / 6.0 + x2 * x2 / 120.0
-    out = np.where(small, series, np.sin(safe) / safe)
+    out = np.sin(x, out=np.empty_like(x))
+    np.divide(out, x, out=out, where=~small)
+    x2 = x[small] ** 2
+    out[small] = 1.0 - x2 / 6.0 + x2 * x2 / 120.0
     return out if out.ndim else float(out)
 
 
@@ -218,12 +224,13 @@ def phasematching_profile(pm: PhasematchSpec, nu_s, nu_i):
     With ``x = (tau_s nu_s + tau_i nu_i)/2``: ``exp(-gamma x^2)`` for the
     gaussian profile, ``sin(x)/x`` (sign kept) for the sinc profile.
     """
-    x = 0.5 * (pm.tau_s * np.asarray(nu_s, dtype=float) + pm.tau_i * np.asarray(nu_i, dtype=float))
-    if pm.profile == "gaussian":
-        out = np.exp(-pm.gamma * x * x)
-    else:
-        out = sinc(x)
-    return out
+    x = pm.tau_s * np.asarray(nu_s, dtype=float) + pm.tau_i * np.asarray(nu_i, dtype=float)
+    x *= 0.5
+    if pm.profile == "sinc":
+        return sinc(x)
+    out = -pm.gamma * x
+    out *= x
+    return np.exp(out, out=out) if np.ndim(out) else np.exp(out)
 
 
 def phasematching_amplitude(pm: PhasematchSpec, nu_s, nu_i):

@@ -16,19 +16,30 @@ first pass therefore runs on the ``n`` non-zero signal rows only (a zero row
 transforms to zero), placed where ``ifftshift`` would put them.  The second
 pass runs on blocks of columns in a small zero slab, and each block's
 output is shifted and scaled straight into the result.  An ``oversample``
-of 4 skips 3/4 of the first pass.  Besides the result, the only N x N
-array is the float |JTA|^2 of the Parseval check.
+of 4 skips 3/4 of the first pass.
+
+Two N x N arrays exist: the complex result and its float |JTA|^2, which
+the Parseval check computes once and the JTA keeps as ``intensity``.
+:func:`diagonal_widths` bins that array row by row into two 2N - 1 vectors
+and allocates nothing of size N x N.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import CoverageError, DomainError, GridError
-from .jsa import JointSpectralAmplitude, check_memory_budget, intensity_fwhm, jsa_bytes
+from .jsa import (
+    JointSpectralAmplitude,
+    check_memory_budget,
+    intensity_fwhm,
+    jsa_bytes,
+    _squared_modulus,
+)
 from .spectral import PumpSpec, tabulated_pump_duration
 
 DEFAULT_OVERSAMPLE = 4
@@ -67,6 +78,11 @@ class JointTemporalAmplitude:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
+    @cached_property
+    def intensity(self) -> np.ndarray:
+        """|JTA|^2, computed at most once, read-only."""
+        return _squared_modulus(self.amplitude)
+
 
 @dataclass(frozen=True)
 class TimingReport:
@@ -91,10 +107,10 @@ class TimingReport:
 
 
 def jta_bytes(n: int, oversample: int = DEFAULT_OVERSAMPLE) -> int:
-    """Bytes of the JTA of an n x n grid plus the buffer of its projections.
+    """Bytes charged for the JTA of an n x n grid: 2 x 16 (oversample n)^2.
 
-    Both are (oversample n)^2 x 16 bytes: the complex amplitude, and the
-    (N, 2N) float buffer :func:`diagonal_widths` fills.
+    An upper bound on what the transform keeps: the complex amplitude
+    (16 bytes a cell) and its float intensity (8 bytes a cell).
     """
     return 2 * jsa_bytes(oversample * n, oversample * n)
 
@@ -139,39 +155,39 @@ def jta_from_jsa(
     dt = 2.0 * math.pi / (big_n * dnu)
     times = (np.arange(big_n) - half) * dt
 
-    power_nu = float(np.sum(np.abs(state.amplitude) ** 2)) * dnu * dnu
-    power = np.abs(out)
-    power_t = float(np.sum(np.square(power, out=power))) * dt * dt
+    out.flags.writeable = False
+    prov = dict(state.provenance)
+    jta = JointTemporalAmplitude(times=times, amplitude=out, provenance=prov)
+
+    power_nu = float(np.sum(state.intensity)) * dnu * dnu
+    power_t = float(np.sum(jta.intensity)) * dt * dt
     mismatch = abs(power_nu - power_t) / power_nu
     if mismatch > _PARSEVAL_TOL:
         raise RuntimeError(f"Parseval violated by the transform: {mismatch:.3e}")
-
-    prov = dict(state.provenance)
     prov["transform"] = {"oversample": oversample, "parseval_mismatch": mismatch}
-    out.flags.writeable = False
-    return JointTemporalAmplitude(times=times, amplitude=out, provenance=prov)
+    return jta
+
+
+def _diagonal_bins(power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bin sums of ``power`` over j - k + n - 1 and over j + k, ascending in j.
+
+    Row j lands in bins j .. j + n - 1: as it is for the j + k bins, and
+    reversed for the j - k bins.  Adding the rows in ascending order gives
+    each bin the same sum, in the same order, as a column sum of the rows
+    shifted right by j.
+    """
+    n = power.shape[0]
+    minus = np.zeros(2 * n - 1)
+    plus = np.zeros(2 * n - 1)
+    for j, row in enumerate(power):
+        plus[j : j + n] += row
+        minus[j : j + n] += row[::-1]
+    return minus, plus
 
 
 def _projections(amplitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bin sums of |A|^2 over j - k + n - 1 and over j + k, ascending in j.
-
-    |A|^2 goes into the left half of a zeroed (n, 2n) buffer.  Viewed with
-    row stride 2n - 1, row j is shifted right by j, so column m of the view
-    holds |A[j, m - j]|^2 and its sum over rows is the j + k = m bin.  The
-    column-reversed amplitude gives the j - k bins the same way.
-    """
-    n = amplitude.shape[0]
-    buf = np.zeros((n, 2 * n))
-    left = buf[:, :n]
-    sheared = np.lib.stride_tricks.as_strided(
-        buf, shape=(n, 2 * n - 1), strides=((2 * n - 1) * buf.itemsize, buf.itemsize),
-        writeable=False,
-    )
-    np.square(np.abs(amplitude, out=left), out=left)
-    plus = sheared.sum(axis=0)
-    np.square(np.abs(amplitude[:, ::-1], out=left), out=left)
-    minus = sheared.sum(axis=0)
-    return minus, plus
+    """Difference and sum bins of |A|^2 (:func:`_diagonal_bins`)."""
+    return _diagonal_bins(_squared_modulus(amplitude))
 
 
 def diagonal_widths(jta: JointTemporalAmplitude) -> tuple[float, float]:
@@ -185,7 +201,7 @@ def diagonal_widths(jta: JointTemporalAmplitude) -> tuple[float, float]:
     phasematching) the dip is the narrower autocorrelation of the profile,
     so the two differ by up to a factor of two.
     """
-    minus, plus = _projections(jta.amplitude)
+    minus, plus = _diagonal_bins(jta.intensity)
     n = jta.times.size
     axis = (np.arange(2 * n - 1) - (n - 1)) * jta.dt
     try:

@@ -1,5 +1,7 @@
 """Shared construction helpers for the test suite."""
 
+import numpy as np
+
 from biphoton import PhasematchSpec, PumpSpec
 
 OMEGA0 = 1.227134571536712e15
@@ -37,3 +39,17 @@ def random_source(rng, profile="gaussian"):
     gamma = rng.uniform(0.1, 1.0)
     beta = rng.uniform(-1e-26, 1e-26)
     return make_pump(sigma, beta), make_pm(tau_s, tau_i, gamma, profile)
+
+
+def matmul_overlap(state, delays):
+    """The HOM exchange overlap as the direct double sum over the grid.
+
+    ``Re sum_jk e^{i(nu_j - nu_k) tau} f[j, k] f*[k, j] / sum |f|^2``, one
+    matrix product per scan, as the overlap was computed before it was taken
+    over diagonal sums.
+    """
+    f = state.amplitude
+    kernel = f * np.conj(f.T)
+    norm = float(np.sum(np.abs(f) ** 2))
+    phases = np.exp(1j * np.outer(state.grid.nu_s, delays))
+    return np.real(np.sum(phases * (kernel @ np.conj(phases)), axis=0)) / norm

@@ -24,6 +24,14 @@ def run(tmp_path, *argv):
     return main([*argv, "--out", str(tmp_path)])
 
 
+def synthetic_scan(path):
+    """A noiseless 101-point Gaussian dip as a measured scan file."""
+    path.write_text("delay_ps,coincidences\n" + "".join(
+        f"{d / 10:.1f},{1e4 * (1 - 0.9 * 2.0 ** (-(d / 10) ** 2 * 4)):.3f}\n"
+        for d in range(-50, 51)))
+    return path
+
+
 def config_hash(path):
     first = path.read_text().splitlines()[0]
     return json.loads(first[len("# biphoton: "):])["config_sha256"]
@@ -207,6 +215,17 @@ class TestSweep:
         assert code == 2
         assert "--axis" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--start", "1", "--stop", "2"], "--axis"),
+        (["--axis", "length", "--stop", "12"], "--start and --stop"),
+        (["--axis", "length", "--start", "6"], "--start and --stop"),
+    ])
+    def test_argument_error_leaves_no_outdir(self, tmp_path, capsys, argv, message):
+        code = run(tmp_path / "out", "sweep", "--preset", "ppktp-8mm", *argv)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 @pytest.mark.parametrize("argv,key,allowed", [
     (["sweep", "--axis", "pump_fwhm", "--start", "1", "--stop", "2", "--steps", "2"],
@@ -226,7 +245,54 @@ def test_config_value_outside_choices(tmp_path, capsys, argv, key, allowed):
     assert not (tmp_path / "out").exists()
 
 
+class TestConfigKeys:
+    @pytest.mark.parametrize("command,argv", [
+        ("hom", ["--model", "gaussian"]),
+        ("simulate", ["--grid-n", "64"]),
+        ("sweep", ["--axis", "length", "--start", "6", "--stop", "8", "--steps", "2"]),
+        ("analyze", []),
+    ])
+    @pytest.mark.parametrize("line,key", [
+        ("pump_fwhm = 0.7", "pump_fwhm"),
+        ("pump-fwhm = 0.7", "pump_fwhm"),
+        ("lenght_mm = 12", "lenght_mm"),
+    ])
+    def test_key_of_no_command_refused(self, tmp_path, capsys, command, argv, line, key):
+        config = tmp_path / "run.conf"
+        config.write_text(f"# a typo on line 2\n{line}\n")
+        scan = synthetic_scan(tmp_path / "scan.csv")
+        args = [str(scan)] if command == "analyze" else ["--preset", "ppktp-8mm"]
+        code = run(tmp_path / "out", command, *args, *argv, "--config", str(config))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"run.conf:2: unknown key '{key}'" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_key_of_another_command_ignored(self, tmp_path):
+        # filter_fwhm_nm belongs to simulate, axis/steps to sweep, scan_file to analyze
+        config = tmp_path / "shared.conf"
+        config.write_text("filter_fwhm_nm = 3\naxis = length\nsteps = 4\nscan_file = x.csv\n")
+        a, b = tmp_path / "a", tmp_path / "b"
+        argv = ["hom", "--preset", "ppktp-8mm", "--model", "gaussian"]
+        assert main([*argv, "--out", str(a)]) == 0
+        assert main([*argv, "--config", str(config), "--out", str(b)]) == 0
+        for name in ("scan.csv", "hom.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
 class TestAnalyze:
+    @pytest.mark.parametrize("argv", [
+        ["--model", "sinc-kernel-dip"],
+        ["--model", "sinc-kernel-dip", "--preset", "ppktp-8mm"],
+        ["--model", "sinc-kernel-dip", "--pump-fwhm-nm", "2"],
+    ])
+    def test_kernel_arguments_missing_leaves_no_outdir(self, tmp_path, capsys, argv):
+        scan = synthetic_scan(tmp_path / "scan.csv")
+        code = run(tmp_path / "out", "analyze", str(scan), *argv)
+        assert code == 2
+        assert "--preset and --pump-fwhm-nm" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_fit_synthetic_scan(self, tmp_path):
         # generate a noiseless scan through the CLI, feed it back as counts
         assert run(tmp_path, "hom", "--preset", "ppktp-8mm", "--model", "gaussian") == 0

@@ -40,6 +40,8 @@ from biphoton.dataio import format_float, provenance_line
 from biphoton.hom import gaussian_dip_width
 from biphoton.spectral import GAUSSIAN_FWHM_FACTOR
 
+from helpers import matmul_overlap
+
 
 def write_scan_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -449,6 +451,19 @@ class TestFitDip:
         kernel = sinc_dip_kernel(ppktp, 2.0)
         np.testing.assert_array_equal(kernel.u, u)
         np.testing.assert_array_equal(kernel.depth, depth)
+
+    @pytest.mark.parametrize("pump_fwhm_nm", [0.7, 2.0, 4.5])
+    def test_sinc_kernel_matches_matmul_overlap(self, ppktp, pump_fwhm_nm):
+        src = preset_with_pump(ppktp, pump_fwhm_nm=pump_fwhm_nm, profile="sinc")
+        state = build_jsa(src.pump, src.pm, auto_grid(src.pump, src.pm, n=128))
+        delays = default_delays(src.pm, n=801, spans=4.0)
+        depth = 1.0 - np.clip(1.0 - matmul_overlap(state, delays), 0.0, None)
+        depth = depth / depth.max()
+        center = delays[int(np.argmax(depth))]
+        u = (delays - center) / intensity_fwhm(delays, depth)
+        kernel = sinc_dip_kernel(ppktp, pump_fwhm_nm, n_grid=128)
+        np.testing.assert_allclose(kernel.u, u, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(kernel.depth, depth, rtol=0, atol=1e-12)
 
     def test_sinc_kernel_honours_n_grid(self, ppktp):
         default = sinc_dip_kernel(ppktp, 2.0)

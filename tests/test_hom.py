@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from biphoton import (
     CoverageError,
@@ -29,10 +31,10 @@ from biphoton import (
     transform_limited_duration,
     visibility_coefficient,
 )
-from biphoton.hom import gaussian_dip_width
+from biphoton.hom import _exchange_overlap, gaussian_dip_width
 from biphoton.spectral import GAUSSIAN_FWHM_FACTOR
 
-from helpers import OMEGA0, make_pm, make_pump, random_source
+from helpers import OMEGA0, make_pm, make_pump, matmul_overlap, random_source
 
 
 class TestNumericRate:
@@ -69,6 +71,34 @@ class TestNumericRate:
         state = JointSpectralAmplitude(grid, amp, {})
         with pytest.raises(GridError):
             coincidence_rate_numeric(state, 0.0)
+
+
+class TestDiagonalSumOverlap:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        profile=st.sampled_from(("gaussian", "sinc")),
+        n=st.integers(8, 128),
+        n_delays=st.integers(2, 101),
+        spans=st.sampled_from((1.0, 4.0, 20.0)),
+        scrambled=st.booleans(),
+    )
+    @example(seed=1, profile="sinc", n=127, n_delays=101, spans=4.0, scrambled=False)
+    @example(seed=2, profile="gaussian", n=128, n_delays=2, spans=20.0, scrambled=True)
+    def test_matches_matmul_reference(self, seed, profile, n, n_delays, spans, scrambled):
+        rng = np.random.default_rng(seed)
+        pump, pm = random_source(rng, profile)
+        state = build_jsa(pump, pm, auto_grid(pump, pm, n=n))
+        if scrambled:
+            # a random phase per cell makes the D_m complex and the scan asymmetric in tau
+            phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, state.amplitude.shape))
+            state = JointSpectralAmplitude(state.grid, state.amplitude * phase)
+        delays = default_delays(pm, n=n_delays, spans=spans)
+        got = _exchange_overlap(state, delays)
+        np.testing.assert_allclose(got, matmul_overlap(state, delays), rtol=0, atol=1e-12)
+        assert coincidence_rate_numeric(state, delays[-1]) == pytest.approx(
+            1.0 - got[-1], abs=1e-12
+        )
 
 
 class TestClosedForm:

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from biphoton import (
     DomainError,
@@ -28,9 +30,124 @@ from biphoton import (
 )
 from biphoton.errors import CoverageError
 from biphoton.jsa import MEMORY_BUDGET_BYTES, GaussianJsaParams, gaussian_marginal_fwhms, jsa_bytes
-from biphoton.jsa import BUILD_JSA_PEAK_FACTOR, check_memory_budget
+from biphoton.jsa import BUILD_JSA_PEAK_FACTOR, MIN_SAMPLES_PER_FWHM, check_memory_budget
+from biphoton.spectral import pump_envelope, sinc
 
 from helpers import make_pm, make_pump, random_source
+
+
+def reference_pump_envelope(pump, nu):
+    return np.exp(-((nu / pump.sigma_p) ** 2) + 1j * pump.beta * nu * nu)
+
+
+def reference_sinc(x):
+    small = np.abs(x) < 1e-4
+    safe = np.where(small, 1.0, x)
+    x2 = x * x
+    return np.where(small, 1.0 - x2 / 6.0 + x2 * x2 / 120.0, np.sin(safe) / safe)
+
+
+def reference_amplitude(pump, pm, grid):
+    """``pump_envelope * phasematching_profile`` as full-grid expressions."""
+    ns = grid.nu_s[:, None]
+    ni = grid.nu_i[None, :]
+    x = 0.5 * (pm.tau_s * ns + pm.tau_i * ni)
+    if pm.profile == "gaussian":
+        return reference_pump_envelope(pump, ns + ni) * np.exp(-pm.gamma * x * x)
+    return reference_pump_envelope(pump, ns + ni) * reference_sinc(x)
+
+
+def reference_warnings(amp, grid):
+    """The resolution warnings, from a freshly computed |amp|^2."""
+    warnings = []
+    intensity = np.abs(amp) ** 2
+    for label, curve, d in (
+        ("signal", intensity.sum(axis=1), grid.d_nu_s),
+        ("idler", intensity.sum(axis=0), grid.d_nu_i),
+    ):
+        try:
+            width = intensity_fwhm(np.arange(curve.size) * d, curve)
+        except (DomainError, CoverageError):
+            warnings.append(f"{label} marginal FWHM not resolved on this grid")
+            continue
+        if width / d < MIN_SAMPLES_PER_FWHM:
+            warnings.append(
+                f"{label} marginal has {width / d:.1f} samples per FWHM "
+                f"(< {MIN_SAMPLES_PER_FWHM:g}); results may be inaccurate"
+            )
+    return warnings
+
+
+class TestBuildBitIdentity:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        profile=st.sampled_from(("gaussian", "sinc")),
+        n=st.integers(8, 160),
+        chirp=st.sampled_from(("random", "none", "negative")),
+        span=st.sampled_from((1.0, 4.0, 12.0)),
+    )
+    @example(seed=1, profile="sinc", n=101, chirp="negative", span=4.0)
+    @example(seed=2, profile="gaussian", n=129, chirp="none", span=12.0)
+    def test_matches_full_grid_expressions(self, seed, profile, n, chirp, span):
+        pump, pm = random_source(np.random.default_rng(seed), profile)
+        if chirp != "random":
+            pump = make_pump(pump.sigma_p, -abs(pump.beta) if chirp == "negative" else 0.0)
+        grid = auto_grid(pump, pm, n=n, span_fwhms=span)
+        state = build_jsa(pump, pm, grid)
+        want = reference_amplitude(pump, pm, grid)
+        assert state.amplitude.tobytes() == want.tobytes()
+        assert state.provenance["warnings"] == reference_warnings(want, grid)
+        # the factors on their own, where signed zeros are not yet multiplied away
+        nu = grid.nu_s[:, None] + grid.nu_i[None, :]
+        assert pump_envelope(pump, nu).tobytes() == reference_pump_envelope(pump, nu).tobytes()
+        x = 0.5 * (pm.tau_s * grid.nu_s[:, None] + pm.tau_i * grid.nu_i[None, :])
+        x[0, :3] = (0.0, -0.0, 5e-5)
+        assert sinc(x).tobytes() == reference_sinc(x).tobytes()
+
+
+class TestIntensity:
+    @pytest.mark.parametrize("profile", ["gaussian", "sinc"])
+    def test_read_only_cached_and_exact(self, ppktp, profile):
+        source = preset_with_pump(ppktp, profile=profile, beta=-1e-26)
+        state = build_jsa(source.pump, source.pm, auto_grid(source.pump, source.pm, n=96))
+        intensity = state.intensity
+        assert intensity is state.intensity and jsi(state) is intensity
+        assert not intensity.flags.writeable
+        assert intensity.tobytes() == (np.abs(state.amplitude) ** 2).tobytes()
+        with pytest.raises(ValueError):
+            intensity[0, 0] = 1.0
+
+    def test_filtered_and_normalized_states_get_their_own(self, ppktp):
+        state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=64))
+        filtered = apply_spectral_filter(state, SpectralFilter("gaussian", 0.0, 1e13, "both"))
+        for other in (filtered, state.normalized()):
+            assert other.intensity is not state.intensity
+            assert other.intensity.tobytes() == (np.abs(other.amplitude) ** 2).tobytes()
+
+    def test_read_only_owned_array_adopted_other_copied(self):
+        grid = FrequencyGrid.square_symmetric(1e13, 8)
+        owned = np.ones((8, 8), dtype=complex)
+        owned.flags.writeable = False
+        assert JointSpectralAmplitude(grid, owned).amplitude is owned
+        writable = np.ones((8, 8), dtype=complex)
+        state = JointSpectralAmplitude(grid, writable)
+        writable[0, 0] = 5.0
+        assert state.amplitude[0, 0] == 1.0 and not state.amplitude.flags.writeable
+
+    @pytest.mark.parametrize("profile", ["gaussian", "sinc"])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_build_peak_at_most_three_amplitudes(self, ppktp, profile, normalize):
+        source = preset_with_pump(ppktp, profile=profile)
+        grid = auto_grid(source.pump, source.pm, n=128)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            build_jsa(source.pump, source.pm, grid, normalize=normalize)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * jsa_bytes(128, 128)
 
 
 class TestGridAnalyticOracle:

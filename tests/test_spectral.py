@@ -105,6 +105,12 @@ class TestPumpEnvelope:
             np.abs(pump_envelope(base, nu)), np.abs(pump_envelope(chirped, nu)), rtol=1e-13
         )
 
+    @pytest.mark.parametrize("beta", [0.0, 1e-26, -1e-26])
+    def test_scalar_is_complex(self, beta):
+        pump = PumpSpec(omega_p0=2.45e15, sigma_p=3e12, beta=beta)
+        for nu in (0.0, 2e12, -5e12):
+            assert type(pump_envelope(pump, nu)) is complex
+
     def test_invariants(self):
         with pytest.raises(DomainError):
             PumpSpec(omega_p0=2.45e15, sigma_p=0.0)
@@ -167,6 +173,13 @@ class TestPhasematchingAmplitude:
         assert sinc(0.0) == 1.0
         # continuity across the branch switch at |x| = 1e-4
         assert sinc(1.0000001e-4) == pytest.approx(sinc(0.9999999e-4), rel=1e-10)
+
+    def test_sinc_scalar_is_float_and_arrays_keep_shape(self):
+        for x in (0.0, -0.0, 5e-5, 1.0, -3.0):
+            assert type(sinc(x)) is float
+        out = sinc(np.array([[0.0, 5e-5], [1.0, -2.0]]))
+        assert out.shape == (2, 2) and out[0, 0] == 1.0
+        assert out[1, 1] == math.sin(-2.0) / -2.0
 
     def test_spec_invariants(self):
         with pytest.raises(DomainError):

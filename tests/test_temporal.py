@@ -25,7 +25,7 @@ from biphoton import (
     timing_gain,
 )
 from biphoton.jsa import MEMORY_BUDGET_BYTES, auto_grid
-from biphoton.temporal import JointTemporalAmplitude, _projections, jta_bytes
+from biphoton.temporal import JointTemporalAmplitude, _diagonal_bins, _projections, jta_bytes
 from helpers import random_source
 
 
@@ -53,6 +53,22 @@ def reference_projections(amplitude):
     j_idx, k_idx = np.meshgrid(idx, idx, indexing="ij")
     minus = np.bincount((j_idx - k_idx + n - 1).ravel(), weights=power.ravel(), minlength=2 * n - 1)
     plus = np.bincount((j_idx + k_idx).ravel(), weights=power.ravel(), minlength=2 * n - 1)
+    return minus, plus
+
+
+def sheared_projections(amplitude):
+    """The bins as column sums of |A|^2 rows shifted right by j in an (n, 2n) buffer."""
+    n = amplitude.shape[0]
+    buf = np.zeros((n, 2 * n))
+    left = buf[:, :n]
+    sheared = np.lib.stride_tricks.as_strided(
+        buf, shape=(n, 2 * n - 1), strides=((2 * n - 1) * buf.itemsize, buf.itemsize),
+        writeable=False,
+    )
+    np.square(np.abs(amplitude, out=left), out=left)
+    plus = sheared.sum(axis=0)
+    np.square(np.abs(amplitude[:, ::-1], out=left), out=left)
+    minus = sheared.sum(axis=0)
     return minus, plus
 
 
@@ -117,6 +133,16 @@ class TestTransform:
         for got, want in zip(_projections(jta.amplitude), reference_projections(expected)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * want.max())
 
+    @pytest.mark.parametrize("seed,profile,n,oversample", [
+        (3, "sinc", 97, 4), (4, "gaussian", 128, 3), (5, "sinc", 64, 1),
+    ])
+    def test_bins_match_sheared_sum_bits(self, seed, profile, n, oversample):
+        pump, pm = random_source(np.random.default_rng(seed), profile)
+        jta = jta_from_jsa(build_jsa(pump, pm, auto_grid(pump, pm, n=n)), oversample)
+        want = sheared_projections(jta.amplitude)
+        for got in (_projections(jta.amplitude), _diagonal_bins(jta.intensity)):
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
     def test_caller_array_is_copied(self):
         times = np.linspace(-1e-12, 1e-12, 8)
         amp = np.ones((8, 8), dtype=complex)
@@ -138,6 +164,24 @@ class TestTransform:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * jta.amplitude.nbytes
+
+    def test_intensity_filled_by_parseval_check(self, ppktp):
+        state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=64))
+        jta = jta_from_jsa(state, oversample=2)
+        assert "intensity" in vars(jta)
+        assert jta.intensity is jta.intensity and not jta.intensity.flags.writeable
+        assert jta.intensity.tobytes() == (np.abs(jta.amplitude) ** 2).tobytes()
+
+    def test_diagonal_widths_allocate_no_grid(self, ppktp):
+        state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=128))
+        jta = jta_from_jsa(state, oversample=4)
+        tracemalloc.start()
+        try:
+            diagonal_widths(jta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * jta.amplitude.nbytes
 
     def test_non_square_grid_rejected(self):
         grid = FrequencyGrid(32, 32, -1e13, 1e13, -0.6e13, 1e13)
