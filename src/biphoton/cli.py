@@ -17,6 +17,8 @@ no subcommand is refused as a typo.  The hash covers the whole map except
 sha256 in its place), so no option can change an output without changing
 the hash.
 The output directory defaults to $BIPHOTON_OUTDIR or the current directory.
+Each command computes all of its results before it creates that directory,
+so a run that fails writes nothing.
 """
 
 from __future__ import annotations
@@ -136,7 +138,7 @@ def _load_source(opts: dict):
     return preset_with_pump(
         preset,
         pump_fwhm_nm=opts.get("pump_fwhm_nm"),
-        beta=(opts.get("chirp_fs2") or 0.0) * 1e-30,
+        beta=opts["chirp_fs2"] * 1e-30 if "chirp_fs2" in opts else None,
         profile=opts.get("profile"),
         length_scale=length_scale,
     )
@@ -169,7 +171,6 @@ def _dip(opts: dict, source, model: str, n_delays: int = 201, delay_span: float 
 def cmd_simulate(opts: dict) -> int:
     source = _load_source(opts)
     state = _build_state(opts, source)
-    outdir = _outdir(opts)
     meta = _meta(opts)
 
     filter_fwhm_nm = opts.get("filter_fwhm_nm")
@@ -181,15 +182,8 @@ def cmd_simulate(opts: dict) -> int:
             SpectralFilter(shape="gaussian", center=0.0, width=width, target="both"),
         )
 
-    export_jsa_csv(state, outdir / "jsa.csv", meta)
-    export_jsi_csv(state, outdir / "jsi.csv", meta)
-
     sig, idl = marginals(state)
     lam_pdc = 2 * np.pi * C_M_PER_S / source.pm.omega_s0
-    write_rows(
-        outdir / "marginals.csv", meta, "nu_rad_s,signal,idler", [state.grid.nu_s, sig, idl]
-    )
-
     schmidt = schmidt_decompose(state)
     rho, label = correlation_classification(state)
     fwhm_s = intensity_fwhm(state.grid.nu_s, sig)
@@ -205,6 +199,13 @@ def cmd_simulate(opts: dict) -> int:
         "marginal_fwhm_i_nm": omega_fwhm_to_wavelength_fwhm(lam_pdc, fwhm_i) * 1e9,
         "warnings": state.provenance.get("warnings", []),
     }
+
+    outdir = _outdir(opts)
+    export_jsa_csv(state, outdir / "jsa.csv", meta)
+    export_jsi_csv(state, outdir / "jsi.csv", meta)
+    write_rows(
+        outdir / "marginals.csv", meta, "nu_rad_s,signal,idler", [state.grid.nu_s, sig, idl]
+    )
     (outdir / "schmidt.json").write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
@@ -217,12 +218,14 @@ def cmd_hom(opts: dict) -> int:
     n_delays = opts.get("delay_points", 201)
     if n_delays < 2:
         raise DomainError(f"--delay-points must be >= 2, got {n_delays}")
+    delay_span = opts.get("delay_span", 4.0)
+    if not delay_span > 0:
+        raise DomainError(f"--delay-span must be > 0, got {delay_span}")
     source = _load_source(opts)
-    outdir = _outdir(opts)
     model = opts.get("model", "numeric")
     meta = _meta(opts)
 
-    result, source = _dip(opts, source, model, n_delays, opts.get("delay_span", 4.0))
+    result, source = _dip(opts, source, model, n_delays, delay_span)
     if model == "gaussian":
         extra = {
             "closed_form_t_c_ps": correlation_time_gaussian(source.pm) * 1e12,
@@ -230,8 +233,6 @@ def cmd_hom(opts: dict) -> int:
         }
     else:
         extra = {"profile": source.pm.profile}
-
-    export_delay_scan(result.scan, outdir / "scan.csv", meta)
     payload = {
         "provenance": meta,
         "t_c_ps": result.t_c * 1e12,
@@ -239,6 +240,9 @@ def cmd_hom(opts: dict) -> int:
         "model": result.model,
     }
     payload.update(extra)
+
+    outdir = _outdir(opts)
+    export_delay_scan(result.scan, outdir / "scan.csv", meta)
     (outdir / "hom.json").write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
@@ -261,7 +265,6 @@ def cmd_sweep(opts: dict) -> int:
         print("error: sweep needs --start and --stop", file=sys.stderr)
         return 2
     source = _load_source(opts)
-    outdir = _outdir(opts)
     model = opts.get("model", "gaussian")
     meta = _meta(opts)
 
@@ -278,6 +281,7 @@ def cmd_sweep(opts: dict) -> int:
         t_c_ps.append(result.t_c * 1e12)
         visibility.append(result.visibility)
 
+    outdir = _outdir(opts)
     write_rows(
         outdir / "sweep.csv", meta, f"{axis},t_c_ps,visibility", [values, t_c_ps, visibility]
     )
@@ -296,7 +300,6 @@ def cmd_analyze(opts: dict) -> int:
             file=sys.stderr,
         )
         return 2
-    outdir = _outdir(opts)
     scan_sha256 = hashlib.sha256(Path(opts["scan_file"]).read_bytes()).hexdigest()
     meta = _meta(opts, scan_sha256=scan_sha256)
 
@@ -307,6 +310,7 @@ def cmd_analyze(opts: dict) -> int:
     report = fit_dip(scan, model=model, kernel=kernel)
     payload = {"provenance": meta}
     payload.update(report.to_dict())
+    outdir = _outdir(opts)
     (outdir / "fit.json").write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )

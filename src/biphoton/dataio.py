@@ -14,7 +14,11 @@ N x N joint grids (one row per cell, signal-major) and :func:`write_rows` for
 single ``# biphoton: {json}`` provenance line when metadata is supplied.
 Floats are written with 9 significant digits (``%.9g``, the routine behind
 :func:`format_float`), which round-trips exactly through parse/format cycles
-and keeps repeated runs byte-identical.
+and keeps repeated runs byte-identical.  Both writers format their cells,
+axis labels included, with one numpy-vectorized routine that gives exactly
+the bytes of ``%.9g``; the cells it cannot settle with certainty (within
+1e-5 of a rounding tie, non-finite, or 10 <= |v| < 1e9, which no grid
+holds) are formatted by Python's ``%``.
 
 The readers share one parser: blank lines and ``#`` lines are skipped
 anywhere, cells may be padded with whitespace, the numeric body is parsed in
@@ -28,6 +32,7 @@ commands which fit no dip do not pay its import time (most of the package's).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -58,9 +63,47 @@ PROVENANCE_PREFIX = "# biphoton: "
 
 _FOUR_LN2 = 4.0 * math.log(2.0)
 
-# Signal rows that write_grid formats per call: enough to amortize the call,
-# few enough that the temporary cells stay a few MB even at n=1024.
-_GRID_BLOCK_ROWS = 32
+# Cells that write_grid formats per block: enough to amortize the numpy calls;
+# larger blocks measured slower, as their temporaries (about 100 bytes a
+# cell) no longer stay in the CPU caches.
+_GRID_BLOCK_CELLS = 1 << 13
+
+# Per decimal exponent e of a finite non-zero double (indexed by e - _E_MIN):
+# two correctly rounded powers of ten whose product is 10**(8 - e), split so
+# that |v| times the first stays in range from the subnormals to 1.8e308; the
+# lead kind (2-5 for ``%.9g``'s ``0.d`` to ``0.000d``); whether ``%.9g``
+# writes digits left of the point (e = 1..8, left to Python); and the
+# exponent field, empty where ``%.9g`` writes no exponent.
+_E_MIN, _E_MAX = -324, 308
+_E = np.arange(_E_MIN, _E_MAX + 1)
+_POW10 = np.array([float(f"1e{k}") for k in range(-150, 167)])
+_SCALE_1 = _POW10[(8 - _E) // 2 + 150]
+_SCALE_2 = _POW10[8 - _E - (8 - _E) // 2 + 150]
+_KIND = np.where((_E >= -4) & (_E < 0), 1 - _E, 0)
+_WIDE_FIXED = (_E >= 1) & (_E <= 8)
+_EXPONENT = np.array([b"" if -4 <= e <= 8 else b"e%+03d" % e for e in _E.tolist()])
+# A cell's text up to its first digit d, by (sign * 6 + kind) * 10 + d: kind 0
+# is ``d``, 1 is ``d.`` and 2-5 are ``0.d`` to ``0.000d``; zero is kind 0, d 0.
+_LEAD = np.array(
+    [
+        sign + (digit + b"." * kind if kind < 2 else b"0." + b"0" * (kind - 2) + digit)
+        for sign in (b"", b"-")
+        for kind in range(6)
+        for digit in [b"%d" % d for d in range(10)]
+    ]
+)
+
+
+def _quad_digits() -> np.ndarray:
+    """The four digits of q = 0..9999 as one uint32 each: at q with trailing
+    zeros dropped (NUL-padded), at 10000 + q all four."""
+    chars = np.frombuffer(b"0123456789", dtype=np.uint8)
+    quad = np.stack(np.meshgrid(*[chars] * 4, indexing="ij"), axis=-1).reshape(10000, 4)
+    kept = np.logical_or.accumulate(quad[:, ::-1] != ord("0"), axis=1)[:, ::-1]
+    return np.concatenate([quad * kept, quad]).view(np.uint32).ravel()
+
+
+_QUADS = _quad_digits()
 
 
 def format_float(x: float) -> str:
@@ -68,25 +111,79 @@ def format_float(x: float) -> str:
     return f"{float(x):.9g}"
 
 
+def _format_cells(values, end: bytes) -> np.ndarray:
+    """``b"%.9g" % v + end`` for each float of ``values``, as a NUL-padded bytes array.
+
+    The 9-digit mantissa m and exponent e come from s = |v| * 10**(8 - e),
+    computed to within about 4 ulp (< 5e-7), so m = rint(s) is the mantissa
+    ``%.9g`` writes unless s lies within 1e-5 of a rounding tie or below
+    1e8 - 1e-5 (e one decade too high even after one correction).  Those cells,
+    non-finite ones and 10 <= |v| < 1e9 (``%.9g``'s fixed layout with digits
+    left of the point) are formatted by Python instead.  The text is joined
+    from a lead (sign, ``0.000`` and the first digit), the other eight digits
+    with trailing zeros dropped, and the exponent with ``end``; ``np.add``,
+    which concatenates bytes arrays from numpy 2.0 on, drops the NUL padding
+    in between.
+    """
+    v = np.asarray(values, dtype=float).ravel()
+    finite = np.isfinite(v)
+    normal = finite & (v != 0)
+    a = np.abs(v)
+    np.copyto(a, 1.0, where=~normal)
+    e = np.log10(a)
+    np.floor(e, out=e)
+    e -= _E_MIN
+    ei = e.astype(np.intp)
+    s = a * _SCALE_1[ei]
+    s *= _SCALE_2[ei]
+    # log10 can miss the decade next to a power of ten, and rounding can carry
+    # s into the next one: move those cells one decade and redo them
+    step = (s < 1e8 - 1e-5).view(np.int8) - (s >= 1e9 - 0.5).view(np.int8)
+    moved = np.flatnonzero(step)
+    if moved.size:
+        ei[moved] = np.clip(ei[moved] - step[moved], 0, _E_MAX - _E_MIN)
+        s[moved] = a[moved] * _SCALE_1[ei[moved]] * _SCALE_2[ei[moved]]
+    m = np.rint(s)
+    exact = (s >= 1e8 - 1e-5) & (s < 1e9 - 0.5) & (np.abs(s - m) < 0.5 - 1e-5)
+    exact &= finite & ~_WIDE_FIXED[ei]
+
+    first, rest = np.divmod(m.astype(np.uint32), np.uint32(10**8))
+    high, low = np.divmod(rest, np.uint32(10**4))
+    digits = np.empty((v.size, 2), dtype=np.uint32)
+    digits[:, 0] = _QUADS[high + (low != 0) * 10000]
+    digits[:, 1] = _QUADS[low]
+    kind = np.maximum(_KIND[ei], rest != 0)
+    lead = _LEAD[np.signbit(v) * 60 + kind * 10 + first * normal]
+    out = np.add(lead, digits.view("S8").ravel())
+    out = np.add(out, np.add(_EXPONENT, end)[ei])
+    python = np.flatnonzero(~exact)
+    out[python] = [b"%.9g" % c + end for c in v[python].tolist()]
+    return out
+
+
 def provenance_line(meta: dict) -> str:
     return PROVENANCE_PREFIX + json.dumps(meta, sort_keys=True, separators=(",", ":"))
 
 
 def _write_csv(path, meta: dict | None, header: str, body, comments=()) -> None:
-    """Write the provenance line, comment lines, header and the ``body`` chunks."""
+    """Write the provenance line, comment lines, header and the ``body`` byte chunks."""
     head = [] if meta is None else [provenance_line(meta)]
     head += [*comments, header]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(head) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(head) + "\n").encode("utf-8"))
         fh.writelines(body)
+
+
+def _row_cells(columns) -> np.ndarray:
+    """CSV rows joined from equal-shape float ``columns``, one per cell."""
+    ends = [b","] * (len(columns) - 1) + [b"\n"]
+    return functools.reduce(np.add, map(_format_cells, columns, ends))
 
 
 def write_rows(path, meta: dict | None, header: str, columns, comments=()) -> None:
     """Write equal-length 1-D float ``columns`` as CSV rows."""
-    cells = np.column_stack(columns)
-    row = ",".join(["%.9g"] * cells.shape[1]) + "\n"
-    body = row * cells.shape[0] % tuple(cells.ravel().tolist())
-    _write_csv(path, meta, header, [body], comments)
+    rows = _row_cells(np.column_stack(columns).T)
+    _write_csv(path, meta, header, [b"".join(rows.tolist())], comments)
 
 
 def write_grid(path, meta: dict | None, header: str, axis_s, axis_i, values) -> None:
@@ -94,25 +191,20 @@ def write_grid(path, meta: dict | None, header: str, axis_s, axis_i, values) -> 
 
     Rows run signal-major as ``axis_s[j],axis_i[k],values[0][j,k],...``.  Each
     axis value is formatted once; the body is formatted one block of signal
-    rows at a time by a single ``%`` call, so temporary memory stays bounded.
+    rows (about ``_GRID_BLOCK_CELLS`` cells) at a time, so temporary memory
+    stays bounded.
     """
-    labels_s = np.array([format_float(x) for x in axis_s], dtype=object)
-    labels_i = np.array([format_float(x) for x in axis_i], dtype=object)
+    labels_s = _format_cells(axis_s, b",")
+    labels_i = _format_cells(axis_i, b",")
     values = [np.asarray(v, dtype=float) for v in values]
-    row = "%s,%s" + ",%.9g" * len(values) + "\n"
-    cells = np.empty(
-        (min(_GRID_BLOCK_ROWS, labels_s.size), labels_i.size, 2 + len(values)), dtype=object
-    )
-    cells[:, :, 1] = labels_i
+    block = max(1, _GRID_BLOCK_CELLS // labels_i.size)
 
     def blocks():
-        for start in range(0, labels_s.size, _GRID_BLOCK_ROWS):
-            block = cells[: labels_s.size - start]
-            rows = slice(start, start + block.shape[0])
-            block[:, :, 0] = labels_s[rows, None]
-            for m, v in enumerate(values):
-                block[:, :, 2 + m] = v[rows]
-            yield row * (block.shape[0] * labels_i.size) % tuple(block.ravel())
+        for start in range(0, labels_s.size, block):
+            rows = slice(start, start + block)
+            cells = np.add(labels_s[rows, None], labels_i).ravel()
+            cells = np.add(cells, _row_cells([v[rows] for v in values]))
+            yield b"".join(cells.tolist())
 
     _write_csv(path, meta, header, blocks())
 

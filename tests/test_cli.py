@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import biphoton
+from biphoton import auto_grid, build_jsa, load_preset, preset_with_pump
 from biphoton.cli import build_parser, main
-from biphoton.dataio import load_scan
+from biphoton.dataio import format_float, load_scan
 
 
 def data_rows(path):
@@ -225,6 +226,39 @@ class TestSweep:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", "--preset", "ppktp-8mm", "--grid-n", "2"], "half maximum not reached"),
+    (["simulate", "--preset", "ppktp-8mm", "--filter-fwhm-nm", "0"], "filter width must be > 0"),
+    (["hom", "--preset", "ppktp-8mm", "--delay-span", "0"], "--delay-span must be > 0, got 0.0"),
+    (["hom", "--preset", "ppktp-8mm", "--delay-span", "-1"], "--delay-span must be > 0, got -1.0"),
+    (["hom", "--preset", "ppktp-8mm", "--grid-n", "3"], "does not reach the baseline"),
+    (["hom", "--preset", "ppktp-8mm", "--grid-n", "100000"], "memory budget"),
+    (["sweep", "--preset", "ppktp-8mm", "--axis", "length", "--start", "0", "--stop", "8",
+      "--steps", "3"], "waveguide length must be > 0"),
+    (["analyze", "ZERO_SCAN"], "no positive counts"),
+])
+def test_failed_run_leaves_no_outdir(tmp_path, capsys, argv, message):
+    # every output is computed before the output directory is made
+    scan = tmp_path / "zero.csv"
+    scan.write_text("delay_ps,coincidences\n" + "".join(f"{d},0\n" for d in range(12)))
+    argv = [str(scan) if arg == "ZERO_SCAN" else arg for arg in argv]
+    code = run(tmp_path / "out", *argv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_preset_chirp_kept_without_flag(tmp_path, monkeypatch):
+    chirped = preset_with_pump(load_preset("ppktp-8mm"), beta=20000e-30)
+    monkeypatch.setattr(biphoton.cli, "load_preset", lambda name: chirped)
+    assert run(tmp_path, "simulate", "--preset", "ppktp-8mm", "--grid-n", "64") == 0
+    state = build_jsa(chirped.pump, chirped.pm, auto_grid(chirped.pump, chirped.pm, n=64))
+    im = [row.split(",")[3] for row in data_rows(tmp_path / "jsa.csv")[1:]]
+    assert im == [format_float(x) for x in state.amplitude.imag.ravel()]
+    assert np.any(state.amplitude.imag != 0)
 
 
 @pytest.mark.parametrize("argv,key,allowed", [

@@ -1,9 +1,12 @@
 """CSV formats, dip fits, and the summary table."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biphoton import (
     C_M_PER_S,
@@ -36,7 +39,7 @@ from biphoton import (
     table_report,
     write_rows,
 )
-from biphoton.dataio import format_float, provenance_line
+from biphoton.dataio import _format_cells, format_float, provenance_line
 from biphoton.hom import gaussian_dip_width
 from biphoton.spectral import GAUSSIAN_FWHM_FACTOR
 
@@ -243,6 +246,74 @@ class TestWritersByteIdentical:
         export_delay_scan(sim, path)
         expected = seed_csv_text(None, "tau_ps,rate", zip(sim.delays * 1e12, sim.rates))
         assert path.read_bytes() == expected.encode()
+
+
+def format_float_cells(values, end):
+    """The scalar reference for ``_format_cells``: ``format_float(v) + end`` as bytes."""
+    return [(format_float(v) + end).encode() for v in values]
+
+
+_FLOAT_BITS = st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0])
+# 10-digit decimals ending in 5: the nearest double lies just off a 9-digit
+# rounding tie, the case a scaled mantissa can round the wrong way
+_NEAR_TIES = st.tuples(st.integers(10**8, 10**9 - 1), st.integers(-330, 298)).map(
+    lambda me: float(f"{me[0]}5e{me[1]}")
+)
+
+
+class TestFormatCells:
+    """The vectorized ``%.9g`` behind both writers, cell for cell against ``format_float``."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                _FLOAT_BITS,
+                st.floats(allow_subnormal=True),
+                st.floats(1e-5, 1e9, exclude_max=True).flatmap(lambda x: st.sampled_from([x, -x])),
+                st.integers(-(2**40), 2**40).map(float),
+                _NEAR_TIES,
+            ),
+            min_size=1,
+            max_size=300,
+        ),
+        end=st.sampled_from(["", ",", "\n"]),
+    )
+    def test_matches_format_float(self, values, end):
+        assert _format_cells(values, end.encode()).tolist() == format_float_cells(values, end)
+
+    @pytest.mark.parametrize("end", ["", ",", "\n"])
+    def test_bulk_random_bits_and_magnitudes(self, rng, end):
+        values = np.concatenate([
+            rng.integers(0, 2**64, size=20_000, dtype=np.uint64).view(np.float64),
+            rng.choice([-1.0, 1.0], 20_000) * 10.0 ** rng.uniform(-5, 9, 20_000),
+            np.round(rng.uniform(-1e4, 1e4, 20_000), 2),
+            [float(f"{m}5e{k}") for m, k in zip(rng.integers(10**8, 10**9, 20_000),
+                                                 rng.integers(-330, 299, 20_000))],
+            [s * float(f"1e{k}") for k in range(-323, 309) for s in (1, -1)],
+        ])
+        assert _format_cells(values, end.encode()).tolist() == format_float_cells(values, end)
+
+    @pytest.mark.parametrize("end", ["", ",", "\n"])
+    @pytest.mark.parametrize("value", [
+        12345678.25,  # exact ties, rounded half to even
+        123456789.5,
+        999999999.5,  # rounds up into the next decade
+        9.9999999995e-5,
+        5e-324,  # smallest subnormal, and the smallest normal
+        2.2250738585072014e-308,
+        1.7976931348623157e308,
+        1e-5, 1e-4, 1e8, 1e9,  # the switch between exponent and fixed layout
+        -1e-5, -1e-4, -1e8, -1e9,
+        math.nextafter(1e-4, 0.0), math.nextafter(1e9, 0.0),
+        0.0, -0.0, math.inf, -math.inf, math.nan,
+    ])
+    def test_pinned(self, value, end):
+        assert _format_cells([value], end.encode()).tolist() == format_float_cells([value], end)
+
+    def test_shape_and_empty(self):
+        assert _format_cells(np.full((2, 3), 0.5), b",").tolist() == [b"0.5,"] * 6
+        assert _format_cells([], b"\n").tolist() == []
 
 
 def jsi_lines(n=4):
