@@ -18,12 +18,14 @@ sha256 in its place), so no option can change an output without changing
 the hash.
 The output directory defaults to $BIPHOTON_OUTDIR or the current directory.
 Each command computes all of its results before it creates that directory,
-so a run that fails writes nothing.
+so a run that fails writes nothing.  A failure on a grid that ``build_jsa``
+found too coarse names ``--grid-n``, its value and the samples per FWHM.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -66,6 +68,7 @@ from .presets import _key_value_lines, available_presets, load_preset, preset_wi
 from .spectral import omega_fwhm_to_wavelength_fwhm, C_M_PER_S
 
 _N_SCHMIDT_REPORTED = 16
+_GRID_N = 512
 
 # Options that locate inputs and outputs but do not change an output's content.
 _UNHASHED = {"out", "config", "scan_file"}
@@ -145,9 +148,29 @@ def _load_source(opts: dict):
 
 
 def _build_state(opts: dict, source):
-    n, span = opts.get("grid_n", 512), opts.get("grid_span_fwhms", 4.0)
+    n, span = opts.get("grid_n", _GRID_N), opts.get("grid_span_fwhms", 4.0)
     grid = auto_grid(source.pump, source.pm, n=n, span_fwhms=span)
     return build_jsa(source.pump, source.pm, grid)
+
+
+@contextlib.contextmanager
+def _coarse_grid_named(opts: dict, state):
+    """Re-raise failures on a too coarse ``state`` as a ``DomainError`` naming ``--grid-n``.
+
+    A failure on a state that ``build_jsa`` found well resolved passes as it is.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        # build_jsa records only resolution warnings, each "<samples per
+        # marginal FWHM>; results may be inaccurate" or "... not resolved ..."
+        coarse = [w.partition(";")[0] for w in state.provenance.get("warnings", ())]
+        if not coarse:
+            raise
+        raise DomainError(
+            f"--grid-n {opts.get('grid_n', _GRID_N)} is too coarse for this source "
+            f"({', '.join(coarse)}): {exc}"
+        ) from exc
 
 
 def _dip(opts: dict, source, model: str, n_delays: int = 201, delay_span: float = 4.0):
@@ -164,8 +187,9 @@ def _dip(opts: dict, source, model: str, n_delays: int = 201, delay_span: float 
     if model == "gaussian":
         scan = gaussian_scan(source.pump, source.pm, delays)
         return extract_dip(scan, model="gaussian-analytic"), source
-    scan = coincidence_scan(_build_state(opts, source), delays)
-    return extract_dip(scan, model="numeric"), source
+    state = _build_state(opts, source)
+    with _coarse_grid_named(opts, state):
+        return extract_dip(coincidence_scan(state, delays), model="numeric"), source
 
 
 def cmd_simulate(opts: dict) -> int:
@@ -173,21 +197,21 @@ def cmd_simulate(opts: dict) -> int:
     state = _build_state(opts, source)
     meta = _meta(opts)
 
-    filter_fwhm_nm = opts.get("filter_fwhm_nm")
-    if filter_fwhm_nm is not None:
-        lam = 2 * np.pi * C_M_PER_S / source.pm.omega_s0
-        width = filter_fwhm_nm * 1e-9 * 2 * np.pi * C_M_PER_S / lam**2
-        state = apply_spectral_filter(
-            state,
-            SpectralFilter(shape="gaussian", center=0.0, width=width, target="both"),
-        )
-
-    sig, idl = marginals(state)
+    with _coarse_grid_named(opts, state):
+        filter_fwhm_nm = opts.get("filter_fwhm_nm")
+        if filter_fwhm_nm is not None:
+            lam = 2 * np.pi * C_M_PER_S / source.pm.omega_s0
+            width = filter_fwhm_nm * 1e-9 * 2 * np.pi * C_M_PER_S / lam**2
+            state = apply_spectral_filter(
+                state,
+                SpectralFilter(shape="gaussian", center=0.0, width=width, target="both"),
+            )
+        sig, idl = marginals(state)
+        schmidt = schmidt_decompose(state)
+        rho, label = correlation_classification(state)
+        fwhm_s = intensity_fwhm(state.grid.nu_s, sig)
+        fwhm_i = intensity_fwhm(state.grid.nu_i, idl)
     lam_pdc = 2 * np.pi * C_M_PER_S / source.pm.omega_s0
-    schmidt = schmidt_decompose(state)
-    rho, label = correlation_classification(state)
-    fwhm_s = intensity_fwhm(state.grid.nu_s, sig)
-    fwhm_i = intensity_fwhm(state.grid.nu_i, idl)
     payload = {
         "provenance": meta,
         "schmidt_number": schmidt.schmidt_number,

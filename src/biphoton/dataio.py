@@ -21,10 +21,14 @@ the bytes of ``%.9g``; the cells it cannot settle with certainty (within
 holds) are formatted by Python's ``%``.
 
 The readers share one parser: blank lines and ``#`` lines are skipped
-anywhere, cells may be padded with whitespace, the numeric body is parsed in
-one pass, and a malformed line is reported as ``path:lineno:``.
+anywhere, cells may be padded with whitespace, and a malformed line is
+reported as ``path:lineno:``.  A line ends at ``\\n``, ``\\r\\n`` or ``\\r``
+only.  The header is found by iterating the file, and the body is parsed by
+one ``np.loadtxt`` call on the file itself; a body holding ``#`` or
+whitespace-only lines, or a bad one, is read again line by line.
 :func:`load_jsi` accepts grid rows in any order but rejects duplicate and
-missing cells.
+missing cells; it scatters each row's square root straight into the complex
+amplitude that the state adopts.
 
 ``scipy.optimize`` is imported inside :func:`fit_dip`, its one user, so that
 commands which fit no dip do not pay its import time (most of the package's).
@@ -210,33 +214,57 @@ def write_grid(path, meta: dict | None, header: str, axis_s, axis_i, values) -> 
 
 
 def _read_csv(path: Path, header_problem) -> tuple[list[str], list[str], np.ndarray]:
-    """The lines, header cells and numeric body rows of a CSV file.
+    """The ``#`` comment lines, header cells and numeric body rows of a CSV file.
 
-    ``header_problem(cells)`` returns why a header is wrong, or None.  The
-    body is parsed by one ``np.loadtxt`` call; only when that fails are its
-    lines scanned one by one, to report the first bad line.
+    ``header_problem(cells)`` returns why a header is wrong, or None.  A line
+    is what iterating the file gives (ended by ``\\n``, ``\\r\\n`` or ``\\r``)
+    for the header scan, the body parse and the error path alike.  The header
+    is found by iterating the file, and the body is then parsed by one
+    ``np.loadtxt`` call on the file itself, which skips empty lines but
+    refuses ``#`` and whitespace-only ones.  Only when that call fails are the
+    lines read again, stripped and filtered, parsed in one pass and, if that
+    fails too, scanned one by one to report the first bad line.  The comments
+    are those before the header, or every ``#`` line when the body held some.
     """
-    lines = path.read_text(encoding="utf-8").splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            break
-    else:
-        raise ParseError(f"{path}: no header row found")
-    header = [c.strip() for c in line.split(",")]
-    problem = header_problem(header)
-    if problem is not None:
-        raise ParseError(f"{path}:{lineno}: {problem}")
-    body = [s for s in map(str.strip, lines[lineno:]) if s and s[0] != "#"]
-    if not body:
-        raise ParseError(f"{path}: no data rows found")
+    comments: list[str] = []
+    header = None
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line[0] == "#":
+                if header is None:
+                    comments.append(raw.rstrip("\n"))
+                continue
+            if header is not None:
+                break  # a first body row: the body is not empty
+            header = [c.strip() for c in line.split(",")]
+            problem = header_problem(header)
+            if problem is not None:
+                raise ParseError(f"{path}:{lineno}: {problem}")
+            header_at = lineno
+        else:
+            missing = "header row" if header is None else "data rows"
+            raise ParseError(f"{path}: no {missing} found")
+    try:
+        data = np.loadtxt(
+            path, delimiter=",", comments=None, skiprows=header_at, ndmin=2, encoding="utf-8"
+        )
+        if data.shape[1] == len(header):
+            return comments, header, data
+    except ValueError:
+        pass
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    body = [s for s in map(str.strip, lines[header_at:]) if s and s[0] != "#"]
     try:
         data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
         if data.shape[1] == len(header):
-            return lines, header, data
+            return [raw for raw in lines if raw.lstrip().startswith("#")], header, data
     except ValueError:
         pass
-    raise _first_bad_line(path, lines, lineno + 1, len(header))
+    raise _first_bad_line(path, lines, header_at + 1, len(header))
 
 
 def _first_bad_line(path: Path, lines: list[str], start: int, n_columns: int) -> ParseError:
@@ -312,7 +340,7 @@ def _scan_header_problem(header: list[str]) -> str | None:
 def load_scan(path) -> MeasuredScan:
     """Read a measured scan CSV; delay unit comes from the header, never guessed."""
     path = Path(path)
-    lines, header, data = _read_csv(path, _scan_header_problem)
+    comments, header, data = _read_csv(path, _scan_header_problem)
     if header[0] == "delay_ps":
         delays_s = data[:, 0] * 1e-12
     else:
@@ -329,7 +357,7 @@ def load_scan(path) -> MeasuredScan:
         delays=delays_s,
         counts=counts,
         sigma=data[:, 2] if data.shape[1] == 3 else None,
-        comments=tuple(raw for raw in lines if raw.lstrip().startswith("#")),
+        comments=tuple(comments),
     )
 
 
@@ -430,7 +458,8 @@ def load_jsi(path) -> JointSpectralAmplitude:
     exactly once.  Wavelength axes are converted to detunings about the axis
     midpoint; the amplitude is sqrt(intensity) with zero phase, and the
     provenance is flagged accordingly so downstream interference predictions
-    can be labeled approximate.
+    can be labeled approximate.  Either kind of axis is snapped to a uniform
+    grid, with a warning when a point moves by more than 5% of a step.
     """
     path = Path(path)
     _, header, data = _read_csv(path, _jsi_header_problem)
@@ -438,9 +467,10 @@ def load_jsi(path) -> JointSpectralAmplitude:
         raise ParseError(f"{path}: non-finite cells")
     if np.any(data[:, 2] < 0):
         raise ParseError(f"{path}: negative intensities")
-    axis_s, inv_s = np.unique(data[:, 0], return_inverse=True)
-    axis_i, inv_i = np.unique(data[:, 1], return_inverse=True)
-    hits = np.bincount(inv_s * axis_i.size + inv_i)
+    axis_s, axis_i = np.unique(data[:, 0]), np.unique(data[:, 1])
+    row_s = np.searchsorted(axis_s, data[:, 0])
+    row_i = np.searchsorted(axis_i, data[:, 1])
+    hits = np.bincount(row_s * axis_i.size + row_i)
     if hits.max() > 1:
         j, k = divmod(int(np.argmax(hits)), axis_i.size)
         raise ParseError(
@@ -455,48 +485,43 @@ def load_jsi(path) -> JointSpectralAmplitude:
     if in_nm:
         omega_s = wavelength_to_angular_frequency(axis_s * 1e-9)
         omega_i = wavelength_to_angular_frequency(axis_i * 1e-9)
-    else:
-        omega_s, omega_i = axis_s.copy(), axis_i.copy()
-
-    intensity = np.zeros((axis_s.size, axis_i.size))
-    intensity[inv_s, inv_i] = data[:, 2]
-
-    warnings: list[str] = []
-    if in_nm:
         omega_s0 = 0.5 * (omega_s.min() + omega_s.max())
         omega_i0 = 0.5 * (omega_i.min() + omega_i.max())
         nu_s = omega_s - omega_s0
         nu_i = omega_i - omega_i0
-        # wavelength-spaced axes are not exactly uniform in frequency; snap
-        # to a uniform grid and record how far interior points moved
+        # sort the detunings, and send each row to its sorted place through
+        # the inverse permutation
         order_s = np.argsort(nu_s)
         order_i = np.argsort(nu_i)
         nu_s, nu_i = nu_s[order_s], nu_i[order_i]
-        intensity = intensity[np.ix_(order_s, order_i)]
-        dev = 0.0
-        for ax in (nu_s, nu_i):
-            uniform = np.linspace(ax[0], ax[-1], ax.size)
-            spacing = uniform[1] - uniform[0]
-            dev = max(dev, float(np.max(np.abs(ax - uniform)) / spacing))
-        if dev > 0.05:
-            warnings.append(
-                f"wavelength axes deviate from uniform frequency spacing by "
-                f"{dev:.1%} of one step (snapped to uniform)"
-            )
-        grid = FrequencyGrid(
-            nu_s.size, nu_i.size, float(nu_s[0]), float(nu_s[-1]), float(nu_i[0]), float(nu_i[-1])
-        )
+        row_s = np.argsort(order_s)[row_s]
+        row_i = np.argsort(order_i)[row_i]
     else:
         omega_s0 = omega_i0 = 0.0
-        grid = FrequencyGrid(
-            omega_s.size,
-            omega_i.size,
-            float(omega_s[0]),
-            float(omega_s[-1]),
-            float(omega_i[0]),
-            float(omega_i[-1]),
+        nu_s, nu_i = axis_s, axis_i
+    grid = FrequencyGrid(
+        nu_s.size, nu_i.size, float(nu_s[0]), float(nu_s[-1]), float(nu_i[0]), float(nu_i[-1])
+    )
+
+    # the grid is uniform but the axes need not be (wavelength-spaced ones
+    # never are in frequency): record how far interior points moved
+    warnings: list[str] = []
+    dev = 0.0
+    for ax in (nu_s, nu_i):
+        uniform = np.linspace(ax[0], ax[-1], ax.size)
+        spacing = uniform[1] - uniform[0]
+        dev = max(dev, float(np.max(np.abs(ax - uniform)) / spacing))
+    if dev > 0.05:
+        kind = "wavelength" if in_nm else "detuning"
+        warnings.append(
+            f"{kind} axes deviate from uniform frequency spacing by "
+            f"{dev:.1%} of one step (snapped to uniform)"
         )
 
+    # one scatter into the array the state adopts: read-only, owning its data
+    amplitude = np.zeros((grid.n_s, grid.n_i), dtype=complex)
+    amplitude.real[row_s, row_i] = np.sqrt(data[:, 2])
+    amplitude.flags.writeable = False
     provenance = {
         "kind": "measured",
         "source": str(path),
@@ -505,7 +530,7 @@ def load_jsi(path) -> JointSpectralAmplitude:
         "omega_i0": float(omega_i0),
         "warnings": warnings,
     }
-    return JointSpectralAmplitude(grid, np.sqrt(intensity), provenance)
+    return JointSpectralAmplitude(grid, amplitude, provenance)
 
 
 @dataclass(frozen=True)

@@ -251,6 +251,37 @@ def test_failed_run_leaves_no_outdir(tmp_path, capsys, argv, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv,resolution,cause", [
+    (["simulate", "--grid-n", "2"], "signal marginal FWHM not resolved on this grid",
+     "half maximum not reached"),
+    (["simulate", "--grid-n", "5"], "signal marginal has 1.0 samples per FWHM (< 8)",
+     "zero variance"),
+    (["hom", "--grid-n", "3"], "signal marginal has 1.0 samples per FWHM (< 8)",
+     "does not reach the baseline"),
+    (["hom", "--grid-n", "8"], "signal marginal has 2.0 samples per FWHM (< 8)",
+     "rates outside [0, 1.05]"),
+    (["hom", "--grid-n", "12"], "idler marginal has 2.1 samples per FWHM (< 8)",
+     "rates outside [0, 1.05]"),
+    (["sweep", "--grid-n", "8", "--model", "numeric-sinc", "--axis", "pump_fwhm",
+      "--start", "1", "--stop", "2", "--steps", "2"],
+     "signal marginal has 3.1 samples per FWHM (< 8)", "rates outside [0, 1.05]"),
+], ids=["simulate-2", "simulate-5", "hom-3", "hom-8", "hom-12", "sweep-8"])
+def test_coarse_grid_failure_names_grid_n(tmp_path, capsys, argv, resolution, cause):
+    code = run(tmp_path / "out", *argv[:1], "--preset", "ppktp-8mm", *argv[1:])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: --grid-n {argv[2]} is too coarse for this source (" in err
+    assert resolution in err and cause in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_coarse_grid_that_runs_keeps_its_warnings(tmp_path, capsys):
+    assert run(tmp_path, "simulate", "--preset", "ppktp-8mm", "--grid-n", "4") == 0
+    warnings = json.loads((tmp_path / "schmidt.json").read_text())["warnings"]
+    assert warnings and all("samples per FWHM" in w for w in warnings)
+    assert "--grid-n" not in capsys.readouterr().err
+
+
 def test_preset_chirp_kept_without_flag(tmp_path, monkeypatch):
     chirped = preset_with_pump(load_preset("ppktp-8mm"), beta=20000e-30)
     monkeypatch.setattr(biphoton.cli, "load_preset", lambda name: chirped)

@@ -2,6 +2,9 @@
 
 import math
 import struct
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,11 +40,13 @@ from biphoton import (
     render_table,
     sinc_dip_kernel,
     table_report,
+    write_grid,
     write_rows,
 )
 from biphoton.dataio import _format_cells, format_float, provenance_line
 from biphoton.hom import gaussian_dip_width
-from biphoton.spectral import GAUSSIAN_FWHM_FACTOR
+from biphoton.jsa import FrequencyGrid
+from biphoton.spectral import GAUSSIAN_FWHM_FACTOR, wavelength_to_angular_frequency
 
 from helpers import matmul_overlap
 
@@ -108,6 +113,32 @@ class TestLoadScan:
         write_scan_lines(path, ["delay_ps,coincidences"] + [f"{t},1" for t in range(5)])
         with pytest.raises(DomainError, match="at least 10"):
             load_scan(path)
+
+    def test_comments_before_and_between_rows(self, tmp_path):
+        # every ``#`` line, as written, in file order
+        rows = [f"{t},{100 + t},10" for t in range(-6, 6)]
+        lines = ["# run 7", "  # indented", "delay_ps,coincidences,sigma", *rows[:2],
+                 "# between", "", *rows[2:5], "   # late  ", *rows[5:]]
+        write_scan_lines(tmp_path / "scan.csv", lines)
+        scan = load_scan(tmp_path / "scan.csv")
+        assert scan.comments == ("# run 7", "  # indented", "# between", "   # late  ")
+        assert scan.counts.tolist() == [100.0 + t for t in range(-6, 6)]
+
+    @pytest.mark.parametrize("eol", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_ends(self, tmp_path, eol):
+        lines = ["# run 7", "delay_mm,coincidences"] + [f"{0.15 * k},{50 + k}" for k in range(12)]
+        (tmp_path / "scan.csv").write_bytes((eol.join(lines) + eol).encode("utf-8"))
+        write_scan_lines(tmp_path / "lf.csv", lines)
+        scan, want = load_scan(tmp_path / "scan.csv"), load_scan(tmp_path / "lf.csv")
+        assert scan.comments == want.comments == ("# run 7",)
+        assert scan.delays.tobytes() == want.delays.tobytes()
+        assert scan.counts.tobytes() == want.counts.tobytes()
+
+    def test_comment_kept_whole(self, tmp_path):
+        rows = [f"{t},100" for t in range(12)]
+        comment = "# page\x0cone\u2028two"
+        write_scan_lines(tmp_path / "scan.csv", [comment, "delay_ps,coincidences"] + rows)
+        assert load_scan(tmp_path / "scan.csv").comments == (comment,)
 
     def test_round_trip_bit_identical(self, tmp_path, ppktp):
         _, delays, counts = synthetic_counts(ppktp)
@@ -327,6 +358,41 @@ def jsi_lines(n=4):
     return ["lambda_s_nm,lambda_i_nm,intensity"], rows
 
 
+def seed_load_jsi(path):
+    """The amplitude and grid of the reader ``load_jsi`` replaced: the bit reference.
+
+    It reads the whole file as text, keeps the stripped non-``#`` lines,
+    parses them in one ``np.loadtxt`` call, fills a real intensity grid
+    through ``np.unique(return_inverse=True)``, reorders wavelength axes
+    with ``np.ix_`` and takes the square root; the state then made it complex.
+    """
+    lines = [s for s in map(str.strip, path.read_text(encoding="utf-8").splitlines())
+             if s and s[0] != "#"]
+    data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+    axis_s, inv_s = np.unique(data[:, 0], return_inverse=True)
+    axis_i, inv_i = np.unique(data[:, 1], return_inverse=True)
+    intensity = np.zeros((axis_s.size, axis_i.size))
+    intensity[inv_s, inv_i] = data[:, 2]
+    nu_s, nu_i = axis_s, axis_i
+    if lines[0].startswith("lambda_s_nm"):
+        omega_s = wavelength_to_angular_frequency(axis_s * 1e-9)
+        omega_i = wavelength_to_angular_frequency(axis_i * 1e-9)
+        nu_s = omega_s - 0.5 * (omega_s.min() + omega_s.max())
+        nu_i = omega_i - 0.5 * (omega_i.min() + omega_i.max())
+        order_s, order_i = np.argsort(nu_s), np.argsort(nu_i)
+        nu_s, nu_i = nu_s[order_s], nu_i[order_i]
+        intensity = intensity[np.ix_(order_s, order_i)]
+    grid = FrequencyGrid(nu_s.size, nu_i.size, float(nu_s[0]), float(nu_s[-1]),
+                         float(nu_i[0]), float(nu_i[-1]))
+    return np.asarray(np.sqrt(intensity), dtype=complex), grid
+
+
+def assert_same_state(got, want):
+    assert got.amplitude.tobytes() == want.amplitude.tobytes()
+    assert got.grid == want.grid
+    assert {**got.provenance, "source": ""} == {**want.provenance, "source": ""}
+
+
 class TestLoadJsi:
     def test_nm_grid_conversion(self, tmp_path):
         # 11x11 grid at 1.8 nm pitch around 1535 nm
@@ -475,6 +541,137 @@ class TestLoadJsi:
             np.abs(state.amplitude) ** 2,
             atol=1e-7,
         )
+
+    def test_amplitude_adopted(self, tmp_path):
+        header, rows = jsi_lines()
+        write_scan_lines(tmp_path / "jsi.csv", header + rows)
+        amplitude = load_jsi(tmp_path / "jsi.csv").amplitude
+        assert amplitude.base is None and not amplitude.flags.writeable
+
+    def test_non_uniform_detuning_axes_warn(self, tmp_path):
+        axis = (0.0, 1.0, 3.0)
+        rows = [f"{a:g},{b:g},1" for a in axis for b in axis]
+        write_scan_lines(tmp_path / "jsi.csv", ["nu_s_rad_s,nu_i_rad_s,intensity"] + rows)
+        state = load_jsi(tmp_path / "jsi.csv")
+        assert (state.grid.nu_s_min, state.grid.nu_s_max, state.grid.n_s) == (0.0, 3.0, 3)
+        assert state.provenance["warnings"] == [
+            "detuning axes deviate from uniform frequency spacing by 33.3% of one step "
+            "(snapped to uniform)"
+        ]
+
+    def test_non_uniform_wavelength_axes_warn(self, tmp_path):
+        axis = (1530.0, 1531.0, 1533.0)
+        rows = [f"{a:g},{b:g},1" for a in axis for b in axis]
+        write_scan_lines(tmp_path / "jsi.csv", ["lambda_s_nm,lambda_i_nm,intensity"] + rows)
+        (warning,) = load_jsi(tmp_path / "jsi.csv").provenance["warnings"]
+        assert warning.startswith("wavelength axes deviate from uniform frequency spacing by ")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "body", ["", "\n\n", "   \n# later\n\t\n"], ids=["none", "blank", "noise"]
+    )
+    def test_header_only_file(self, tmp_path, body):
+        path = tmp_path / "jsi.csv"
+        path.write_text("# c\nlambda_s_nm,lambda_i_nm,intensity\n" + body, encoding="utf-8")
+        with pytest.raises(ParseError, match="no data rows found"):
+            load_jsi(path)
+
+    @pytest.mark.parametrize("eol", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_ends(self, tmp_path, eol):
+        header, rows = jsi_lines()
+        write_scan_lines(tmp_path / "a.csv", header + rows)
+        text = eol.join(["# measured"] + header + rows) + eol
+        (tmp_path / "b.csv").write_bytes(text.encode("utf-8"))
+        assert_same_state(load_jsi(tmp_path / "b.csv"), load_jsi(tmp_path / "a.csv"))
+
+    @pytest.mark.parametrize("mark", ["\x0c", "\x1c", "\u2028"], ids=["form-feed", "fs", "ls"])
+    def test_line_separator_inside_comment(self, tmp_path, mark):
+        # only \n, \r\n and \r end a line: the comment stays whole, and its
+        # tail is not taken for the header
+        header, rows = jsi_lines()
+        write_scan_lines(tmp_path / "a.csv", header + rows)
+        write_scan_lines(tmp_path / "b.csv", [f"# page{mark}one", f"# end{mark}"] + header + rows)
+        assert_same_state(load_jsi(tmp_path / "b.csv"), load_jsi(tmp_path / "a.csv"))
+
+    def test_clean_file_parsed_in_one_pass(self, tmp_path, rng, monkeypatch):
+        # shuffled rows, padded cells and empty lines need no second reading
+        header, rows = jsi_lines()
+        write_scan_lines(tmp_path / "a.csv", header + rows)
+        shuffled = [" " + rows[i].replace(",", " , ") + "\t" for i in rng.permutation(len(rows))]
+        shuffled.insert(5, "")
+        write_scan_lines(tmp_path / "b.csv", ["# c", "", "  # d"] + header + shuffled)
+        sources = []
+        loadtxt = np.loadtxt
+        def recording(src, **kwargs):
+            sources.append(src)
+            return loadtxt(src, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", recording)
+        state = load_jsi(tmp_path / "b.csv")
+        assert sources == [tmp_path / "b.csv"]
+        assert state.amplitude.tobytes() == seed_load_jsi(tmp_path / "a.csv")[0].tobytes()
+
+    def test_allocation_peak(self, tmp_path, ppktp):
+        # the parsed (n^2, 3) table is 24 n^2 bytes; the amplitude adds 16 n^2
+        n = 256
+        state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=n))
+        path = tmp_path / "jsi.csv"
+        export_jsi_csv(state, path)
+        load_jsi(path)
+        tracemalloc.start()
+        try:
+            load_jsi(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 24 * n * n
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        n_s=st.integers(2, 9),
+        n_i=st.integers(2, 9),
+        in_nm=st.booleans(),
+        descending=st.booleans(),
+        noise=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_messy_file_gives_clean_bits(self, n_s, n_i, in_nm, descending, noise, seed):
+        # shuffled rows, padded cells, empty lines and comments before the
+        # header keep the one-pass parse; whitespace-only and ``#`` lines in
+        # the body take the line-by-line path; both give the old reader's bits
+        rng = np.random.default_rng(seed)
+        if in_nm:
+            header = "lambda_s_nm,lambda_i_nm,intensity"
+            axes = [rng.uniform(700, 1700) + rng.uniform(0.01, 3) * np.arange(n)
+                    for n in (n_s, n_i)]
+        else:
+            header = "nu_s_rad_s,nu_i_rad_s,intensity"
+            axes = [rng.uniform(-1e13, 1e13) + rng.uniform(1e9, 1e12) * np.arange(n)
+                    for n in (n_s, n_i)]
+        axes = [ax + rng.uniform(-0.3, 0.3, ax.size) * (ax[1] - ax[0]) for ax in axes]
+        if descending:
+            axes = [ax[::-1] for ax in axes]
+        values = rng.random((n_s, n_i)) * 10.0 ** rng.uniform(-12, 3, (n_s, n_i))
+        values[rng.random((n_s, n_i)) < 0.2] = 0.0
+        with tempfile.TemporaryDirectory() as tmp:
+            clean, messy = Path(tmp) / "clean.csv", Path(tmp) / "messy.csv"
+            write_grid(clean, {"seed": seed}, header, *axes, (values,))
+            lines = clean.read_text(encoding="utf-8").splitlines()
+            pad = ["", " ", "\t", "  "]
+            rows = [
+                ",".join(rng.choice(pad) + cell + rng.choice(pad) for cell in row.split(","))
+                for row in (lines[2:][i] for i in rng.permutation(len(lines) - 2))
+            ]
+            extras = ["", "   ", "\t", "# note", "  # indented  "] if noise else [""]
+            for _ in range(rng.integers(0, 6)):
+                rows.insert(rng.integers(0, len(rows) + 1), rng.choice(extras))
+            text = "\n".join([lines[0], "# more", "", lines[1], *rows])
+            messy.write_text(text + "\n" * int(rng.integers(0, 2)), encoding="utf-8")
+            want, grid = seed_load_jsi(clean)
+            for path in (clean, messy):
+                state = load_jsi(path)
+                assert state.amplitude.tobytes() == want.tobytes()
+                assert state.grid == grid
 
 
 class TestFitDip:
