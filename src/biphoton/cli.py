@@ -18,8 +18,10 @@ sha256 in its place), so no option can change an output without changing
 the hash.
 The output directory defaults to $BIPHOTON_OUTDIR or the current directory.
 Each command computes all of its results before it creates that directory,
-so a run that fails writes nothing.  A failure on a grid that ``build_jsa``
-found too coarse names ``--grid-n``, its value and the samples per FWHM.
+so a run that fails writes nothing.  ``build_jsa``'s warnings about a grid
+too coarse for the source go to stderr, and a failure on such a grid names
+``--grid-n``, its value and the samples per FWHM; so does a grid above the
+memory budget.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .dataio import (
     sinc_dip_kernel,
     write_rows,
 )
-from .errors import DomainError, ParseError
+from .errors import DomainError, MemoryBudgetError, ParseError
 from .hom import (
     coincidence_scan,
     correlation_time_gaussian,
@@ -148,29 +150,39 @@ def _load_source(opts: dict):
 
 
 def _build_state(opts: dict, source):
+    """The source's JSA on the run's grid; a grid above the memory budget names ``--grid-n``."""
     n, span = opts.get("grid_n", _GRID_N), opts.get("grid_span_fwhms", 4.0)
     grid = auto_grid(source.pump, source.pm, n=n, span_fwhms=span)
-    return build_jsa(source.pump, source.pm, grid)
+    try:
+        return build_jsa(source.pump, source.pm, grid)
+    except MemoryBudgetError as exc:
+        raise DomainError(f"--grid-n {n} is too large: {exc}") from exc
 
 
 @contextlib.contextmanager
-def _coarse_grid_named(opts: dict, state):
-    """Re-raise failures on a too coarse ``state`` as a ``DomainError`` naming ``--grid-n``.
+def _coarse_grid_reported(opts: dict, state):
+    """Report the resolution warnings of ``state`` once the kernels run on it.
 
-    A failure on a state that ``build_jsa`` found well resolved passes as it is.
+    If they succeed, each warning is printed on stderr.  A failure on a state
+    that ``build_jsa`` found too coarse is re-raised as a ``DomainError``
+    naming ``--grid-n`` and the warnings; one on a well resolved state passes
+    as it is.
     """
+    # build_jsa records only resolution warnings, each "<samples per marginal
+    # FWHM>; results may be inaccurate" or "... not resolved on this grid"
+    warnings = state.provenance.get("warnings", ())
     try:
         yield
     except ValueError as exc:
-        # build_jsa records only resolution warnings, each "<samples per
-        # marginal FWHM>; results may be inaccurate" or "... not resolved ..."
-        coarse = [w.partition(";")[0] for w in state.provenance.get("warnings", ())]
-        if not coarse:
+        if not warnings:
             raise
+        coarse = ", ".join(w.partition(";")[0] for w in warnings)
         raise DomainError(
             f"--grid-n {opts.get('grid_n', _GRID_N)} is too coarse for this source "
-            f"({', '.join(coarse)}): {exc}"
+            f"({coarse}): {exc}"
         ) from exc
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
 
 
 def _dip(opts: dict, source, model: str, n_delays: int = 201, delay_span: float = 4.0):
@@ -188,7 +200,7 @@ def _dip(opts: dict, source, model: str, n_delays: int = 201, delay_span: float 
         scan = gaussian_scan(source.pump, source.pm, delays)
         return extract_dip(scan, model="gaussian-analytic"), source
     state = _build_state(opts, source)
-    with _coarse_grid_named(opts, state):
+    with _coarse_grid_reported(opts, state):
         return extract_dip(coincidence_scan(state, delays), model="numeric"), source
 
 
@@ -197,7 +209,7 @@ def cmd_simulate(opts: dict) -> int:
     state = _build_state(opts, source)
     meta = _meta(opts)
 
-    with _coarse_grid_named(opts, state):
+    with _coarse_grid_reported(opts, state):
         filter_fwhm_nm = opts.get("filter_fwhm_nm")
         if filter_fwhm_nm is not None:
             lam = 2 * np.pi * C_M_PER_S / source.pm.omega_s0

@@ -30,8 +30,9 @@ whitespace-only lines, or a bad one, is read again line by line.
 missing cells; it scatters each row's square root straight into the complex
 amplitude that the state adopts.
 
-``scipy.optimize`` is imported inside :func:`fit_dip`, its one user, so that
-commands which fit no dip do not pay its import time (most of the package's).
+:func:`fit_dip` fits the dip with a small numpy Levenberg-Marquardt loop
+and takes the covariance from the SVD of its Jacobian, as
+``scipy.optimize.curve_fit`` does; the package imports no scipy.
 """
 
 from __future__ import annotations
@@ -602,6 +603,64 @@ class FitReport:
         }
 
 
+# Iteration cap of fit_dip's Levenberg-Marquardt loop; an iteration costs one
+# model evaluation, and four more for the Jacobian after an accepted step.
+_FIT_MAX_ITERATIONS = 1000
+
+# fit_dip stops once a step moves the parameters by less than this, relative.
+_FIT_STEP_TOL = 1e-10
+
+
+def _jacobian(residual, p, r, lower, upper) -> np.ndarray:
+    """Forward-difference Jacobian of ``residual`` at ``p``, where it is ``r``.
+
+    The steps are scipy's '2-point' ones, sqrt(eps) max(1, |p_k|) signed like
+    p_k, taken the other way where they would leave the box.
+    """
+    h = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(p))
+    h = np.where(p < 0, -h, h)
+    h = np.where((p + h < lower) | (p + h > upper), -h, h)
+    jac = np.empty((r.size, p.size))
+    for k in range(p.size):
+        q = p.copy()
+        q[k] += h[k]
+        jac[:, k] = (residual(q) - r) / (q[k] - p[k])
+    return jac
+
+
+def _levenberg_marquardt(residual, p: np.ndarray, lower: np.ndarray, upper: np.ndarray):
+    """Minimize ``sum(residual(p) ** 2)`` over the box ``lower <= p <= upper``.
+
+    Damped Gauss-Newton (Marquardt, J. SIAM 11, 431 (1963)): each step solves
+    (J^T J + lam diag(J^T J)) d = -J^T r, here as the equivalent least-squares
+    problem [J; sqrt(lam diag(J^T J))] d = [-r; 0], and the trial point
+    p + d is projected onto the box.  A trial that lowers the sum is taken
+    and lam shrinks tenfold, otherwise lam grows tenfold.  The loop stops
+    once a step is below ``_FIT_STEP_TOL`` relative to p and returns p with
+    its residuals and Jacobian, or ``None`` after ``_FIT_MAX_ITERATIONS``.
+    """
+    r = residual(p)
+    jac = _jacobian(residual, p, r, lower, upper)
+    lam = 1e-3
+    for _ in range(_FIT_MAX_ITERATIONS):
+        damping = np.diag(np.sqrt(lam * np.sum(jac * jac, axis=0)))
+        step = np.linalg.lstsq(
+            np.vstack([jac, damping]), np.concatenate([-r, np.zeros(p.size)]), rcond=None
+        )[0]
+        trial = np.clip(p + step, lower, upper)
+        converged = np.linalg.norm(trial - p) <= _FIT_STEP_TOL * np.linalg.norm(p)
+        r_trial = residual(trial)
+        if r_trial @ r_trial < r @ r:
+            p, r = trial, r_trial
+            jac = _jacobian(residual, p, r, lower, upper)
+            lam /= 10.0
+        else:
+            lam *= 10.0
+        if converged:
+            return p, r, jac
+    return None
+
+
 def fit_dip(scan: MeasuredScan, model: str = "gaussian-dip", kernel: DipKernel | None = None) -> FitReport:
     """Fit (baseline, visibility, center, width) to a measured scan.
 
@@ -639,7 +698,7 @@ def fit_dip(scan: MeasuredScan, model: str = "gaussian-dip", kernel: DipKernel |
 
     # fit in dimensionless units (delays over width0, counts over baseline0):
     # second-scale widths next to 1e4-scale counts otherwise wreck the
-    # conditioning of the trust-region solver
+    # conditioning of the Levenberg-Marquardt steps
     x = delays / width0
     y = counts / baseline0
 
@@ -648,33 +707,36 @@ def fit_dip(scan: MeasuredScan, model: str = "gaussian-dip", kernel: DipKernel |
 
     if scan.sigma is not None:
         sigma = np.clip(scan.sigma, 1e-12 * max(1.0, counts.max()), None) / baseline0
-        absolute = True
     elif np.allclose(counts, np.round(counts)) and counts.max() >= 10:
         sigma = np.sqrt(np.clip(counts, 1.0, None)) / baseline0
-        absolute = True
     else:
         sigma = None
-        absolute = False
+    weight = 1.0 if sigma is None else 1.0 / sigma
 
-    from scipy.optimize import curve_fit
+    def residual(p):
+        return weight * (model_scaled(x, *p) - y)
 
-    try:
-        popt, pcov = curve_fit(
-            model_scaled,
-            x,
-            y,
-            p0=[1.0, vis0, center0 / width0, 1.0],
-            sigma=sigma,
-            absolute_sigma=absolute,
-            bounds=([0.0, 0.0, x[0], 1e-3], [np.inf, 1.2, x[-1], np.inf]),
-            maxfev=20000,
-        )
-    except (RuntimeError, ValueError) as exc:
+    fit = _levenberg_marquardt(
+        residual,
+        np.array([1.0, vis0, center0 / width0, 1.0]),
+        np.array([0.0, 0.0, x[0], 1e-3]),
+        np.array([np.inf, 1.2, x[-1], np.inf]),
+    )
+    if fit is None:
         raise FitError(
             f"dip fit did not converge (model={model}, "
             f"p0={[baseline0, vis0, center0, width0]})"
-        ) from exc
+        )
+    popt, r, jac = fit
 
+    # curve_fit's covariance: the pseudo-inverse of J^T J from the SVD of J,
+    # dropping singular values at or below eps max(J.shape) s[0], scaled by
+    # the reduced chi^2 when the fit is unweighted
+    _, s, vt = np.linalg.svd(jac, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(jac.shape) * s[0]
+    pcov = (vt[keep].T / s[keep] ** 2) @ vt[keep]
+    if sigma is None:
+        pcov *= (r @ r) / (r.size - popt.size)
     perr = np.sqrt(np.clip(np.diag(pcov), 0.0, None))
     if not np.all(np.isfinite(perr)):
         raise FitError("singular fit covariance; scan does not constrain the dip")

@@ -9,6 +9,10 @@ class DomainError(ValueError):
     """An input is outside the physically meaningful domain."""
 
 
+class MemoryBudgetError(DomainError):
+    """An input would need more memory than the package's memory budget."""
+
+
 class UnsupportedProfileError(ValueError):
     """The requested operation only exists for a subset of phasematching profiles."""
 

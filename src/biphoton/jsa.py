@@ -26,6 +26,7 @@ from .errors import (
     DomainError,
     EmptyStateError,
     GridError,
+    MemoryBudgetError,
     UnsupportedProfileError,
 )
 from .spectral import (
@@ -66,9 +67,9 @@ _COMPLEX_BYTES = np.dtype(complex).itemsize
 
 
 def check_memory_budget(what: str, nbytes: int) -> None:
-    """Raise DomainError if ``what`` would need more than the memory budget."""
+    """Raise MemoryBudgetError if ``what`` would need more than the memory budget."""
     if nbytes > MEMORY_BUDGET_BYTES:
-        raise DomainError(
+        raise MemoryBudgetError(
             f"{what} would need about {nbytes / 2**20:.0f} MiB, above the "
             f"{MEMORY_BUDGET_BYTES / 2**20:.0f} MiB memory budget"
         )

@@ -120,7 +120,10 @@ class TestSimulate:
         code = run(tmp_path, command, "--preset", "ppktp-8mm", "--grid-n", "100000")
         assert code == 1
         err = capsys.readouterr().err
-        assert "memory budget" in err and "Traceback" not in err
+        assert err == (
+            "error: --grid-n 100000 is too large: building the joint spectral amplitude would "
+            "need about 686646 MiB, above the 1024 MiB memory budget\n"
+        )
         assert not list(tmp_path.iterdir())
 
 
@@ -270,7 +273,9 @@ def test_coarse_grid_failure_names_grid_n(tmp_path, capsys, argv, resolution, ca
     code = run(tmp_path / "out", *argv[:1], "--preset", "ppktp-8mm", *argv[1:])
     assert code == 1
     err = capsys.readouterr().err
-    assert f"error: --grid-n {argv[2]} is too coarse for this source (" in err
+    # the resolution warnings are in the one error line, not printed before it
+    assert err.startswith(f"error: --grid-n {argv[2]} is too coarse for this source (")
+    assert err.count("\n") == 1
     assert resolution in err and cause in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
@@ -280,6 +285,33 @@ def test_coarse_grid_that_runs_keeps_its_warnings(tmp_path, capsys):
     warnings = json.loads((tmp_path / "schmidt.json").read_text())["warnings"]
     assert warnings and all("samples per FWHM" in w for w in warnings)
     assert "--grid-n" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--grid-n", "4"],
+    ["hom", "--model", "numeric", "--grid-n", "16"],
+    ["sweep", "--model", "numeric-sinc", "--grid-n", "48", "--axis", "pump_fwhm",
+     "--start", "1", "--stop", "2", "--steps", "2"],
+], ids=["simulate-4", "hom-16", "sweep-48"])
+def test_coarse_grid_warnings_on_stderr(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv[:1], "--preset", "ppktp-8mm", *argv[1:]) == 0
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert lines and all(
+        l.startswith("warning: ") and l.endswith("; results may be inaccurate") for l in lines
+    )
+    assert "samples per FWHM" not in out
+    if argv[0] == "simulate":
+        warnings = json.loads((tmp_path / "schmidt.json").read_text())["warnings"]
+        assert lines == [f"warning: {w}" for w in warnings]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate"], ["hom", "--model", "gaussian"], ["hom", "--model", "numeric", "--grid-n", "128"],
+])
+def test_resolved_runs_print_no_warnings(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv[:1], "--preset", "ppktp-8mm", *argv[1:]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_preset_chirp_kept_without_flag(tmp_path, monkeypatch):
@@ -527,31 +559,27 @@ class TestProvenanceHash:
             assert config_hash(out / name) == expected
 
 
-def test_only_fit_dip_imports_scipy(tmp_path):
+def test_no_command_imports_scipy(tmp_path):
     # a fresh interpreter: other tests have already imported scipy in this one
     script = textwrap.dedent("""
         import sys
-        import numpy as np
         from biphoton.cli import main
 
-        out = sys.argv[1]
+        out, scan = sys.argv[1:]
         assert main(["presets"]) == 0
         assert main(["hom", "--preset", "ppktp-8mm", "--model", "gaussian", "--out", out]) == 0
         assert main(["sweep", "--preset", "ppktp-8mm", "--axis", "pump_fwhm", "--start", "1",
                      "--stop", "2", "--steps", "3", "--model", "gaussian", "--out", out]) == 0
+        assert main(["analyze", scan, "--model", "gaussian-dip", "--out", out]) == 0
+        assert main(["analyze", scan, "--model", "sinc-kernel-dip", "--preset", "ppktp-8mm",
+                     "--pump-fwhm-nm", "2", "--out", out]) == 0
         loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
         assert not loaded, loaded
-
-        from biphoton.dataio import MeasuredScan, fit_dip
-        delays = np.linspace(-5e-12, 5e-12, 101)
-        counts = 1e4 * (1.0 - 0.9 * np.exp(-4 * np.log(2) * (delays / 1e-12) ** 2))
-        report = fit_dip(MeasuredScan(delays=delays, counts=counts))
-        assert abs(report.t_c / 1e-12 - 1.0) < 1e-3, report.t_c
-        assert "scipy.optimize" in sys.modules
     """)
+    scan = synthetic_scan(tmp_path / "scan.csv")
     src = str(Path(biphoton.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path)],
+        [sys.executable, "-c", script, str(tmp_path / "out"), str(scan)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

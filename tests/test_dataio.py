@@ -43,6 +43,7 @@ from biphoton import (
     write_grid,
     write_rows,
 )
+from biphoton import dataio
 from biphoton.dataio import _format_cells, format_float, provenance_line
 from biphoton.hom import gaussian_dip_width
 from biphoton.jsa import FrequencyGrid
@@ -737,6 +738,57 @@ class TestFitDip:
         default = sinc_dip_kernel(ppktp, 2.0)
         coarse = sinc_dip_kernel(ppktp, 2.0, n_grid=256)
         assert not np.array_equal(coarse.depth, default.depth)
+
+    @staticmethod
+    def poisson_scans(ppktp, model, seeds):
+        """Seeded Poisson scans of the dip ``model`` fits, at the kernel's 2 nm pump."""
+        profile = "gaussian" if model == "gaussian-dip" else "sinc"
+        src = preset_with_pump(ppktp, pump_fwhm_nm=2.0, profile=profile)
+        delays = default_delays(src.pm)
+        if profile == "gaussian":
+            rates = gaussian_scan(src.pump, src.pm, delays).rates
+        else:
+            rates = coincidence_scan(build_jsa(src.pump, src.pm), delays).rates
+        for seed in seeds:
+            counts = np.random.default_rng(seed).poisson(1e4 * rates).astype(float)
+            yield MeasuredScan(delays=delays, counts=counts)
+
+    @pytest.mark.parametrize("model,rtol", [("gaussian-dip", 1e-6), ("sinc-kernel-dip", 1e-4)])
+    def test_matches_curve_fit(self, ppktp, monkeypatch, model, rtol):
+        optimize = pytest.importorskip("scipy.optimize")
+        problems = []
+        solve = dataio._levenberg_marquardt
+
+        def recorded(residual, p0, lower, upper):
+            fit = solve(residual, p0, lower, upper)
+            problems.append((residual, p0, lower, upper, fit))
+            return fit
+
+        monkeypatch.setattr(dataio, "_levenberg_marquardt", recorded)
+        kernel = sinc_dip_kernel(ppktp, 2.0) if model == "sinc-kernel-dip" else None
+        for scan in self.poisson_scans(ppktp, model, range(10)):
+            report = fit_dip(scan, model=model, kernel=kernel)
+            # the same weighted residuals, p0 and bounds; the weights are in
+            # the residuals, so they are absolute
+            residual, p0, lower, upper, (p, r, _) = problems.pop()
+            popt, pcov = optimize.curve_fit(
+                lambda _, *q: residual(np.array(q)), scan.delays, np.zeros(scan.delays.size),
+                p0=p0, bounds=(lower, upper), absolute_sigma=True, maxfev=20000,
+            )
+            assert p[3] == pytest.approx(popt[3], rel=rtol)
+            assert report.t_c_sigma / report.t_c == pytest.approx(
+                np.sqrt(pcov[3, 3]) / popt[3], rel=rtol
+            )
+            chi2 = residual(popt) @ residual(popt)
+            assert r @ r <= chi2 * (1 + 1e-8)
+
+    @pytest.mark.parametrize("model", ["gaussian-dip", "sinc-kernel-dip"])
+    def test_iteration_cap_raises(self, ppktp, monkeypatch, model):
+        monkeypatch.setattr(dataio, "_FIT_MAX_ITERATIONS", 1)
+        kernel = sinc_dip_kernel(ppktp, 2.0) if model == "sinc-kernel-dip" else None
+        scan = next(self.poisson_scans(ppktp, model, [0]))
+        with pytest.raises(FitError, match=f"did not converge \\(model={model},"):
+            fit_dip(scan, model=model, kernel=kernel)
 
     def test_kernel_required(self, ppktp):
         _, delays, counts = synthetic_counts(ppktp)
