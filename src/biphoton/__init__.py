@@ -24,10 +24,7 @@ from .spectral import (
     GAMMA_SINC_MATCH,
     PhasematchSpec,
     PumpSpec,
-    phasematching_amplitude,
-    pulse_duration_from_sigma,
     pump_envelope,
-    sigma_to_wavelength_fwhm,
     transform_limited_duration,
     walkoff_from_group_velocities,
     wavelength_fwhm_to_sigma,
@@ -37,7 +34,6 @@ from .presets import (
     available_presets,
     derive_walkoffs_from_ridge_and_dip,
     load_preset,
-    load_preset_file,
     preset_with_pump,
 )
 from .jsa import (
@@ -87,12 +83,10 @@ from .dataio import (
     export_delay_scan,
     export_jsa_csv,
     export_jsi_csv,
-    export_jta_csv,
     export_scan,
     fit_dip,
     load_jsi,
     load_scan,
-    render_table,
     sinc_dip_kernel,
     table_report,
     write_grid,

@@ -4,8 +4,9 @@ CSV conventions
 ---------------
 * measured scans: header ``delay_ps,coincidences[,sigma]`` (or ``delay_mm``
   for double-pass stage travel, converted as ``tau = 2 x / c``);
-* joint spectra: ``lambda_s_nm,lambda_i_nm,intensity`` with wavelength axes,
-  or ``nu_s_rad_s,nu_i_rad_s,intensity`` with detuning axes;
+* joint spectra: ``lambda_s_nm,lambda_i_nm,intensity`` with wavelength axes;
+  :func:`load_jsi` also reads ``nu_s_rad_s,nu_i_rad_s,intensity`` with
+  detuning axes, as measured spectra may come that way;
 * joint amplitudes: ``nu_s_rad_s,nu_i_rad_s,re,im``.
 
 Every CSV file is written by one of two writers: :func:`write_grid` for the
@@ -305,18 +306,20 @@ class MeasuredScan:
     def __post_init__(self):
         delays = np.asarray(self.delays, dtype=float)
         counts = np.asarray(self.counts, dtype=float)
+        sigma = None if self.sigma is None else np.asarray(self.sigma, dtype=float)
         if delays.ndim != 1 or delays.shape != counts.shape:
             raise DomainError("delays and counts must be 1-D arrays of equal length")
         if delays.size < 10:
             raise DomainError(f"need at least 10 points, got {delays.size}")
+        if not all(np.all(np.isfinite(a)) for a in (delays, counts, sigma) if a is not None):
+            raise DomainError("delays, counts and sigma must be finite")
         if not np.all(np.diff(delays) > 0):
             raise DomainError("delays must be strictly increasing")
         if np.any(counts < 0):
             raise DomainError("counts must be non-negative")
         object.__setattr__(self, "delays", _frozen(delays))
         object.__setattr__(self, "counts", _frozen(counts))
-        if self.sigma is not None:
-            sigma = np.asarray(self.sigma, dtype=float)
+        if sigma is not None:
             if sigma.shape != delays.shape or np.any(sigma < 0):
                 raise DomainError("sigma must match delays and be non-negative")
             object.__setattr__(self, "sigma", _frozen(sigma))
@@ -347,19 +350,15 @@ def load_scan(path) -> MeasuredScan:
     else:
         # double-pass delay stage: path difference is twice the travel
         delays_s = 2.0 * data[:, 0] * 1e-3 / C_M_PER_S
-    counts = data[:, 1]
-    for check, message in (
-        (np.all(np.diff(delays_s) > 0), "delays are not strictly increasing"),
-        (not np.any(counts < 0), "negative counts"),
-    ):
-        if not check:
-            raise ParseError(f"{path}: {message}")
-    return MeasuredScan(
-        delays=delays_s,
-        counts=counts,
-        sigma=data[:, 2] if data.shape[1] == 3 else None,
-        comments=tuple(comments),
-    )
+    try:
+        return MeasuredScan(
+            delays=delays_s,
+            counts=data[:, 1],
+            sigma=data[:, 2] if data.shape[1] == 3 else None,
+            comments=tuple(comments),
+        )
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from exc
 
 
 def export_scan(scan: MeasuredScan, path, meta: dict | None = None) -> None:
@@ -390,30 +389,19 @@ def export_jsa_csv(state: JointSpectralAmplitude, path, meta: dict | None = None
     )
 
 
-def export_jsi_csv(
-    state: JointSpectralAmplitude, path, meta: dict | None = None, axes: str = "nm"
-) -> None:
-    """Write |f|^2 with nm axes (default) or rad/s detuning axes."""
-    if axes == "nm":
-        omega_s0, omega_i0 = _central_frequencies(state)
-        lam_s = 2.0 * math.pi * C_M_PER_S / (omega_s0 + state.grid.nu_s) * 1e9
-        lam_i = 2.0 * math.pi * C_M_PER_S / (omega_i0 + state.grid.nu_i) * 1e9
-        header, col_s, col_i = "lambda_s_nm,lambda_i_nm,intensity", lam_s, lam_i
-    elif axes == "rad_s":
-        header, col_s, col_i = "nu_s_rad_s,nu_i_rad_s,intensity", state.grid.nu_s, state.grid.nu_i
-    else:
-        raise DomainError(f"axes must be 'nm' or 'rad_s', got {axes!r}")
-    write_grid(path, _state_meta(state, meta), header, col_s, col_i, (state.intensity,))
-
-
-def export_jta_csv(jta, path, meta: dict | None = None) -> None:
-    """Write a joint temporal amplitude as ``t_s_ps,t_i_ps,re,im``."""
-    header_meta = {"dt_s": jta.dt, "n": int(jta.times.size), "provenance": jta.provenance}
-    if meta:
-        header_meta.update(meta)
-    times_ps = jta.times * 1e12
-    amp = jta.amplitude
-    write_grid(path, header_meta, "t_s_ps,t_i_ps,re,im", times_ps, times_ps, (amp.real, amp.imag))
+def export_jsi_csv(state: JointSpectralAmplitude, path, meta: dict | None = None) -> None:
+    """Write |f|^2 as ``lambda_s_nm,lambda_i_nm,intensity``."""
+    omega_s0, omega_i0 = _central_frequencies(state)
+    lam_s = 2.0 * math.pi * C_M_PER_S / (omega_s0 + state.grid.nu_s) * 1e9
+    lam_i = 2.0 * math.pi * C_M_PER_S / (omega_i0 + state.grid.nu_i) * 1e9
+    write_grid(
+        path,
+        _state_meta(state, meta),
+        "lambda_s_nm,lambda_i_nm,intensity",
+        lam_s,
+        lam_i,
+        (state.intensity,),
+    )
 
 
 def _state_meta(state: JointSpectralAmplitude, meta: dict | None) -> dict:
@@ -540,7 +528,6 @@ class DipKernel:
 
     u: np.ndarray
     depth: np.ndarray
-    label: str = "sinc-kernel"
 
     def __call__(self, u) -> np.ndarray:
         return np.interp(np.asarray(u, dtype=float), self.u, self.depth, left=0.0, right=0.0)
@@ -767,7 +754,7 @@ def convolved_duration(center_wavelength: float, fwhm_a: float, fwhm_b: float) -
 
 @dataclass(frozen=True)
 class TableRow:
-    """One operating point of the source: simulated values plus optional fit."""
+    """One operating point of the source: its simulated tabulated values."""
 
     label: str
     pump_fwhm_nm: float
@@ -779,32 +766,11 @@ class TableRow:
     duration_pump: float
     duration_conv: float
     rho: float
-    t_c_fit: float | None = None
-    t_c_fit_sigma: float | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "correlation": self.label,
-            "pump_fwhm_nm": self.pump_fwhm_nm,
-            "t_c_sim_ps": self.t_c_sim * 1e12,
-            "marginal_s_nm": self.marginal_s_nm,
-            "marginal_i_nm": self.marginal_i_nm,
-            "duration_s_ps": self.duration_s * 1e12,
-            "duration_i_ps": self.duration_i * 1e12,
-            "duration_pump_ps": self.duration_pump * 1e12,
-            "duration_conv_ps": self.duration_conv * 1e12,
-            "rho": self.rho,
-        }
-        if self.t_c_fit is not None:
-            out["t_c_fit_ps"] = self.t_c_fit * 1e12
-            out["t_c_fit_sigma_ps"] = (self.t_c_fit_sigma or 0.0) * 1e12
-        return out
 
 
 def table_report(
     preset: SourcePreset,
     pump_fwhms_nm,
-    measurements: dict[float, MeasuredScan] | None = None,
     profile: str = "sinc",
     grid_n: int = 512,
 ) -> list[TableRow]:
@@ -812,8 +778,7 @@ def table_report(
 
     For each pump width: the sinc-model (or gaussian-model) dip width and
     correlation label, the marginal FWHMs in nm, the transform-limited
-    durations of pump and marginals, and their quadrature convolution.  If a
-    matching measured scan is supplied, a gaussian-dip fit is appended.
+    durations of pump and marginals, and their quadrature convolution.
     """
     lam_pump = 2.0 * math.pi * C_M_PER_S / preset.pump.omega_p0
     lam_pdc = 2.0 * math.pi * C_M_PER_S / preset.pm.omega_s0
@@ -829,10 +794,6 @@ def table_report(
         dl_s = omega_fwhm_to_wavelength_fwhm(lam_pdc, fwhm_s)
         dl_i = omega_fwhm_to_wavelength_fwhm(lam_pdc, fwhm_i)
         rho, label = correlation_classification(state)
-        fit_tc = fit_tc_sigma = None
-        if measurements and width_nm in measurements:
-            report = fit_dip(measurements[width_nm], model="gaussian-dip")
-            fit_tc, fit_tc_sigma = report.t_c, report.t_c_sigma
         rows.append(
             TableRow(
                 label=label,
@@ -845,43 +806,6 @@ def table_report(
                 duration_pump=transform_limited_duration(lam_pump, width_nm * 1e-9),
                 duration_conv=convolved_duration(lam_pdc, dl_s, dl_i),
                 rho=rho,
-                t_c_fit=fit_tc,
-                t_c_fit_sigma=fit_tc_sigma,
             )
         )
     return rows
-
-
-def render_table(rows: list[TableRow]) -> str:
-    """Aligned-text rendering of :func:`table_report` output."""
-    headers = [
-        "correlation",
-        "pump_nm",
-        "t_c_ps",
-        "dl_s_nm",
-        "dl_i_nm",
-        "dtau_s_ps",
-        "dtau_i_ps",
-        "dtau_p_ps",
-        "dtau_conv_ps",
-        "rho",
-    ]
-    table = [headers]
-    for r in rows:
-        table.append(
-            [
-                r.label,
-                f"{r.pump_fwhm_nm:g}",
-                f"{r.t_c_sim * 1e12:.3f}",
-                f"{r.marginal_s_nm:.2f}",
-                f"{r.marginal_i_nm:.2f}",
-                f"{r.duration_s * 1e12:.2f}",
-                f"{r.duration_i * 1e12:.2f}",
-                f"{r.duration_pump * 1e12:.2f}",
-                f"{r.duration_conv * 1e12:.2f}",
-                f"{r.rho:+.3f}",
-            ]
-        )
-    widths = [max(len(row[c]) for row in table) for c in range(len(headers))]
-    lines = ["  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)) for row in table]
-    return "\n".join(lines)

@@ -70,7 +70,7 @@ class HOMResult:
     scan: DelayScan
     t_c: float
     visibility: float
-    model: str  # "numeric" | "gaussian-analytic" | "fitted"
+    model: str  # "numeric" | "gaussian-analytic"
 
     def __post_init__(self):
         if not self.t_c > 0:

@@ -16,7 +16,7 @@ JTA's Parseval check all read that one array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -178,14 +178,6 @@ class JointSpectralAmplitude:
         """L2 norm integral, sum |f|^2 dnu_s dnu_i."""
         return float(np.sum(self.intensity)) * self.grid.d_nu_s * self.grid.d_nu_i
 
-    def normalized(self) -> "JointSpectralAmplitude":
-        scale = 1.0 / math.sqrt(self.norm_squared)
-        prov = dict(self.provenance)
-        prov["normalized"] = True
-        amp = self.amplitude * scale
-        amp.flags.writeable = False
-        return JointSpectralAmplitude(self.grid, amp, prov)
-
 
 @dataclass(frozen=True)
 class GaussianJsaParams:
@@ -297,16 +289,7 @@ def auto_grid(
     Marginal widths come from the closed-form gaussian coefficients; for the
     sinc profile the same estimate is inflated by :data:`SINC_SPAN_FACTOR`.
     """
-    gauss_pm = pm if pm.profile == "gaussian" else PhasematchSpec(
-        length_L=pm.length_L,
-        tau_s=pm.tau_s,
-        tau_i=pm.tau_i,
-        omega_s0=pm.omega_s0,
-        omega_i0=pm.omega_i0,
-        gamma=pm.gamma,
-        profile="gaussian",
-    )
-    f_s, f_i = gaussian_marginal_fwhms(pump, gauss_pm)
+    f_s, f_i = gaussian_marginal_fwhms(pump, replace(pm, profile="gaussian"))
     extent = max(f_s, f_i)
     if pm.profile == "sinc":
         extent *= SINC_SPAN_FACTOR
@@ -317,15 +300,14 @@ def build_jsa(
     pump: PumpSpec,
     pm: PhasematchSpec,
     grid: FrequencyGrid | None = None,
-    normalize: bool = False,
 ) -> JointSpectralAmplitude:
-    """Sample ``pump_envelope * phasematching`` on a grid.
+    """Sample ``pump_envelope * phasematching`` on a grid, unnormalized.
 
     The linear phasematching phase is dropped (module docstring); for the
     gaussian profile the result equals :func:`evaluate_gaussian_jsa` of
-    :func:`gaussian_jsa_params` pointwise.  Peak modulus is 1 before
-    normalization.  A grid coarser than ~8 samples per marginal FWHM gets a
-    warning recorded in the provenance.
+    :func:`gaussian_jsa_params` pointwise, with peak modulus 1.  Kernels that
+    need a norm divide by it themselves.  A grid coarser than ~8 samples per
+    marginal FWHM gets a warning recorded in the provenance.
     """
     if grid is None:
         grid = auto_grid(pump, pm)
@@ -353,7 +335,8 @@ def build_jsa(
             "omega_s0": pm.omega_s0,
             "omega_i0": pm.omega_i0,
         },
-        "normalized": bool(normalize),
+        # kept: it is hashed into the header of every written grid
+        "normalized": False,
         "warnings": warnings,
     }
     out = JointSpectralAmplitude(grid, amp, provenance)
@@ -371,7 +354,7 @@ def build_jsa(
                 f"{label} marginal has {width / d:.1f} samples per FWHM "
                 f"(< {MIN_SAMPLES_PER_FWHM:g}); results may be inaccurate"
             )
-    return out.normalized() if normalize else out
+    return out
 
 
 def jsi(state: JointSpectralAmplitude) -> np.ndarray:

@@ -12,12 +12,12 @@ provenance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
-from pathlib import Path
 
 from .errors import DomainError, ParseError
 from .spectral import (
+    C_M_PER_S,
     GAMMA_SINC_MATCH,
     PhasematchSpec,
     PumpSpec,
@@ -117,12 +117,6 @@ def _parse_preset_text(text: str, origin: str) -> SourcePreset:
     return SourcePreset(name=need("name"), pump=pump, pm=pm, notes=values.get("notes", ""))
 
 
-def load_preset_file(path) -> SourcePreset:
-    """Parse a ``key = value`` preset document from an explicit path."""
-    path = Path(path)
-    return _parse_preset_text(path.read_text(encoding="utf-8"), str(path))
-
-
 def available_presets() -> list[str]:
     """Names of the presets shipped with the package."""
     root = resources.files("biphoton").joinpath("data")
@@ -151,26 +145,19 @@ def preset_with_pump(
     ``length_scale`` rescales the waveguide length and both walk-offs with it.
     """
     pump = preset.pump
-    pm = preset.pm
-    if beta is None:
-        beta = pump.beta
+    if beta is not None:
+        pump = replace(pump, beta=beta)
     if pump_fwhm_nm is not None:
-        lam_p = 2.0 * math.pi * 299792458.0 / pump.omega_p0
-        sigma = wavelength_fwhm_to_sigma(lam_p, pump_fwhm_nm * 1e-9)
-        pump = PumpSpec(omega_p0=pump.omega_p0, sigma_p=sigma, beta=beta)
-    elif beta != pump.beta:
-        pump = PumpSpec(omega_p0=pump.omega_p0, sigma_p=pump.sigma_p, beta=beta)
-    if profile is not None or length_scale != 1.0:
-        pm = PhasematchSpec(
-            length_L=pm.length_L * length_scale,
-            tau_s=pm.tau_s * length_scale,
-            tau_i=pm.tau_i * length_scale,
-            omega_s0=pm.omega_s0,
-            omega_i0=pm.omega_i0,
-            gamma=pm.gamma,
-            profile=profile if profile is not None else pm.profile,
-        )
-    return SourcePreset(name=preset.name, pump=pump, pm=pm, notes=preset.notes)
+        lam_p = 2.0 * math.pi * C_M_PER_S / pump.omega_p0
+        pump = replace(pump, sigma_p=wavelength_fwhm_to_sigma(lam_p, pump_fwhm_nm * 1e-9))
+    pm = replace(
+        preset.pm,
+        length_L=preset.pm.length_L * length_scale,
+        tau_s=preset.pm.tau_s * length_scale,
+        tau_i=preset.pm.tau_i * length_scale,
+        profile=preset.pm.profile if profile is None else profile,
+    )
+    return replace(preset, pump=pump, pm=pm)
 
 
 def ppktp_reference_values() -> dict:

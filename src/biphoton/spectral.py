@@ -13,9 +13,9 @@ amplitude envelope.  This choice is what reproduces the joint-spectrum
 marginals of the reference ppKTP source; see the preset notes.
 
 Durations quoted in reports use the Gaussian time-bandwidth product for
-intensity FWHMs, ``delta_f * delta_tau = 0.44``.  The physically exact
-duration of the modeled amplitude envelope is provided separately by
-:func:`pulse_duration_from_sigma`.
+intensity FWHMs, ``delta_f * delta_tau = 0.44``, times the chirp broadening
+factor ``sqrt(1 + (beta sigma^2)^2)`` of the amplitude
+``exp[-(nu/sigma)^2 + i beta nu^2]``.
 
 All functions are pure and accept scalars or numpy arrays.
 """
@@ -132,16 +132,6 @@ def wavelength_fwhm_to_sigma(center_wavelength: float, fwhm: float) -> float:
     return delta_omega / AMPLITUDE_FWHM_FACTOR
 
 
-def sigma_to_wavelength_fwhm(center_wavelength: float, sigma: float) -> float:
-    """Inverse of :func:`wavelength_fwhm_to_sigma`."""
-    if not center_wavelength > 0 or not sigma > 0:
-        raise DomainError(
-            f"inputs must be > 0, got center={center_wavelength}, sigma={sigma}"
-        )
-    delta_omega = sigma * AMPLITUDE_FWHM_FACTOR
-    return delta_omega * center_wavelength**2 / (2.0 * np.pi * C_M_PER_S)
-
-
 def omega_fwhm_to_wavelength_fwhm(center_wavelength: float, fwhm_omega: float) -> float:
     """Convert an angular-frequency FWHM (rad/s) to a wavelength FWHM (m)."""
     return fwhm_omega * center_wavelength**2 / (2.0 * np.pi * C_M_PER_S)
@@ -161,29 +151,18 @@ def transform_limited_duration(center_wavelength: float, fwhm: float) -> float:
     return TIME_BANDWIDTH_FWHM / delta_f
 
 
-def pulse_duration_from_sigma(sigma: float, beta: float = 0.0) -> float:
-    """Exact intensity-FWHM duration of the amplitude ``exp[-(nu/sigma)^2 + i beta nu^2]``.
-
-    Fourier transforming the chirped Gaussian gives a temporal intensity
-    ``exp[-t^2 sigma^2 / (2 (1 + beta^2 sigma^4))]``, hence
-
-        delta_tau = (2 sqrt(2 ln 2) / sigma) * sqrt(1 + (beta sigma^2)^2).
-
-    The chirp factor is unit-tested against a direct numerical transform.
-    """
-    if not sigma > 0:
-        raise DomainError(f"sigma must be > 0, got {sigma}")
-    return GAUSSIAN_FWHM_FACTOR / sigma * math.sqrt(1.0 + (beta * sigma**2) ** 2)
-
-
 def tabulated_pump_duration(pump: PumpSpec) -> float:
     """Report-convention pump duration: 0.44 TBP on the stated FWHM, chirp-corrected.
 
     This is the duration a transform-limited pulse of the user-facing
-    spectral FWHM would have, times the same chirp broadening factor as in
-    :func:`pulse_duration_from_sigma`.  It is the number comparable to
-    tabulated source parameters; the physical duration of the modeled
-    envelope is sqrt(2) longer under this package's sigma convention.
+    spectral FWHM would have, times the chirp broadening factor
+    ``sqrt(1 + (beta sigma_p^2)^2)``: Fourier transforming the amplitude
+    ``exp[-(nu/sigma_p)^2 + i beta nu^2]`` gives the temporal intensity
+    ``exp[-t^2 sigma_p^2 / (2 (1 + beta^2 sigma_p^4))]``.  The chirp factor is
+    unit-tested against a direct numerical transform.  This is the number
+    comparable to tabulated source parameters; the physical duration of the
+    modeled envelope, ``2 sqrt(2 ln 2) / sigma_p`` unchirped, is about
+    sqrt(2) longer under this package's sigma convention.
     """
     delta_f = pump.sigma_p * AMPLITUDE_FWHM_FACTOR / (2.0 * np.pi)
     chirp = math.sqrt(1.0 + (pump.beta * pump.sigma_p**2) ** 2)
@@ -231,17 +210,6 @@ def phasematching_profile(pm: PhasematchSpec, nu_s, nu_i):
     out = -pm.gamma * x
     out *= x
     return np.exp(out, out=out) if np.ndim(out) else np.exp(out)
-
-
-def phasematching_amplitude(pm: PhasematchSpec, nu_s, nu_i):
-    """Complex phasematching amplitude ``profile(x) * exp(i x)``.
-
-    The linear phase ``exp(i x)`` only shifts the biphoton in time; grid
-    builders drop it (see :func:`biphoton.jsa.build_jsa`).
-    """
-    x = 0.5 * (pm.tau_s * np.asarray(nu_s, dtype=float) + pm.tau_i * np.asarray(nu_i, dtype=float))
-    out = phasematching_profile(pm, nu_s, nu_i) * np.exp(1j * x)
-    return out if np.ndim(out) else complex(out)
 
 
 def walkoff_from_group_velocities(length_L: float, u_s: float, u_i: float, u_p: float):

@@ -185,11 +185,6 @@ def _diagonal_bins(power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return minus, plus
 
 
-def _projections(amplitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Difference and sum bins of |A|^2 (:func:`_diagonal_bins`)."""
-    return _diagonal_bins(_squared_modulus(amplitude))
-
-
 def diagonal_widths(jta: JointTemporalAmplitude) -> tuple[float, float]:
     """FWHMs of |JTA|^2 projected on the difference and sum time coordinates.
 

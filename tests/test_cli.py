@@ -173,6 +173,22 @@ class TestHom:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv,mib", [
+        (["--model", "numeric", "--grid-n", "64"], 21667),
+        (["--model", "gaussian"], 2441),
+    ], ids=["numeric", "gaussian"])
+    def test_oversized_delay_points_rejected(self, tmp_path, capsys, argv, mib):
+        # charged before any large allocation: 10^7 delays at n = 64 once died
+        # allocating a 9.4 GiB phase matrix
+        code = run(tmp_path / "out", "hom", "--preset", "ppktp-8mm", *argv,
+                   "--delay-points", "10000000")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: --delay-points 10000000 is too large: the delay scan would need about "
+            f"{mib} MiB, above the 1024 MiB memory budget\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_narrow_delay_range_fails(self, tmp_path, capsys):
         code = run(tmp_path, "hom", "--preset", "ppktp-8mm", "--delay-span", "0.4")
         assert code != 0
@@ -213,6 +229,17 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "--steps" in err and "Traceback" not in err
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_oversized_steps_rejected(self, tmp_path, capsys):
+        # charged before np.linspace would allocate the 74.5 GiB value array
+        code = run(tmp_path / "out", "sweep", "--preset", "ppktp-8mm", "--axis", "pump_fwhm",
+                   "--start", "1", "--stop", "4", "--steps", "10000000000")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --steps 10000000000 is too large: the sweep would need about "
+            "2441406 MiB, above the 1024 MiB memory budget\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_missing_axis(self, tmp_path, capsys):
         code = run(tmp_path, "sweep", "--preset", "ppktp-8mm", "--start", "1", "--stop", "2")
@@ -388,6 +415,22 @@ class TestAnalyze:
         code = run(tmp_path / "out", "analyze", str(scan), *argv)
         assert code == 2
         assert "--preset and --pump-fwhm-nm" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cell", ["0,nan,70", "0,inf,70", "0,5000,nan"],
+                             ids=["nan-count", "inf-count", "nan-sigma"])
+    def test_non_finite_scan_rejected(self, tmp_path, capfd, cell):
+        # such a scan once reached LAPACK, which printed DLASCL errors
+        lines = [f"{d / 10:.1f},{5000 * (1 - 0.9 * 2.0 ** (-(d / 10) ** 2 * 4)):.1f},70"
+                 for d in range(-20, 21)]
+        lines[20] = cell
+        scan = tmp_path / "scan.csv"
+        scan.write_text("delay_ps,coincidences,sigma\n" + "\n".join(lines) + "\n")
+        code = run(tmp_path / "out", "analyze", str(scan))
+        assert code == 1
+        assert capfd.readouterr().err == (
+            f"error: {scan}: delays, counts and sigma must be finite\n"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_fit_synthetic_scan(self, tmp_path):

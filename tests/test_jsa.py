@@ -121,7 +121,10 @@ class TestIntensity:
     def test_filtered_and_normalized_states_get_their_own(self, ppktp):
         state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=64))
         filtered = apply_spectral_filter(state, SpectralFilter("gaussian", 0.0, 1e13, "both"))
-        for other in (filtered, state.normalized()):
+        normalized = JointSpectralAmplitude(
+            state.grid, state.amplitude / np.sqrt(state.norm_squared), state.provenance
+        )
+        for other in (filtered, normalized):
             assert other.intensity is not state.intensity
             assert other.intensity.tobytes() == (np.abs(other.amplitude) ** 2).tobytes()
 
@@ -136,14 +139,13 @@ class TestIntensity:
         assert state.amplitude[0, 0] == 1.0 and not state.amplitude.flags.writeable
 
     @pytest.mark.parametrize("profile", ["gaussian", "sinc"])
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_build_peak_at_most_three_amplitudes(self, ppktp, profile, normalize):
+    def test_build_peak_at_most_three_amplitudes(self, ppktp, profile):
         source = preset_with_pump(ppktp, profile=profile)
         grid = auto_grid(source.pump, source.pm, n=128)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            build_jsa(source.pump, source.pm, grid, normalize=normalize)
+            build_jsa(source.pump, source.pm, grid)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -167,11 +169,6 @@ class TestGridAnalyticOracle:
         peak = np.abs(state.amplitude).max()
         assert peak <= 1.0 + 1e-12
         assert peak > 0.999
-
-    def test_normalize_flag(self, ppktp):
-        state = build_jsa(ppktp.pump, ppktp.pm, normalize=True)
-        assert state.norm_squared == pytest.approx(1.0, rel=1e-12)
-        assert state.provenance["normalized"] is True
 
     def test_jsi_chirp_invariant(self):
         pm = make_pm(-1.4e-12, 0.84e-12)

@@ -10,11 +10,14 @@ from biphoton import (
     available_presets,
     correlation_time_gaussian,
     load_preset,
-    load_preset_file,
     preset_with_pump,
     wavelength_fwhm_to_sigma,
 )
-from biphoton.presets import derive_walkoffs_from_ridge_and_dip, ppktp_reference_values
+from biphoton.presets import (
+    _parse_preset_text,
+    derive_walkoffs_from_ridge_and_dip,
+    ppktp_reference_values,
+)
 
 
 class TestDerivation:
@@ -75,7 +78,7 @@ class TestPresetFiles:
         with pytest.raises(KeyError):
             load_preset("no-such-device")
 
-    def test_parse_roundtrip(self, tmp_path, ppktp):
+    def test_parse_roundtrip(self, ppktp):
         text = "\n".join(
             [
                 "# a comment",
@@ -93,30 +96,21 @@ class TestPresetFiles:
                 f"pm.omega_i0 = {ppktp.pm.omega_i0!r}",
             ]
         )
-        path = tmp_path / "toy.preset"
-        path.write_text(text)
-        preset = load_preset_file(path)
+        preset = _parse_preset_text(text, "toy.preset")
         assert preset.name == "toy"
         assert preset.pm.profile == "sinc"
         assert preset.pm.tau_s == ppktp.pm.tau_s
 
-    def test_parse_errors(self, tmp_path):
-        bad_line = tmp_path / "a.preset"
-        bad_line.write_text("name = x\njust some words\n")
-        with pytest.raises(ParseError, match=":2:"):
-            load_preset_file(bad_line)
-
-        missing = tmp_path / "b.preset"
-        missing.write_text("name = x\npump.omega_p0 = 1e15\n")
+    def test_parse_errors(self):
+        with pytest.raises(ParseError, match="a.preset:2:"):
+            _parse_preset_text("name = x\njust some words\n", "a.preset")
         with pytest.raises(ParseError, match="missing required key"):
-            load_preset_file(missing)
-
-        not_num = tmp_path / "c.preset"
-        not_num.write_text(
-            "name = x\npump.omega_p0 = fast\npump.sigma_p = 1e12\npump.beta = 0\n"
-        )
+            _parse_preset_text("name = x\npump.omega_p0 = 1e15\n", "b.preset")
         with pytest.raises(ParseError, match="not a number"):
-            load_preset_file(not_num)
+            _parse_preset_text(
+                "name = x\npump.omega_p0 = fast\npump.sigma_p = 1e12\npump.beta = 0\n",
+                "c.preset",
+            )
 
 
 class TestOverrides:

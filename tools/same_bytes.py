@@ -1,0 +1,214 @@
+#!/usr/bin/env python3
+"""Compare what two checkouts of biphoton write for one fixed list of CLI runs.
+
+    python tools/same_bytes.py PARENT CHANGE [--expect GLOB]...
+
+PARENT and CHANGE are checkout roots, each holding ``src/biphoton``.  Both
+trees are byte-compiled first, so that neither side's runs differ by whether
+they find bytecode.  Each run in :data:`RUNS` then executes
+``python -m biphoton.cli ARGV`` once per tree, with that tree's ``src`` on
+``PYTHONPATH``, in a fresh temporary directory that holds the run's input
+files.  For every run the script compares the sha256 of each file the run
+leaves in its directory, its stdout, its stderr and its exit code; the
+temporary directory and the tree root are masked in the two streams.
+
+It prints one line per difference, named ``RUN/FILE`` (``RUN/stdout``,
+``RUN/stderr`` and ``RUN/exit`` for the streams), and exits 1 unless every
+difference matches an ``--expect`` glob, which names a documented output
+change.  No hashes are stored: numpy's SIMD kernels and LAPACK differ by CPU,
+so the two sides are always run on the same machine.
+
+Runs that would allocate more than the package's memory budget at an older
+commit (an oversized ``--delay-points`` or ``--steps``) are left out: on
+such a commit they try to allocate gigabytes.  Only the standard library is
+used, so the script runs under any interpreter that can run the package.
+"""
+
+from __future__ import annotations
+
+import argparse
+import compileall
+import fnmatch
+import hashlib
+import math
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from typing import NamedTuple
+
+
+class Run(NamedTuple):
+    """One CLI invocation; ``quick`` marks the n <= 128 subset the test suite runs."""
+
+    name: str
+    argv: tuple[str, ...]
+    quick: bool = False
+
+
+def _scan_text(seed: int = 7, points: int = 121, counts: float = 5000.0) -> str:
+    """A seeded Poisson scan of a 1.17 ps Gaussian dip with visibility 0.9."""
+    rng = random.Random(seed)
+    lines = ["delay_ps,coincidences"]
+    for k in range(points):
+        tau = -3.0 + 6.0 * k / (points - 1)
+        mean = counts * (1.0 - 0.9 * math.exp(-4.0 * math.log(2.0) * (tau / 1.17) ** 2))
+        # Knuth's product of uniforms, in chunks so exp(-mean) stays normal
+        n, left = 0, mean
+        while left > 0:
+            step = min(left, 500.0)
+            left -= step
+            limit, product = math.exp(-step), rng.random()
+            while product > limit:
+                n += 1
+                product *= rng.random()
+        lines.append(f"{tau:.3f},{n}")
+    return "\n".join(lines) + "\n"
+
+
+def _nan_scan_text() -> str:
+    lines = _scan_text().splitlines()
+    lines[61] = lines[61].split(",")[0] + ",nan"
+    return "\n".join(lines) + "\n"
+
+
+# Files written into every run's directory before it starts.
+INPUTS = {
+    "run.conf": "pump_fwhm_nm = 0.7\nprofile = sinc\ngrid_n = 128\n",
+    "scan.csv": _scan_text(),
+    "nan_scan.csv": _nan_scan_text(),
+    "zero_scan.csv": "delay_ps,coincidences\n" + "".join(f"{d},0\n" for d in range(12)),
+}
+
+_P = ("--preset", "ppktp-8mm")
+_OUT = ("--out", "out")
+
+RUNS = (
+    Run("presets", ("presets",), quick=True),
+    Run("simulate-default", ("simulate", *_P, *_OUT)),
+    Run("simulate-sinc-chirped-301",
+        ("simulate", *_P, "--profile", "sinc", "--chirp-fs2", "-20000", "--grid-n", "301", *_OUT)),
+    Run("simulate-filtered-301",
+        ("simulate", *_P, "--filter-fwhm-nm", "3", "--grid-n", "301", *_OUT)),
+    Run("simulate-n4", ("simulate", *_P, "--grid-n", "4", *_OUT), quick=True),
+    Run("simulate-n6", ("simulate", *_P, "--grid-n", "6", *_OUT)),
+    Run("simulate-n1024", ("simulate", *_P, "--grid-n", "1024", *_OUT)),
+    Run("simulate-config", ("simulate", *_P, "--config", "run.conf", *_OUT), quick=True),
+    Run("simulate-n2-fails", ("simulate", *_P, "--grid-n", "2", *_OUT), quick=True),
+    Run("simulate-n4000-fails", ("simulate", *_P, "--grid-n", "4000", *_OUT)),
+    Run("simulate-filter-0-fails", ("simulate", *_P, "--filter-fwhm-nm", "0", *_OUT)),
+    Run("hom-numeric", ("hom", *_P, "--model", "numeric", *_OUT)),
+    Run("hom-numeric-sinc-0.7",
+        ("hom", *_P, "--model", "numeric-sinc", "--pump-fwhm-nm", "0.7", *_OUT)),
+    Run("hom-gaussian-99",
+        ("hom", *_P, "--model", "gaussian", "--delay-points", "99", *_OUT), quick=True),
+    Run("hom-numeric-n16", ("hom", *_P, "--model", "numeric", "--grid-n", "16", *_OUT),
+        quick=True),
+    Run("hom-n3-fails", ("hom", *_P, "--grid-n", "3", *_OUT)),
+    Run("hom-n4000-fails", ("hom", *_P, "--grid-n", "4000", *_OUT)),
+    Run("hom-delay-span-0-fails", ("hom", *_P, "--delay-span", "0", *_OUT)),
+    Run("sweep-pump-gaussian",
+        ("sweep", *_P, "--axis", "pump_fwhm", "--start", "0.7", "--stop", "4.5", "--steps", "5",
+         "--model", "gaussian", *_OUT)),
+    Run("sweep-length-gaussian",
+        ("sweep", *_P, "--axis", "length", "--start", "4", "--stop", "16", "--steps", "4", *_OUT),
+        quick=True),
+    Run("sweep-chirp-numeric-sinc",
+        ("sweep", *_P, "--axis", "chirp", "--start", "-20000", "--stop", "20000", "--steps", "3",
+         "--model", "numeric-sinc", "--grid-n", "128", *_OUT)),
+    Run("sweep-pump-numeric-gaussian",
+        ("sweep", *_P, "--axis", "pump_fwhm", "--start", "1", "--stop", "4", "--steps", "3",
+         "--model", "numeric-gaussian", "--grid-n", "256", *_OUT)),
+    Run("sweep-length-0-fails",
+        ("sweep", *_P, "--axis", "length", "--start", "0", "--stop", "8", "--steps", "3", *_OUT)),
+    Run("analyze-gaussian", ("analyze", "scan.csv", "--model", "gaussian-dip", *_OUT),
+        quick=True),
+    Run("analyze-sinc",
+        ("analyze", "scan.csv", "--model", "sinc-kernel-dip", *_P, "--pump-fwhm-nm", "2",
+         *_OUT)),
+    Run("analyze-zero-fails", ("analyze", "zero_scan.csv", *_OUT)),
+    Run("analyze-nan-fails", ("analyze", "nan_scan.csv", *_OUT)),
+)
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_once(tree: Path, run: Run) -> dict[str, str]:
+    """Run ``run`` against ``tree``; map each compared item to its sha256 (exit: the code)."""
+    env = {key: value for key, value in os.environ.items() if key != "BIPHOTON_OUTDIR"}
+    env["PYTHONPATH"] = str(tree / "src")
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    with tempfile.TemporaryDirectory(prefix="same_bytes_") as tmp:
+        work = Path(tmp)
+        for name, text in INPUTS.items():
+            (work / name).write_text(text, encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "biphoton.cli", *run.argv],
+            cwd=work, env=env, capture_output=True, timeout=600,
+        )
+
+        def masked(stream: bytes) -> bytes:
+            for path, mark in ((work, b"<RUN>"), (tree, b"<TREE>")):
+                stream = stream.replace(os.fsencode(path.resolve()), mark)
+                stream = stream.replace(os.fsencode(path), mark)
+            return stream
+
+        items = {
+            "exit": str(proc.returncode),
+            "stdout": _digest(masked(proc.stdout)),
+            "stderr": _digest(masked(proc.stderr)),
+        }
+        for path in sorted(work.rglob("*")):
+            name = path.relative_to(work).as_posix()
+            if path.is_file() and name not in INPUTS:
+                items[name] = _digest(path.read_bytes())
+    return items
+
+
+def differences(parent: Path, change: Path, runs=RUNS) -> list[str]:
+    """``RUN/ITEM: how`` for every item whose bytes differ between the two trees."""
+    for tree in {parent, change}:
+        compileall.compile_dir(str(tree / "src"), quiet=1)
+    out = []
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for run in runs:
+            before, after = pool.map(lambda tree: run_once(tree, run), (parent, change))
+            for item in sorted(before.keys() | after.keys()):
+                if item not in after:
+                    out.append(f"{run.name}/{item}: only in parent")
+                elif item not in before:
+                    out.append(f"{run.name}/{item}: only in change")
+                elif before[item] != after[item]:
+                    how = f"{before[item]} -> {after[item]}" if item == "exit" else "differs"
+                    out.append(f"{run.name}/{item}: {how}")
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="root of the reference checkout")
+    parser.add_argument("change", type=Path, help="root of the checkout under test")
+    parser.add_argument("--expect", action="append", default=[], metavar="GLOB",
+                        help="RUN/FILE glob of a documented output change (repeatable)")
+    args = parser.parse_args(argv)
+    for tree in (args.parent, args.change):
+        if not (tree / "src" / "biphoton" / "__init__.py").is_file():
+            parser.error(f"no src/biphoton under {tree}")
+    unexpected = 0
+    found = differences(args.parent.resolve(), args.change.resolve())
+    for line in found:
+        key = line.partition(": ")[0]
+        expected = any(fnmatch.fnmatchcase(key, glob) for glob in args.expect)
+        unexpected += not expected
+        print(f"{line}{' (expected)' if expected else ''}")
+    print(f"same_bytes: {len(RUNS)} runs, {len(found)} differences, {unexpected} unexpected")
+    return 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
