@@ -51,6 +51,7 @@ from .dataio import (
 )
 from .errors import DomainError, MemoryBudgetError, ParseError
 from .hom import (
+    DELAY_BLOCK,
     coincidence_scan,
     correlation_time_gaussian,
     default_delays,
@@ -213,8 +214,10 @@ def _dip(opts: dict, source, model: str, n_delays: int = 201, delay_span: float 
     if model != "numeric":
         source = preset_with_pump(source, profile=model.removeprefix("numeric-"))
     state = None if model == "gaussian" else _build_state(opts, source)
-    # the numeric overlap's phases: an (n - 1) x delays complex exponent and its exp
-    phases = 0 if state is None else 2 * jsa_bytes(state.grid.n_s - 1, n_delays)
+    # the numeric overlap's phases of one block of delays: an (n - 1) x block
+    # complex exponent and its exp
+    block = min(n_delays, DELAY_BLOCK)
+    phases = 0 if state is None else 2 * jsa_bytes(state.grid.n_s - 1, block)
     nbytes = _BYTES_PER_ROW * n_delays + phases
     _check_budget("--delay-points", n_delays, "the delay scan", nbytes)
     delays = default_delays(source.pm, n=n_delays, spans=delay_span)

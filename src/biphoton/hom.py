@@ -13,7 +13,9 @@ the sum collapses onto the diagonal sums
     overlap(tau) = D_0 + 2 Re sum_{m >= 1} D_m e^{i m dnu tau}.
 
 The D_m take one O(n^2) pass and each delay O(n), so a scan of D delays
-costs O(n^2 + n D) instead of the O(n^2 D) of the direct double sum.
+costs O(n^2 + n D) instead of the O(n^2 D) of the direct double sum.  The
+phases e^{i m dnu tau} are taken for :data:`DELAY_BLOCK` delays at a time,
+so the scan's temporaries stay O(n DELAY_BLOCK) however many delays it has.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ MIN_VISIBILITY = 0.02
 BASELINE_RATE = 0.9
 
 _RATE_SLACK = 0.05
+
+# Delays whose phases the numeric overlap holds at once: an (n - 1) x
+# DELAY_BLOCK complex matrix, 8 MiB a block at n = 512.
+DELAY_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -93,8 +99,12 @@ def _exchange_overlap(state: JointSpectralAmplitude, delays: np.ndarray) -> np.n
     f = state.amplitude
     # D_m = sum_k f[k+m, k] f*[k, k+m]; D_{-m} is its conjugate
     diag = np.array([np.vdot(f.diagonal(m), f.diagonal(-m)) for m in range(f.shape[0])])
-    phases = np.exp(1j * np.outer(np.arange(1, diag.size), state.grid.d_nu_s * delays))
-    overlap = diag[0].real + 2.0 * np.real(diag[1:] @ phases)
+    lags = np.arange(1, diag.size)
+    steps = state.grid.d_nu_s * delays
+    overlap = np.empty(steps.size)
+    for d0 in range(0, steps.size, DELAY_BLOCK):
+        phases = np.exp(1j * np.outer(lags, steps[d0 : d0 + DELAY_BLOCK]))
+        overlap[d0 : d0 + DELAY_BLOCK] = diag[0].real + 2.0 * np.real(diag[1:] @ phases)
     return overlap / float(np.sum(state.intensity))
 
 

@@ -13,8 +13,10 @@ factor only refines the sampling, it adds no information.
 axis, and each 1-D FFT is computed line by line with one plan per length, so
 a line's result does not depend on what else is transformed with it.  The
 first pass therefore runs on the ``n`` non-zero signal rows only (a zero row
-transforms to zero), placed where ``ifftshift`` would put them.  The second
-pass runs on blocks of columns in a small zero slab, and each block's
+transforms to zero), placed where ``ifftshift`` would put them.  Those
+places are one contiguous range modulo N, so the rows (and, in the second
+pass, the columns) are copied in as two slices, not scattered by index.  The
+second pass runs on blocks of columns in a small zero slab, and each block's
 output is shifted and scaled straight into the result.  An ``oversample``
 of 4 skips 3/4 of the first pass.
 
@@ -133,11 +135,15 @@ def jta_from_jsa(
     big_n = oversample * n
     check_memory_budget("the joint temporal amplitude", jta_bytes(n, oversample))
     half = big_n // 2
-    # where ifftshift puts the padded rows (and columns) that hold the JSA
-    placed = (np.arange(n) + (big_n - n) // 2 - half) % big_n
+    # ifftshift puts the padded rows (and columns) that hold the JSA at
+    # start, start + 1, ... modulo big_n: two slices, the second wrapped
+    start = ((big_n - n) // 2 - half) % big_n
+    head = min(n, big_n - start)
+    placed = ((slice(start, start + head), slice(0, head)), (slice(0, n - head), slice(head, n)))
 
     rows = np.zeros((n, big_n), dtype=complex)
-    rows[:, placed] = state.amplitude
+    for dst, src in placed:
+        rows[:, dst] = state.amplitude[:, src]
     rows = np.fft.fftshift(np.fft.fft(rows, axis=1), axes=1)
 
     scale = dnu * dnu / (2.0 * math.pi)
@@ -146,7 +152,8 @@ def jta_from_jsa(
     for c0 in range(0, big_n, _COLUMN_BLOCK):
         c1 = min(c0 + _COLUMN_BLOCK, big_n)
         block = slab[:, : c1 - c0]
-        block[placed] = rows[:, c0:c1]
+        for dst, src in placed:
+            block[dst] = rows[src, c0:c1]
         cols = np.fft.fft(block, axis=0)
         # fftshift along the signal axis, scaled on the way into the result
         np.multiply(cols[big_n - half :], scale, out=out[:half, c0:c1])

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -174,12 +175,13 @@ class TestHom:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv,mib", [
-        (["--model", "numeric", "--grid-n", "64"], 21667),
+        (["--model", "numeric", "--grid-n", "64"], 2443),
         (["--model", "gaussian"], 2441),
     ], ids=["numeric", "gaussian"])
     def test_oversized_delay_points_rejected(self, tmp_path, capsys, argv, mib):
         # charged before any large allocation: 10^7 delays at n = 64 once died
-        # allocating a 9.4 GiB phase matrix
+        # allocating a 9.4 GiB phase matrix; the numeric scan is now charged
+        # the phases of one block of delays
         code = run(tmp_path / "out", "hom", "--preset", "ppktp-8mm", *argv,
                    "--delay-points", "10000000")
         assert code == 1
@@ -188,6 +190,18 @@ class TestHom:
             f"{mib} MiB, above the 1024 MiB memory budget\n"
         )
         assert not (tmp_path / "out").exists()
+
+    def test_long_numeric_scan_peak(self, tmp_path):
+        # the whole (n - 1) x delays phase matrix made this scan peak at 405 MB
+        tracemalloc.start()
+        try:
+            code = run(tmp_path, "hom", "--preset", "ppktp-8mm", "--model", "numeric",
+                       "--grid-n", "64", "--delay-points", "200000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 405e6 / 8
 
     def test_narrow_delay_range_fails(self, tmp_path, capsys):
         code = run(tmp_path, "hom", "--preset", "ppktp-8mm", "--delay-span", "0.4")

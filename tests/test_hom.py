@@ -1,6 +1,11 @@
 """Coincidence rates: numeric quadrature vs closed form, dip readout."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,6 +104,40 @@ class TestDiagonalSumOverlap:
         assert coincidence_rate_numeric(state, delays[-1]) == pytest.approx(
             1.0 - got[-1], abs=1e-12
         )
+
+
+class TestDelayBlocks:
+    def test_blocks_reproduce_one_shot_product(self):
+        # a scan over 3 full blocks and a partial one against the whole
+        # (n - 1) x delays phase matrix in one product.  A fresh interpreter
+        # with one BLAS thread: with more, OpenBLAS splits a product by its
+        # column count, so the one-shot bits themselves depend on it.
+        script = textwrap.dedent("""
+            import numpy as np
+            from biphoton import JointSpectralAmplitude, auto_grid, build_jsa
+            from biphoton import load_preset, preset_with_pump
+            from biphoton.hom import DELAY_BLOCK, _exchange_overlap
+
+            src = preset_with_pump(load_preset("ppktp-8mm"), profile="sinc", beta=-1e-26)
+            state = build_jsa(src.pump, src.pm, auto_grid(src.pump, src.pm, n=96))
+            rng = np.random.default_rng(5)
+            phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, state.amplitude.shape))
+            for state in (state, JointSpectralAmplitude(state.grid, state.amplitude * phase)):
+                delays = np.sort(rng.uniform(-4e-12, 4e-12, 3 * DELAY_BLOCK + 77))
+                f = state.amplitude
+                diag = np.array([np.vdot(f.diagonal(m), f.diagonal(-m)) for m in range(96)])
+                phases = np.exp(1j * np.outer(np.arange(1, 96), state.grid.d_nu_s * delays))
+                want = diag[0].real + 2.0 * np.real(diag[1:] @ phases)
+                want /= float(np.sum(state.intensity))
+                got = _exchange_overlap(state, delays)
+                assert got.tobytes() == want.tobytes(), np.max(np.abs(got - want))
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestClosedForm:

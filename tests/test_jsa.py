@@ -47,14 +47,50 @@ def reference_sinc(x):
     return np.where(small, 1.0 - x2 / 6.0 + x2 * x2 / 120.0, np.sin(safe) / safe)
 
 
-def reference_amplitude(pump, pm, grid):
-    """``pump_envelope * phasematching_profile`` as full-grid expressions."""
+def grid_sums(grid):
+    """nu_s + nu_i on the full grid, as ``build_jsa`` takes it.
+
+    With equal steps: ``nu_s_min + nu_i_min + (j + k) dnu``; with two
+    different steps: the sum of the two axes.
+    """
+    if grid.d_nu_s != grid.d_nu_i:
+        return grid.nu_s[:, None] + grid.nu_i[None, :]
+    m = np.arange(grid.n_s)[:, None] + np.arange(grid.n_i)[None, :]
+    return grid.nu_s_min + grid.nu_i_min + m * grid.d_nu_s
+
+
+def reference_amplitude(pump, pm, grid, sums=None):
+    """``pump_envelope * phasematching_profile`` as full-grid expressions.
+
+    The pump is evaluated on ``sums``, by default :func:`grid_sums`.
+    """
     ns = grid.nu_s[:, None]
     ni = grid.nu_i[None, :]
+    if sums is None:
+        sums = grid_sums(grid)
     x = 0.5 * (pm.tau_s * ns + pm.tau_i * ni)
     if pm.profile == "gaussian":
-        return reference_pump_envelope(pump, ns + ni) * np.exp(-pm.gamma * x * x)
-    return reference_pump_envelope(pump, ns + ni) * reference_sinc(x)
+        return reference_pump_envelope(pump, sums) * np.exp(-pm.gamma * x * x)
+    return reference_pump_envelope(pump, sums) * reference_sinc(x)
+
+
+def sum_rounding_bound(pump, grid, amp):
+    """Largest move of each cell when the pump's nu_s + nu_i moves by a few ulp.
+
+    Either way of forming the sum rounds at most four times a value no larger
+    than the grid's extent E = |nu_s_min| + |nu_s_max| + |nu_i_min| +
+    |nu_i_max|, so the two sums differ by at most 4 eps E.  The pump's log,
+    -(nu/sigma)^2 + i beta nu^2, then moves by |2 nu| 4 eps E (1/sigma^2 +
+    |beta|) to first order, and each side rounds its exponent a and exp(a)
+    within 8 eps (1 + |a|) of the cell.  Cells that underflow to subnormals
+    keep a floor of a few of their spacings.
+    """
+    eps = np.finfo(float).eps
+    extent = sum(abs(v) for v in (grid.nu_s_min, grid.nu_s_max, grid.nu_i_min, grid.nu_i_max))
+    nu = np.abs(grid.nu_s[:, None] + grid.nu_i[None, :])
+    moved = 2.0 * nu * 4.0 * eps * extent * (1.0 / pump.sigma_p**2 + abs(pump.beta))
+    rounding = 8.0 * eps * (1.0 + (nu / pump.sigma_p) ** 2 + abs(pump.beta) * nu * nu)
+    return np.abs(amp) * (moved + rounding) + 4.0 * np.finfo(float).smallest_subnormal
 
 
 def reference_warnings(amp, grid):
@@ -98,12 +134,31 @@ class TestBuildBitIdentity:
         want = reference_amplitude(pump, pm, grid)
         assert state.amplitude.tobytes() == want.tobytes()
         assert state.provenance["warnings"] == reference_warnings(want, grid)
+        # against the pump on the sum of the two axes, as it was evaluated
+        # before the Hankel form: the sums differ by a few ulp
+        full = reference_amplitude(pump, pm, grid, grid.nu_s[:, None] + grid.nu_i[None, :])
+        assert np.all(np.abs(state.amplitude - full) <= sum_rounding_bound(pump, grid, full))
         # the factors on their own, where signed zeros are not yet multiplied away
         nu = grid.nu_s[:, None] + grid.nu_i[None, :]
         assert pump_envelope(pump, nu).tobytes() == reference_pump_envelope(pump, nu).tobytes()
         x = 0.5 * (pm.tau_s * grid.nu_s[:, None] + pm.tau_i * grid.nu_i[None, :])
         x[0, :3] = (0.0, -0.0, 5e-5)
         assert sinc(x).tobytes() == reference_sinc(x).tobytes()
+
+    @pytest.mark.parametrize("profile", ["gaussian", "sinc"])
+    @pytest.mark.parametrize("axes", [
+        # two different steps: the pump on ns + ni, the old expression's bits
+        ((48, -3e13, 3e13), (80, -2e13, 2.5e13)),
+        ((97, -2e13, 1e13), (64, -4e13, 4e13)),
+        # one step, two sizes: the Hankel pump on a rectangle
+        ((41, -2e13, 2e13), (81, -3e13, 5e13)),
+    ], ids=["unequal-a", "unequal-b", "equal-rectangle"])
+    def test_rectangular_grids(self, profile, axes):
+        pump, pm = random_source(np.random.default_rng(11), profile)
+        (n_s, s0, s1), (n_i, i0, i1) = axes
+        grid = FrequencyGrid(n_s, n_i, s0, s1, i0, i1)
+        state = build_jsa(pump, pm, grid)
+        assert state.amplitude.tobytes() == reference_amplitude(pump, pm, grid).tobytes()
 
 
 class TestIntensity:
@@ -409,7 +464,47 @@ class TestSchmidt:
             )
 
 
+def reference_rho(state):
+    """Pearson rho of the masked JSI from full-grid weighted sums (the old formula)."""
+    weights = state.intensity
+    peak = weights.max()
+    weights = np.where(weights >= 0.05 * peak, weights, 0.0)
+    weights = weights / weights.sum()
+    ns = state.grid.nu_s[:, None]
+    ni = state.grid.nu_i[None, :]
+    mean_s = float(np.sum(weights * ns))
+    mean_i = float(np.sum(weights * ni))
+    var_s = float(np.sum(weights * (ns - mean_s) ** 2))
+    var_i = float(np.sum(weights * (ni - mean_i) ** 2))
+    cov = float(np.sum(weights * (ns - mean_s) * (ni - mean_i)))
+    return cov / math.sqrt(var_s * var_i)
+
+
 class TestClassification:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        profile=st.sampled_from(("gaussian", "sinc")),
+        n=st.integers(16, 256),
+        filtered=st.booleans(),
+    )
+    def test_one_pass_moments_match_full_grid_sums(self, seed, profile, n, filtered):
+        rng = np.random.default_rng(seed)
+        pump, pm = random_source(rng, profile)
+        pump = make_pump(pump.sigma_p, rng.choice([-1.0, 1.0]) * rng.uniform(1e-27, 2e-26))
+        state = build_jsa(pump, pm, auto_grid(pump, pm, n=n))
+        if filtered:
+            width = rng.uniform(0.3, 2.0) * state.grid.nu_s_max
+            target = str(rng.choice(["signal", "idler", "both"]))
+            state = apply_spectral_filter(state, SpectralFilter("gaussian", 0.0, width, target))
+        rho, label = correlation_classification(state)
+        want = reference_rho(state)
+        # relative, but with a floor of a few ulp of |rho| <= 1: a support
+        # symmetric about its mean gives rho ~ 1e-32, rounding noise either way
+        assert abs(rho - want) <= 1e-12 * abs(want) + 64 * np.finfo(float).eps
+        assert label == ("anticorrelated" if want < -0.1 else "correlated" if want > 0.1
+                         else "decorrelated")
+
     def test_separable_is_decorrelated(self):
         sigma, gamma, tau_s = 3e12, 0.193, -1.2e-12
         tau_i = -4.0 / (gamma * sigma**2 * tau_s)

@@ -91,6 +91,8 @@ RUNS = (
     Run("simulate-default", ("simulate", *_P, *_OUT)),
     Run("simulate-sinc-chirped-301",
         ("simulate", *_P, "--profile", "sinc", "--chirp-fs2", "-20000", "--grid-n", "301", *_OUT)),
+    Run("simulate-chirped-128",
+        ("simulate", *_P, "--chirp-fs2", "-20000", "--grid-n", "128", *_OUT), quick=True),
     Run("simulate-filtered-301",
         ("simulate", *_P, "--filter-fwhm-nm", "3", "--grid-n", "301", *_OUT)),
     Run("simulate-n4", ("simulate", *_P, "--grid-n", "4", *_OUT), quick=True),
@@ -101,6 +103,9 @@ RUNS = (
     Run("simulate-n4000-fails", ("simulate", *_P, "--grid-n", "4000", *_OUT)),
     Run("simulate-filter-0-fails", ("simulate", *_P, "--filter-fwhm-nm", "0", *_OUT)),
     Run("hom-numeric", ("hom", *_P, "--model", "numeric", *_OUT)),
+    Run("hom-numeric-chirped-128",
+        ("hom", *_P, "--model", "numeric", "--chirp-fs2", "-20000", "--grid-n", "128", *_OUT),
+        quick=True),
     Run("hom-numeric-sinc-0.7",
         ("hom", *_P, "--model", "numeric-sinc", "--pump-fwhm-nm", "0.7", *_OUT)),
     Run("hom-gaussian-99",
