@@ -80,9 +80,9 @@ _GRID_N = 512
 # Options that locate inputs and outputs but do not change an output's content.
 _UNHASHED = {"out", "config", "scan_file"}
 
-# Peak bytes per row of a delay scan or a sweep: its float columns, their
-# copies and the formatting of its CSV rows (tracemalloc reads 228 for a
-# closed-form hom scan of 10^6 delays).
+# Bytes charged per row of a delay scan or a sweep, a loose bound on its float
+# columns and their copies: the CSV rows are formatted a block at a time, and
+# tracemalloc reads 33 for a closed-form hom scan of 10^6 delays.
 _BYTES_PER_ROW = 256
 
 
@@ -159,22 +159,25 @@ def _load_source(opts: dict):
     )
 
 
-def _check_budget(flag: str, value: int, what: str, nbytes: int) -> None:
-    """Charge ``nbytes`` to the memory budget; name ``flag`` and its ``value`` if it is over."""
+@contextlib.contextmanager
+def _budget_names(flag: str, value):
+    """Re-raise a ``MemoryBudgetError`` as a ``DomainError`` naming ``flag`` and its ``value``."""
     try:
-        check_memory_budget(what, nbytes)
+        yield
     except MemoryBudgetError as exc:
         raise DomainError(f"{flag} {value} is too large: {exc}") from exc
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def _build_state(opts: dict, source):
     """The source's JSA on the run's grid; a grid above the memory budget names ``--grid-n``."""
     n, span = opts.get("grid_n", _GRID_N), opts.get("grid_span_fwhms", 4.0)
     grid = auto_grid(source.pump, source.pm, n=n, span_fwhms=span)
-    try:
+    with _budget_names("--grid-n", n):
         return build_jsa(source.pump, source.pm, grid)
-    except MemoryBudgetError as exc:
-        raise DomainError(f"--grid-n {n} is too large: {exc}") from exc
 
 
 @contextlib.contextmanager
@@ -218,8 +221,8 @@ def _dip(opts: dict, source, model: str, n_delays: int = 201, delay_span: float 
     # complex exponent and its exp
     block = min(n_delays, DELAY_BLOCK)
     phases = 0 if state is None else 2 * jsa_bytes(state.grid.n_s - 1, block)
-    nbytes = _BYTES_PER_ROW * n_delays + phases
-    _check_budget("--delay-points", n_delays, "the delay scan", nbytes)
+    with _budget_names("--delay-points", n_delays):
+        check_memory_budget("the delay scan", _BYTES_PER_ROW * n_delays + phases)
     delays = default_delays(source.pm, n=n_delays, spans=delay_span)
     if state is None:
         scan = gaussian_scan(source.pump, source.pm, delays)
@@ -232,12 +235,12 @@ def cmd_simulate(opts: dict) -> int:
     source = _load_source(opts)
     state = _build_state(opts, source)
     meta = _meta(opts)
+    lam_pdc = 2 * np.pi * C_M_PER_S / source.pm.omega_s0
 
     with _coarse_grid_reported(opts, state):
         filter_fwhm_nm = opts.get("filter_fwhm_nm")
         if filter_fwhm_nm is not None:
-            lam = 2 * np.pi * C_M_PER_S / source.pm.omega_s0
-            width = filter_fwhm_nm * 1e-9 * 2 * np.pi * C_M_PER_S / lam**2
+            width = filter_fwhm_nm * 1e-9 * 2 * np.pi * C_M_PER_S / lam_pdc**2
             state = apply_spectral_filter(
                 state,
                 SpectralFilter(shape="gaussian", center=0.0, width=width, target="both"),
@@ -247,7 +250,6 @@ def cmd_simulate(opts: dict) -> int:
         rho, label = correlation_classification(state)
         fwhm_s = intensity_fwhm(state.grid.nu_s, sig)
         fwhm_i = intensity_fwhm(state.grid.nu_i, idl)
-    lam_pdc = 2 * np.pi * C_M_PER_S / source.pm.omega_s0
     payload = {
         "provenance": meta,
         "schmidt_number": schmidt.schmidt_number,
@@ -266,9 +268,7 @@ def cmd_simulate(opts: dict) -> int:
     write_rows(
         outdir / "marginals.csv", meta, "nu_rad_s,signal,idler", [state.grid.nu_s, sig, idl]
     )
-    (outdir / "schmidt.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(outdir / "schmidt.json", payload)
     print(f"simulate: wrote jsa.csv jsi.csv marginals.csv schmidt.json to {outdir}")
     print(f"  correlation: {label} (rho = {rho:+.3f}), K = {schmidt.schmidt_number:.3f}")
     return 0
@@ -303,9 +303,7 @@ def cmd_hom(opts: dict) -> int:
 
     outdir = _outdir(opts)
     export_delay_scan(result.scan, outdir / "scan.csv", meta)
-    (outdir / "hom.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(outdir / "hom.json", payload)
     print(f"hom: t_c = {result.t_c * 1e12:.4f} ps, visibility = {result.visibility:.4f}")
     print(f"hom: wrote scan.csv hom.json to {outdir}")
     return 0
@@ -324,7 +322,8 @@ def cmd_sweep(opts: dict) -> int:
     if start is None or stop is None:
         print("error: sweep needs --start and --stop", file=sys.stderr)
         return 2
-    _check_budget("--steps", steps, "the sweep", _BYTES_PER_ROW * steps)
+    with _budget_names("--steps", steps):
+        check_memory_budget("the sweep", _BYTES_PER_ROW * steps)
     source = _load_source(opts)
     model = opts.get("model", "gaussian")
     meta = _meta(opts)
@@ -372,9 +371,7 @@ def cmd_analyze(opts: dict) -> int:
     payload = {"provenance": meta}
     payload.update(report.to_dict())
     outdir = _outdir(opts)
-    (outdir / "fit.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(outdir / "fit.json", payload)
     print(
         f"analyze: t_c = {report.t_c * 1e12:.4f} +- {report.t_c_sigma * 1e12:.4f} ps, "
         f"visibility = {report.visibility:.4f} +- {report.visibility_sigma:.4f}"
@@ -468,7 +465,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(_options(args))
-    except (ValueError, KeyError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,8 +11,9 @@ CSV conventions
 
 Every CSV file is written by one of two writers: :func:`write_grid` for the
 N x N joint grids (one row per cell, signal-major) and :func:`write_rows` for
-1-D tables (scans, marginals, sweeps).  Files written here start with a
-single ``# biphoton: {json}`` provenance line when metadata is supplied.
+1-D tables (scans, marginals, sweeps); both format their body in one block
+loop of about ``_GRID_BLOCK_CELLS`` rows, so their memory stays bounded.
+Files start with a ``# biphoton: {json}`` provenance line if given metadata.
 Floats are written with 9 significant digits (``%.9g``, the routine behind
 :func:`format_float`), which round-trips exactly through parse/format cycles
 and keeps repeated runs byte-identical.  Both writers format their cells,
@@ -46,11 +47,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, FitError, ParseError
+from .errors import CoverageError, DomainError, FitError, ParseError
 from .hom import DelayScan, coincidence_scan, default_delays, extract_dip
 from .jsa import (
     FrequencyGrid,
     JointSpectralAmplitude,
+    _read_only,
     auto_grid,
     build_jsa,
     correlation_classification,
@@ -69,9 +71,9 @@ PROVENANCE_PREFIX = "# biphoton: "
 
 _FOUR_LN2 = 4.0 * math.log(2.0)
 
-# Cells that write_grid formats per block: enough to amortize the numpy calls;
-# larger blocks measured slower, as their temporaries (about 100 bytes a
-# cell) no longer stay in the CPU caches.
+# CSV rows that each block of a file's body formats: enough to amortize the
+# numpy calls; larger blocks measured slower, as their temporaries (about 100
+# bytes a cell) no longer stay in the CPU caches.
 _GRID_BLOCK_CELLS = 1 << 13
 
 # Per decimal exponent e of a finite non-zero double (indexed by e - _E_MIN):
@@ -186,33 +188,41 @@ def _row_cells(columns) -> np.ndarray:
     return functools.reduce(np.add, map(_format_cells, columns, ends))
 
 
+def _body_blocks(columns, labels=None):
+    """The CSV body of equal-shape float ``columns``, one byte chunk per block.
+
+    A block is a slice ``rows`` of the first axis holding about
+    ``_GRID_BLOCK_CELLS`` CSV rows, one per cell; ``labels(rows)``, if given,
+    is the text that starts those rows.
+    """
+    block = max(1, _GRID_BLOCK_CELLS // math.prod(columns[0].shape[1:]))
+    for start in range(0, len(columns[0]), block):
+        rows = slice(start, start + block)
+        cells = _row_cells([c[rows] for c in columns])
+        if labels is not None:
+            cells = np.add(labels(rows), cells)
+        yield b"".join(cells.tolist())
+
+
 def write_rows(path, meta: dict | None, header: str, columns, comments=()) -> None:
     """Write equal-length 1-D float ``columns`` as CSV rows."""
-    rows = _row_cells(np.column_stack(columns).T)
-    _write_csv(path, meta, header, [b"".join(rows.tolist())], comments)
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    if len({c.shape for c in columns}) != 1:
+        raise ValueError(f"columns of unequal shapes {[c.shape for c in columns]}")
+    _write_csv(path, meta, header, _body_blocks(columns), comments)
 
 
 def write_grid(path, meta: dict | None, header: str, axis_s, axis_i, values) -> None:
     """Write 2-D ``values`` sampled on (``axis_s``, ``axis_i``), one CSV row per cell.
 
     Rows run signal-major as ``axis_s[j],axis_i[k],values[0][j,k],...``.  Each
-    axis value is formatted once; the body is formatted one block of signal
-    rows (about ``_GRID_BLOCK_CELLS`` cells) at a time, so temporary memory
-    stays bounded.
+    axis value is formatted once and labels its rows in every block.
     """
     labels_s = _format_cells(axis_s, b",")
     labels_i = _format_cells(axis_i, b",")
     values = [np.asarray(v, dtype=float) for v in values]
-    block = max(1, _GRID_BLOCK_CELLS // labels_i.size)
-
-    def blocks():
-        for start in range(0, labels_s.size, block):
-            rows = slice(start, start + block)
-            cells = np.add(labels_s[rows, None], labels_i).ravel()
-            cells = np.add(cells, _row_cells([v[rows] for v in values]))
-            yield b"".join(cells.tolist())
-
-    _write_csv(path, meta, header, blocks())
+    body = _body_blocks(values, lambda rows: np.add(labels_s[rows, None], labels_i).ravel())
+    _write_csv(path, meta, header, body)
 
 
 def _read_csv(path: Path, header_problem) -> tuple[list[str], list[str], np.ndarray]:
@@ -317,18 +327,12 @@ class MeasuredScan:
             raise DomainError("delays must be strictly increasing")
         if np.any(counts < 0):
             raise DomainError("counts must be non-negative")
-        object.__setattr__(self, "delays", _frozen(delays))
-        object.__setattr__(self, "counts", _frozen(counts))
+        object.__setattr__(self, "delays", _read_only(delays))
+        object.__setattr__(self, "counts", _read_only(counts))
         if sigma is not None:
             if sigma.shape != delays.shape or np.any(sigma < 0):
                 raise DomainError("sigma must match delays and be non-negative")
-            object.__setattr__(self, "sigma", _frozen(sigma))
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
+            object.__setattr__(self, "sigma", _read_only(sigma))
 
 
 def _scan_header_problem(header: list[str]) -> str | None:
@@ -423,12 +427,13 @@ def _grid_meta(grid: FrequencyGrid) -> dict:
 
 
 def _central_frequencies(state: JointSpectralAmplitude) -> tuple[float, float]:
+    """The carriers of the state's phasematching, else of its file; refused unless both are > 0."""
     prov = state.provenance
-    if "pm" in prov and "omega_s0" in prov["pm"]:
-        return prov["pm"]["omega_s0"], prov["pm"]["omega_i0"]
-    if "omega_s0" in prov:
-        return prov["omega_s0"], prov["omega_i0"]
-    raise DomainError("state provenance does not carry central frequencies")
+    carriers = prov["pm"] if "omega_s0" in prov.get("pm", {}) else prov
+    omega_s0, omega_i0 = carriers.get("omega_s0", 0.0), carriers.get("omega_i0", 0.0)
+    if not (omega_s0 > 0 and omega_i0 > 0):
+        raise DomainError("state provenance does not carry central frequencies > 0")
+    return omega_s0, omega_i0
 
 
 def _jsi_header_problem(header: list[str]) -> str | None:
@@ -472,19 +477,18 @@ def load_jsi(path) -> JointSpectralAmplitude:
 
     in_nm = header[0] == "lambda_s_nm"
     if in_nm:
-        omega_s = wavelength_to_angular_frequency(axis_s * 1e-9)
-        omega_i = wavelength_to_angular_frequency(axis_i * 1e-9)
+        if not (axis_s[0] > 0 and axis_i[0] > 0):
+            raise ParseError(f"{path}: wavelengths must be > 0")
+        # omega = 2 pi c / lambda falls as lambda rises: the reversed axes
+        # ascend, and row j of a wavelength axis lands at n - 1 - j
+        omega_s = wavelength_to_angular_frequency(axis_s[::-1] * 1e-9)
+        omega_i = wavelength_to_angular_frequency(axis_i[::-1] * 1e-9)
         omega_s0 = 0.5 * (omega_s.min() + omega_s.max())
         omega_i0 = 0.5 * (omega_i.min() + omega_i.max())
         nu_s = omega_s - omega_s0
         nu_i = omega_i - omega_i0
-        # sort the detunings, and send each row to its sorted place through
-        # the inverse permutation
-        order_s = np.argsort(nu_s)
-        order_i = np.argsort(nu_i)
-        nu_s, nu_i = nu_s[order_s], nu_i[order_i]
-        row_s = np.argsort(order_s)[row_s]
-        row_i = np.argsort(order_i)[row_i]
+        row_s = axis_s.size - 1 - row_s
+        row_i = axis_i.size - 1 - row_i
     else:
         omega_s0 = omega_i0 = 0.0
         nu_s, nu_i = axis_s, axis_i
@@ -680,7 +684,7 @@ def fit_dip(scan: MeasuredScan, model: str = "gaussian-dip", kernel: DipKernel |
     center0 = float(delays[imin])
     try:
         width0 = intensity_fwhm(delays, np.clip(baseline0 - counts, 0.0, None))
-    except Exception:
+    except (DomainError, CoverageError):
         width0 = (delays[-1] - delays[0]) / 4.0
 
     # fit in dimensionless units (delays over width0, counts over baseline0):

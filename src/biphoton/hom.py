@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageError, DomainError, GridError, NoDipError, UnsupportedProfileError
-from .jsa import JointSpectralAmplitude, intensity_fwhm
+from .jsa import JointSpectralAmplitude, _read_only, intensity_fwhm
 from .spectral import GAUSSIAN_FWHM_FACTOR, PhasematchSpec, PumpSpec
 
 # A dip shallower than this is treated as "no dip" by the readout.
@@ -61,12 +61,8 @@ class DelayScan:
                 f"rates outside [0, {1 + _RATE_SLACK}]: "
                 f"min={np.min(rates):.3g}, max={np.max(rates):.3g}"
             )
-        delays = delays.copy()
-        rates = rates.copy()
-        delays.flags.writeable = False
-        rates.flags.writeable = False
-        object.__setattr__(self, "delays", delays)
-        object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "delays", _read_only(delays))
+        object.__setattr__(self, "rates", _read_only(rates))
 
 
 @dataclass(frozen=True)

@@ -91,6 +91,14 @@ def _squared_modulus(amplitude: np.ndarray) -> np.ndarray:
     return power
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array`` itself if it owns its data and is read-only, else a read-only copy."""
+    if array.flags.writeable or array.base is not None:
+        array = array.copy()
+        array.flags.writeable = False
+    return array
+
+
 def jsa_bytes(n_s: int, n_i: int) -> int:
     """Bytes of the complex amplitude on an ``n_s`` x ``n_i`` grid."""
     return _COMPLEX_BYTES * n_s * n_i
@@ -169,12 +177,7 @@ class JointSpectralAmplitude:
             raise DomainError("amplitude contains non-finite entries")
         if not np.any(amp):
             raise EmptyStateError("amplitude is identically zero")
-        # an array that owns its data and is already read-only (as the
-        # builders hand over) is adopted; anything else is copied
-        if amp.flags.writeable or amp.base is not None:
-            amp = amp.copy()
-            amp.flags.writeable = False
-        object.__setattr__(self, "amplitude", amp)
+        object.__setattr__(self, "amplitude", _read_only(amp))
 
     @cached_property
     def intensity(self) -> np.ndarray:

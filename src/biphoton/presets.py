@@ -127,7 +127,7 @@ def load_preset(name: str) -> SourcePreset:
     """Load a shipped preset by name (see :func:`available_presets`)."""
     res = resources.files("biphoton").joinpath("data").joinpath(f"{name}.preset")
     if not res.is_file():
-        raise KeyError(f"unknown preset {name!r}; available: {', '.join(available_presets())}")
+        raise DomainError(f"unknown preset {name!r}; available: {', '.join(available_presets())}")
     return _parse_preset_text(res.read_text(encoding="utf-8"), f"preset:{name}")
 
 

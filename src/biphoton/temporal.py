@@ -40,6 +40,7 @@ from .jsa import (
     check_memory_budget,
     intensity_fwhm,
     jsa_bytes,
+    _read_only,
     _squared_modulus,
 )
 from .spectral import PumpSpec, tabulated_pump_duration
@@ -66,15 +67,8 @@ class JointTemporalAmplitude:
         amp = np.asarray(self.amplitude, dtype=complex)
         if t.ndim != 1 or amp.shape != (t.size, t.size):
             raise GridError("JTA needs a square amplitude on a shared 1-D time axis")
-        t = t.copy()
-        t.flags.writeable = False
-        # an array that owns its data and is already read-only (as
-        # jta_from_jsa hands over) is adopted; anything else is copied
-        if amp.flags.writeable or amp.base is not None:
-            amp = amp.copy()
-            amp.flags.writeable = False
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "amplitude", amp)
+        object.__setattr__(self, "times", _read_only(t))
+        object.__setattr__(self, "amplitude", _read_only(amp))
 
     @property
     def dt(self) -> float:

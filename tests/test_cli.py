@@ -52,8 +52,8 @@ class TestSimulate:
 
     def test_unknown_preset(self, tmp_path, capsys):
         code = run(tmp_path, "simulate", "--preset", "nope")
-        assert code != 0
-        assert "unknown preset" in capsys.readouterr().err
+        assert code == 1
+        assert capsys.readouterr().err == "error: unknown preset 'nope'; available: ppktp-8mm\n"
 
     def test_chirp_leaves_jsi_unchanged(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

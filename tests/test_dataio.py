@@ -260,6 +260,30 @@ class TestWritersByteIdentical:
         expected = seed_csv_text(self.META, "nu_rad_s,signal,idler", zip(nu, sig, -sig))
         assert path.read_bytes() == expected.encode()
 
+    def test_rows_in_blocks(self, tmp_path, rng):
+        # three full blocks and a remainder give the bytes of one pass
+        n = 3 * dataio._GRID_BLOCK_CELLS + 17
+        columns = [
+            rng.standard_normal(n) * 10.0 ** rng.uniform(-30, 30, n),
+            np.arange(n) * 0.5,
+            rng.random(n),
+        ]
+        path = tmp_path / "rows.csv"
+        write_rows(path, self.META, "a,b,c", columns)
+        assert path.read_bytes() == seed_csv_text(self.META, "a,b,c", zip(*columns)).encode()
+
+    def test_rows_memory_bounded(self, tmp_path):
+        # formatted a block at a time, a long table costs about nothing per row
+        n = 10**6
+        columns = [np.linspace(-1e-11, 1e-11, n), np.linspace(0.0, 1.0, n)]
+        tracemalloc.start()
+        try:
+            write_rows(tmp_path / "rows.csv", None, "a,b", columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * n
+
     def test_scans(self, tmp_path, ppktp):
         _, delays, counts = synthetic_counts(ppktp)
         scan = MeasuredScan(
@@ -421,13 +445,32 @@ class TestLoadJsi:
             load_jsi(path)
 
     def test_any_row_order(self, tmp_path, rng):
+        # shuffled nm rows give the sorted file's state bit for bit
         header, rows = jsi_lines()
         write_scan_lines(tmp_path / "a.csv", header + rows)
         shuffled = [rows[i] for i in rng.permutation(len(rows))]
         write_scan_lines(tmp_path / "b.csv", header + shuffled)
-        np.testing.assert_array_equal(
-            load_jsi(tmp_path / "b.csv").amplitude, load_jsi(tmp_path / "a.csv").amplitude
-        )
+        want, got = load_jsi(tmp_path / "a.csv"), load_jsi(tmp_path / "b.csv")
+        assert got.amplitude.tobytes() == want.amplitude.tobytes()
+        assert got.grid == want.grid
+        assert got.provenance == {**want.provenance, "source": str(tmp_path / "b.csv")}
+
+    def test_non_positive_wavelength(self, tmp_path):
+        rows = [f"{a:g},{b:g},1" for a in (0.0, 1.0) for b in (1.0, 2.0)]
+        write_scan_lines(tmp_path / "jsi.csv", ["lambda_s_nm,lambda_i_nm,intensity"] + rows)
+        with pytest.raises(ParseError, match="wavelengths must be > 0"):
+            load_jsi(tmp_path / "jsi.csv")
+
+    @pytest.mark.filterwarnings("error")
+    def test_detuning_axes_not_exported_as_wavelengths(self, tmp_path):
+        # detuning axes name no carrier, so no wavelength axis can be written
+        axis = np.linspace(-2e12, 2e12, 5)
+        rows = [f"{a:g},{b:g},1" for a in axis for b in axis]
+        write_scan_lines(tmp_path / "jsi.csv", ["nu_s_rad_s,nu_i_rad_s,intensity"] + rows)
+        state = load_jsi(tmp_path / "jsi.csv")
+        with pytest.raises(DomainError, match="central frequencies"):
+            export_jsi_csv(state, tmp_path / "out.csv")
+        assert not (tmp_path / "out.csv").exists()
 
     def test_padded_cells_and_interleaved_blank_and_comment_lines(self, tmp_path):
         header, rows = jsi_lines()
@@ -786,6 +829,29 @@ class TestFitDip:
         _, delays, counts = synthetic_counts(ppktp)
         with pytest.raises(DomainError, match="unknown dip model"):
             fit_dip(MeasuredScan(delays=delays, counts=counts), model="lorentzian")
+
+    def test_flat_scan_width_guess_falls_back(self, monkeypatch):
+        # a flat scan has no dip to measure: the width guess is a quarter of
+        # the scan, and the fit still converges; other errors are not masked
+        raised = []
+
+        def spy(axis, values):
+            try:
+                return intensity_fwhm(axis, values)
+            except DomainError as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(dataio, "intensity_fwhm", spy)
+        scan = MeasuredScan(delays=np.linspace(-2e-12, 2e-12, 41), counts=np.full(41, 1000.0))
+        report = fit_dip(scan)
+        assert len(raised) == 1
+        assert report.baseline == pytest.approx(1000.0)
+        assert report.visibility == pytest.approx(0.0, abs=1e-9)
+        assert report.t_c == pytest.approx(1e-12, rel=0.01)
+        monkeypatch.setattr(dataio, "intensity_fwhm", lambda axis, values: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            fit_dip(scan)
 
     def test_unconstrained_fit_raises(self):
         delays = np.linspace(-1e-12, 1e-12, 12)

@@ -28,10 +28,13 @@ from biphoton import (
     preset_with_pump,
     schmidt_decompose,
 )
+from biphoton.dataio import MeasuredScan
 from biphoton.errors import CoverageError
+from biphoton.hom import DelayScan
 from biphoton.jsa import MEMORY_BUDGET_BYTES, GaussianJsaParams, gaussian_marginal_fwhms, jsa_bytes
 from biphoton.jsa import BUILD_JSA_PEAK_FACTOR, MIN_SAMPLES_PER_FWHM, check_memory_budget
 from biphoton.spectral import pump_envelope, sinc
+from biphoton.temporal import JointTemporalAmplitude
 
 from helpers import make_pm, make_pump, random_source
 
@@ -183,15 +186,30 @@ class TestIntensity:
             assert other.intensity is not state.intensity
             assert other.intensity.tobytes() == (np.abs(other.amplitude) ** 2).tobytes()
 
-    def test_read_only_owned_array_adopted_other_copied(self):
-        grid = FrequencyGrid.square_symmetric(1e13, 8)
-        owned = np.ones((8, 8), dtype=complex)
+    @pytest.mark.parametrize("hand_over,given", [
+        (lambda a: JointSpectralAmplitude(FrequencyGrid.square_symmetric(1e13, 8), a).amplitude,
+         np.ones((8, 8), dtype=complex)),
+        (lambda a: JointTemporalAmplitude(np.linspace(-1e-12, 1e-12, 8), a, {}).amplitude,
+         np.ones((8, 8), dtype=complex)),
+        (lambda a: JointTemporalAmplitude(a, np.ones((12, 12), dtype=complex), {}).times,
+         np.linspace(-1e-12, 1e-12, 12)),
+        (lambda a: DelayScan(delays=a, rates=np.full(12, 0.5)).delays,
+         np.linspace(-1e-12, 1e-12, 12)),
+        (lambda a: MeasuredScan(delays=a, counts=np.ones(12)).delays,
+         np.linspace(-1e-12, 1e-12, 12)),
+    ], ids=["jsa-amplitude", "jta-amplitude", "jta-times", "delay-scan", "measured-scan"])
+    def test_read_only_owned_array_adopted_other_copied(self, hand_over, given):
+        owned = given.copy()
         owned.flags.writeable = False
-        assert JointSpectralAmplitude(grid, owned).amplitude is owned
-        writable = np.ones((8, 8), dtype=complex)
-        state = JointSpectralAmplitude(grid, writable)
-        writable[0, 0] = 5.0
-        assert state.amplitude[0, 0] == 1.0 and not state.amplitude.flags.writeable
+        assert hand_over(owned) is owned
+        writable = given.copy()
+        view = writable[:]
+        view.flags.writeable = False
+        for array in (writable, view):
+            kept = hand_over(array)
+            writable.flat[0] = 5.0
+            assert kept.flat[0] == given.flat[0] and not kept.flags.writeable
+            writable.flat[0] = given.flat[0]
 
     @pytest.mark.parametrize("profile", ["gaussian", "sinc"])
     def test_build_peak_at_most_three_amplitudes(self, ppktp, profile):

@@ -75,7 +75,7 @@ class TestPresetFiles:
         )
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(DomainError):
             load_preset("no-such-device")
 
     def test_parse_roundtrip(self, ppktp):

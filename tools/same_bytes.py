@@ -110,6 +110,8 @@ RUNS = (
         ("hom", *_P, "--model", "numeric-sinc", "--pump-fwhm-nm", "0.7", *_OUT)),
     Run("hom-gaussian-99",
         ("hom", *_P, "--model", "gaussian", "--delay-points", "99", *_OUT), quick=True),
+    Run("hom-gaussian-100k",
+        ("hom", *_P, "--model", "gaussian", "--delay-points", "100000", *_OUT)),
     Run("hom-numeric-n16", ("hom", *_P, "--model", "numeric", "--grid-n", "16", *_OUT),
         quick=True),
     Run("hom-n3-fails", ("hom", *_P, "--grid-n", "3", *_OUT)),
