@@ -54,7 +54,8 @@ class DelayScan:
         rates = np.asarray(self.rates, dtype=float)
         if delays.ndim != 1 or delays.shape != rates.shape:
             raise DomainError("delays and rates must be 1-D arrays of equal length")
-        if delays.size < 2 or not np.all(np.diff(delays) > 0):
+        # compared in place: np.diff would add a temporary of 8 bytes a row
+        if delays.size < 2 or not np.all(delays[1:] > delays[:-1]):
             raise DomainError("delays must be strictly increasing")
         if np.min(rates) < -1e-9 or np.max(rates) > 1.0 + _RATE_SLACK:
             raise DomainError(
@@ -112,8 +113,9 @@ def coincidence_rate_numeric(state: JointSpectralAmplitude, tau: float) -> float
 def coincidence_scan(state: JointSpectralAmplitude, delays) -> DelayScan:
     """Vectorized coincidence rates over a delay axis."""
     delays = np.asarray(delays, dtype=float)
-    rates = 1.0 - _exchange_overlap(state, delays)
-    return DelayScan(delays=delays, rates=np.clip(rates, 0.0, None))
+    rates = np.clip(1.0 - _exchange_overlap(state, delays), 0.0, None)
+    rates.flags.writeable = False  # fresh: DelayScan adopts it
+    return DelayScan(delays=delays, rates=rates)
 
 
 def gaussian_dip_width(pm: PhasematchSpec) -> float:
@@ -165,7 +167,9 @@ def coincidence_rate_gaussian(pump: PumpSpec, pm: PhasematchSpec, tau):
 def gaussian_scan(pump: PumpSpec, pm: PhasematchSpec, delays) -> DelayScan:
     """Closed-form rates over a delay axis."""
     delays = np.asarray(delays, dtype=float)
-    return DelayScan(delays=delays, rates=coincidence_rate_gaussian(pump, pm, delays))
+    rates = np.asarray(coincidence_rate_gaussian(pump, pm, delays))
+    rates.flags.writeable = False  # fresh: DelayScan adopts it
+    return DelayScan(delays=delays, rates=rates)
 
 
 def default_delays(pm: PhasematchSpec, n: int = 201, spans: float = 4.0) -> np.ndarray:

@@ -8,17 +8,21 @@ step ``dt = 2 pi / (N dnu)`` resolves the temporal structure; the padding
 factor only refines the sampling, it adds no information.
 
 :func:`jta_from_jsa` gives the same bits as
-``fftshift(fft2(ifftshift(padded)))`` without building the padded array.
-``fft2`` is a 1-D FFT along the idler axis followed by one along the signal
-axis, and each 1-D FFT is computed line by line with one plan per length, so
-a line's result does not depend on what else is transformed with it.  The
-first pass therefore runs on the ``n`` non-zero signal rows only (a zero row
-transforms to zero), placed where ``ifftshift`` would put them.  Those
-places are one contiguous range modulo N, so the rows (and, in the second
-pass, the columns) are copied in as two slices, not scattered by index.  The
-second pass runs on blocks of columns in a small zero slab, and each block's
-output is shifted and scaled straight into the result.  An ``oversample``
-of 4 skips 3/4 of the first pass.
+``fftshift(fft2(ifftshift(padded), axes=(1, 0)))`` without building the
+padded array.  That ``fft2`` is a 1-D FFT along the signal axis followed by
+one along the idler axis, and each 1-D FFT is computed line by line with one
+plan per length, so a line's result does not depend on what else is
+transformed with it.  The first pass therefore transforms the ``n``
+non-zero idler columns only (a zero line transforms to zero), each as one
+contiguous padded line placed where ``ifftshift`` would put it.  Those
+places are one contiguous range modulo N, so the lines are copied in as two
+slices, not scattered by index.  The result is copied once, transposed, so
+that each signal time's ``n`` idler values are contiguous.  The second pass
+walks the output in blocks of :data:`_ROW_BLOCK` signal-time rows, split at
+the fftshift wrap point so each block reads one contiguous range of lines:
+it places them in a small zero slab, transforms the slab's contiguous rows
+and scales the two fftshift halves straight into the result.  An
+``oversample`` of 4 skips 3/4 of the first pass.
 
 Two N x N arrays exist: the complex result and its float |JTA|^2, which
 the Parseval check computes once and the JTA keeps as ``intensity``.
@@ -29,6 +33,7 @@ and allocates nothing of size N x N.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -50,8 +55,8 @@ DEFAULT_OVERSAMPLE = 4
 # Parseval mismatch above this aborts: it indicates a broken transform.
 _PARSEVAL_TOL = 1e-9
 
-# Columns per block in the second transform pass: the slab stays in cache.
-_COLUMN_BLOCK = 64
+# Signal-time rows per block in the second transform pass: the slab stays in cache.
+_ROW_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -121,8 +126,8 @@ def jta_from_jsa(
     """
     if not state.grid.is_square:
         raise GridError("temporal transform needs a square symmetric grid")
-    if oversample < 1:
-        raise DomainError(f"oversample must be >= 1, got {oversample}")
+    if isinstance(oversample, bool) or not isinstance(oversample, numbers.Integral) or oversample < 1:
+        raise DomainError(f"oversample must be an integer >= 1, got {oversample!r}")
     oversample = int(oversample)
     n = state.grid.n_s
     dnu = state.grid.d_nu_s
@@ -135,27 +140,36 @@ def jta_from_jsa(
     head = min(n, big_n - start)
     placed = ((slice(start, start + head), slice(0, head)), (slice(0, n - head), slice(head, n)))
 
-    rows = np.zeros((n, big_n), dtype=complex)
+    # pass 1, signal axis: one padded line per idler frequency
+    lines = np.zeros((n, big_n), dtype=complex)
     for dst, src in placed:
-        rows[:, dst] = state.amplitude[:, src]
-    rows = np.fft.fftshift(np.fft.fft(rows, axis=1), axes=1)
+        lines[:, dst] = state.amplitude[src].T
+    np.fft.fft(lines, axis=1, out=lines)
+    # row t of the copy holds signal time t's n idler values
+    lines = lines.T.copy()
 
+    # pass 2, idler axis: fftshift along the signal axis puts line
+    # (r - half) mod big_n in output row r, so the walk splits at row half
     scale = dnu * dnu / (2.0 * math.pi)
     out = np.empty((big_n, big_n), dtype=complex)
-    slab = np.zeros((big_n, _COLUMN_BLOCK), dtype=complex)
-    for c0 in range(0, big_n, _COLUMN_BLOCK):
-        c1 = min(c0 + _COLUMN_BLOCK, big_n)
-        block = slab[:, : c1 - c0]
-        for dst, src in placed:
-            block[dst] = rows[src, c0:c1]
-        cols = np.fft.fft(block, axis=0)
-        # fftshift along the signal axis, scaled on the way into the result
-        np.multiply(cols[big_n - half :], scale, out=out[:half, c0:c1])
-        np.multiply(cols[: big_n - half], scale, out=out[half:, c0:c1])
-    del rows
+    slab = np.zeros((_ROW_BLOCK, big_n), dtype=complex)
+    spectra = np.empty_like(slab)
+    for lo, hi in ((0, half), (half, big_n)):
+        for r0 in range(lo, hi, _ROW_BLOCK):
+            rows = min(_ROW_BLOCK, hi - r0)
+            first = (r0 - half) % big_n
+            block = slab[:rows]
+            for dst, src in placed:
+                block[:, dst] = lines[first : first + rows, src]
+            spec = np.fft.fft(block, axis=1, out=spectra[:rows])
+            # fftshift along the idler axis, scaled on the way into the result
+            np.multiply(spec[:, big_n - half :], scale, out=out[r0 : r0 + rows, :half])
+            np.multiply(spec[:, : big_n - half], scale, out=out[r0 : r0 + rows, half:])
+    del lines
     dt = 2.0 * math.pi / (big_n * dnu)
     times = (np.arange(big_n) - half) * dt
 
+    times.flags.writeable = False
     out.flags.writeable = False
     prov = dict(state.provenance)
     jta = JointTemporalAmplitude(times=times, amplitude=out, provenance=prov)

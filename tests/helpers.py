@@ -3,6 +3,7 @@
 import numpy as np
 
 from biphoton import PhasematchSpec, PumpSpec
+from biphoton.jsa import _read_only
 
 OMEGA0 = 1.227134571536712e15
 
@@ -53,3 +54,17 @@ def matmul_overlap(state, delays):
     norm = float(np.sum(np.abs(f) ** 2))
     phases = np.exp(1j * np.outer(state.grid.nu_s, delays))
     return np.real(np.sum(phases * (kernel @ np.conj(phases)), axis=0)) / norm
+
+
+def record_adoptions(monkeypatch, module):
+    """Wrap ``module._read_only``; the returned list gets, per hand-over,
+    whether the array was adopted (True) or copied (False)."""
+    adopted = []
+
+    def spy(array):
+        kept = _read_only(array)
+        adopted.append(kept is array)
+        return kept
+
+    monkeypatch.setattr(module, "_read_only", spy)
+    return adopted

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -36,10 +37,11 @@ from biphoton import (
     transform_limited_duration,
     visibility_coefficient,
 )
+from biphoton import hom
 from biphoton.hom import _exchange_overlap, gaussian_dip_width
 from biphoton.spectral import GAUSSIAN_FWHM_FACTOR
 
-from helpers import OMEGA0, make_pm, make_pump, matmul_overlap, random_source
+from helpers import OMEGA0, make_pm, make_pump, matmul_overlap, random_source, record_adoptions
 
 
 class TestNumericRate:
@@ -235,7 +237,31 @@ class TestExtractDip:
         with pytest.raises(DomainError):
             DelayScan(delays=np.array([0.0, -1e-13, 1e-13]), rates=np.ones(3))
         with pytest.raises(DomainError):
+            DelayScan(delays=np.array([0.0, 0.0, 1e-13]), rates=np.ones(3))
+        with pytest.raises(DomainError):
+            DelayScan(delays=np.array([0.0, np.nan, 1e-13]), rates=np.ones(3))
+        with pytest.raises(DomainError):
             DelayScan(delays=np.linspace(-1, 1, 11), rates=np.full(11, 1.2))
+
+    def test_fresh_rates_adopted(self, ppktp, monkeypatch):
+        # the caller's delays are copied, the freshly computed rates kept
+        adopted = record_adoptions(monkeypatch, hom)
+        state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=32))
+        delays = default_delays(ppktp.pm)
+        gaussian_scan(ppktp.pump, ppktp.pm, delays)
+        coincidence_scan(state, delays)
+        assert adopted == [False, True, False, True]
+
+    def test_gaussian_scan_memory(self, ppktp):
+        # the copied delays and the adopted rates, 8 bytes a row each
+        delays = default_delays(ppktp.pm, n=10**6)
+        tracemalloc.start()
+        try:
+            gaussian_scan(ppktp.pump, ppktp.pm, delays)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16.5 * delays.size
 
 
 class TestPumpIndependence:

@@ -24,20 +24,25 @@ from biphoton import (
     preset_with_pump,
     timing_gain,
 )
+from biphoton import temporal
 from biphoton.jsa import MEMORY_BUDGET_BYTES, auto_grid
 from biphoton.temporal import JointTemporalAmplitude, _diagonal_bins, jta_bytes
-from helpers import random_source
+from helpers import random_source, record_adoptions
 
 
-def reference_jta(state, oversample):
-    """The transform as fftshift(fft2(ifftshift(padded))), with its Parseval mismatch."""
+def reference_jta(state, oversample, axes=(1, 0)):
+    """The transform as fftshift(fft2(ifftshift(padded), axes)), with its Parseval mismatch.
+
+    ``axes=(1, 0)`` transforms the signal axis first, as :func:`jta_from_jsa`
+    does; the default ``fft2`` order transforms the idler axis first.
+    """
     n = state.grid.n_s
     dnu = state.grid.d_nu_s
     big_n = oversample * n
     padded = np.zeros((big_n, big_n), dtype=complex)
     start = (big_n - n) // 2
     padded[start : start + n, start : start + n] = state.amplitude
-    out = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(padded)))
+    out = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(padded), axes=axes))
     out *= dnu * dnu / (2.0 * math.pi)
     dt = 2.0 * math.pi / (big_n * dnu)
     power_nu = float(np.sum(np.abs(state.amplitude) ** 2)) * dnu * dnu
@@ -122,7 +127,11 @@ class TestTransform:
     )
     @example(seed=1, profile="sinc", n=101, oversample=3)
     @example(seed=2, profile="gaussian", n=128, oversample=4)
+    @example(seed=6, profile="gaussian", n=8, oversample=1)
+    @example(seed=7, profile="sinc", n=9, oversample=1)
     def test_matches_fft2_reference(self, seed, profile, n, oversample):
+        # the examples put the fftshift wrap on an odd N, with no padding
+        # (oversample 1) and on the smallest grid
         pump, pm = random_source(np.random.default_rng(seed), profile)
         state = build_jsa(pump, pm, auto_grid(pump, pm, n=n))
         expected, mismatch = reference_jta(state, oversample)
@@ -130,6 +139,10 @@ class TestTransform:
         assert jta.amplitude.tobytes() == expected.tobytes()
         assert jta.provenance["transform"] == {"oversample": oversample, "parseval_mismatch": mismatch}
         assert mismatch < 1e-9
+        # the idler-first fft2 order differs by rounding only
+        idler_first, _ = reference_jta(state, oversample, axes=(-2, -1))
+        peak = np.max(np.abs(expected))
+        np.testing.assert_allclose(jta.amplitude, idler_first, rtol=0, atol=1e-14 * peak)
         for got, want in zip(_diagonal_bins(jta.intensity), reference_projections(expected)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * want.max())
 
@@ -155,15 +168,19 @@ class TestTransform:
             amp[0, 0] = 1.0
 
     def test_allocation_peak(self, ppktp):
-        # a full-size temporary besides the result would add 1x nbytes
+        # the n x N transformed lines (0.25x at 4x oversampling) are freed
+        # before the float intensity (0.5x) is made; a full-size temporary
+        # besides the result would add 1x nbytes.  The state's own intensity
+        # is made first, so only the transform's allocations are traced.
         state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=128))
+        state.intensity
         tracemalloc.start()
         try:
             jta = jta_from_jsa(state, oversample=4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * jta.amplitude.nbytes
+        assert peak < 1.7 * jta.amplitude.nbytes
 
     def test_intensity_filled_by_parseval_check(self, ppktp):
         state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=64))
@@ -182,6 +199,27 @@ class TestTransform:
         finally:
             tracemalloc.stop()
         assert peak < 0.05 * jta.amplitude.nbytes
+
+    @pytest.mark.parametrize("oversample", [2.7, True, 0, -1, "2"])
+    def test_non_integer_oversample_rejected(self, ppktp, oversample):
+        state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=16))
+        with pytest.raises(DomainError, match="oversample must be an integer >= 1"):
+            jta_from_jsa(state, oversample)
+
+    def test_numpy_integer_oversample_accepted(self, ppktp):
+        state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=16))
+        jta = jta_from_jsa(state, np.int64(3))
+        assert jta.times.size == 48
+        assert jta.provenance["transform"]["oversample"] == 3
+        assert type(jta.provenance["transform"]["oversample"]) is int
+
+    def test_fresh_arrays_adopted(self, ppktp, monkeypatch):
+        # the transform hands over its times axis and amplitude read-only,
+        # so the JTA keeps them instead of copying
+        adopted = record_adoptions(monkeypatch, temporal)
+        state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=16))
+        jta_from_jsa(state, 2)
+        assert adopted == [True, True]
 
     def test_non_square_grid_rejected(self):
         grid = FrequencyGrid(32, 32, -1e13, 1e13, -0.6e13, 1e13)
