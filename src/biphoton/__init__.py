@@ -60,6 +60,7 @@ from .hom import (
     HOMResult,
     coincidence_rate_gaussian,
     coincidence_rate_numeric,
+    coincidence_rate_sinc,
     coincidence_scan,
     correlation_time_gaussian,
     default_delays,
@@ -75,7 +76,6 @@ from .temporal import (
     timing_gain,
 )
 from .dataio import (
-    DipKernel,
     FitReport,
     MeasuredScan,
     TableRow,

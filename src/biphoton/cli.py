@@ -352,20 +352,16 @@ def cmd_sweep(opts: dict) -> int:
 def cmd_analyze(opts: dict) -> int:
     scan = load_scan(opts["scan_file"])
     model = opts.get("model", "gaussian-dip")
-    name = opts.get("preset")
-    pump_fwhm_nm = opts.get("pump_fwhm_nm")
-    if model == "sinc-kernel-dip" and (name is None or pump_fwhm_nm is None):
-        print(
-            "error: sinc-kernel-dip needs --preset and --pump-fwhm-nm for the kernel",
-            file=sys.stderr,
-        )
-        return 2
-    scan_sha256 = hashlib.sha256(Path(opts["scan_file"]).read_bytes()).hexdigest()
-    meta = _meta(opts, scan_sha256=scan_sha256)
-
     kernel = None
     if model == "sinc-kernel-dip":
+        name, pump_fwhm_nm = opts.get("preset"), opts.get("pump_fwhm_nm")
+        if name is None or pump_fwhm_nm is None:
+            print("error: sinc-kernel-dip needs --preset and --pump-fwhm-nm for the kernel",
+                  file=sys.stderr)
+            return 2
         kernel = sinc_dip_kernel(load_preset(name), pump_fwhm_nm)
+    scan_sha256 = hashlib.sha256(Path(opts["scan_file"]).read_bytes()).hexdigest()
+    meta = _meta(opts, scan_sha256=scan_sha256)
 
     report = fit_dip(scan, model=model, kernel=kernel)
     payload = {"provenance": meta}

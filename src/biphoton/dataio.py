@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CoverageError, DomainError, FitError, ParseError
-from .hom import DelayScan, coincidence_scan, default_delays, extract_dip
+from .hom import DelayScan, coincidence_rate_sinc, coincidence_scan, default_delays, extract_dip
 from .jsa import (
     FrequencyGrid,
     JointSpectralAmplitude,
@@ -204,12 +204,12 @@ def _body_blocks(columns, labels=None):
         yield b"".join(cells.tolist())
 
 
-def write_rows(path, meta: dict | None, header: str, columns, comments=()) -> None:
-    """Write equal-length 1-D float ``columns`` as CSV rows."""
+def write_rows(path, meta: dict | None, header: str, columns, comments=(), labels=None) -> None:
+    """Write equal-length 1-D float ``columns`` as CSV rows, after ``labels(rows)`` if given."""
     columns = [np.asarray(c, dtype=float) for c in columns]
     if len({c.shape for c in columns}) != 1:
         raise ValueError(f"columns of unequal shapes {[c.shape for c in columns]}")
-    _write_csv(path, meta, header, _body_blocks(columns), comments)
+    _write_csv(path, meta, header, _body_blocks(columns, labels), comments)
 
 
 def write_grid(path, meta: dict | None, header: str, axis_s, axis_i, values) -> None:
@@ -376,8 +376,9 @@ def export_scan(scan: MeasuredScan, path, meta: dict | None = None) -> None:
 
 
 def export_delay_scan(scan: DelayScan, path, meta: dict | None = None) -> None:
-    """Write a simulated scan as ``tau_ps,rate``."""
-    write_rows(path, meta, "tau_ps,rate", [scan.delays * 1e12, scan.rates])
+    """Write a simulated scan as ``tau_ps,rate``, scaling one block of delays at a time."""
+    write_rows(path, meta, "tau_ps,rate", [scan.rates],
+               labels=lambda rows: _format_cells(scan.delays[rows] * 1e12, b","))
 
 
 def export_jsa_csv(state: JointSpectralAmplitude, path, meta: dict | None = None) -> None:
@@ -526,32 +527,20 @@ def load_jsi(path) -> JointSpectralAmplitude:
     return JointSpectralAmplitude(grid, amplitude, provenance)
 
 
-@dataclass(frozen=True)
-class DipKernel:
-    """Normalized dip shape D(u): depth 1 at the minimum, FWHM 1 in u."""
+def sinc_dip_kernel(preset: SourcePreset, pump_fwhm_nm: float):
+    """The source's sinc-profile dip D(u), of depth 1 at u = 0 and FWHM 1 in u.
 
-    u: np.ndarray
-    depth: np.ndarray
-
-    def __call__(self, u) -> np.ndarray:
-        return np.interp(np.asarray(u, dtype=float), self.u, self.depth, left=0.0, right=0.0)
-
-
-def sinc_dip_kernel(preset: SourcePreset, pump_fwhm_nm: float, n_grid: int = 512) -> DipKernel:
-    """Dip shape from a sinc-profile simulation of the given source.
-
-    Plays the role of the 'exact joint-spectrum' dip model when fitting
-    measured scans from a sinc-phasematched device.
+    :func:`~biphoton.hom.coincidence_rate_sinc`, scaled; the half-depth delay
+    is bisected on the half support [0, |tau_s - tau_i| / 2], where the depth
+    falls monotonically (a Newton step can leave it at strong pump coupling).
     """
     src = preset_with_pump(preset, pump_fwhm_nm=pump_fwhm_nm, profile="sinc")
-    state = build_jsa(src.pump, src.pm, auto_grid(src.pump, src.pm, n=n_grid))
-    delays = default_delays(src.pm, n=801, spans=4.0)
-    scan = coincidence_scan(state, delays)
-    depth = 1.0 - scan.rates
-    depth = depth / depth.max()
-    width = intensity_fwhm(scan.delays, depth)
-    center = scan.delays[int(np.argmax(depth))]
-    return DipKernel(u=(scan.delays - center) / width, depth=depth)
+    rate = functools.partial(coincidence_rate_sinc, src.pump, src.pm)
+    half = 0.5 * (1.0 - rate(0.0))
+    lo, hi = 0.0, 0.5 * abs(src.pm.tau_s - src.pm.tau_i)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if 1.0 - rate(mid) > half else (lo, mid)
+    return lambda u: (1.0 - rate(np.asarray(u, dtype=float) * (lo + hi))) / (2.0 * half)
 
 
 def _gaussian_depth(u) -> np.ndarray:
@@ -652,12 +641,13 @@ def _levenberg_marquardt(residual, p: np.ndarray, lower: np.ndarray, upper: np.n
     return None
 
 
-def fit_dip(scan: MeasuredScan, model: str = "gaussian-dip", kernel: DipKernel | None = None) -> FitReport:
+def fit_dip(scan: MeasuredScan, model: str = "gaussian-dip", kernel=None) -> FitReport:
     """Fit (baseline, visibility, center, width) to a measured scan.
 
-    ``model`` is ``gaussian-dip`` or ``sinc-kernel-dip`` (``kernel``
-    required for the latter).  Counts with a sigma column are weighted by
-    it; integer-looking raw counts get Poisson sqrt(n) weights; otherwise
+    ``model`` is ``gaussian-dip`` or ``sinc-kernel-dip``; the latter needs
+    ``kernel``, a dip shape of depth 1 and FWHM 1 such as
+    :func:`sinc_dip_kernel` returns.  Counts with a sigma column are weighted
+    by it; integer-looking raw counts get Poisson sqrt(n) weights; otherwise
     the fit is unweighted.  The fitted width parameter is the dip intensity
     FWHM, reported with its covariance-based uncertainty.
     """
@@ -665,7 +655,7 @@ def fit_dip(scan: MeasuredScan, model: str = "gaussian-dip", kernel: DipKernel |
         shape = _gaussian_depth
     elif model == "sinc-kernel-dip":
         if kernel is None:
-            raise DomainError("sinc-kernel-dip fitting needs a DipKernel")
+            raise DomainError("sinc-kernel-dip fitting needs a dip kernel")
         shape = kernel
     else:
         raise DomainError(f"unknown dip model {model!r}")

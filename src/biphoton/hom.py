@@ -1,5 +1,5 @@
-"""Hong-Ou-Mandel coincidence scans: numeric from a JSA, closed form for
-the gaussian profile, and dip readout.
+"""Hong-Ou-Mandel coincidence scans: numeric from a JSA, closed forms for
+the gaussian and sinc profiles, and dip readout.
 
 Normalization: the interference integral is divided by the L2 norm of the
 amplitude, so the coincidence rate is 1 far from overlap and ``1 - h`` at
@@ -36,6 +36,8 @@ MIN_VISIBILITY = 0.02
 BASELINE_RATE = 0.9
 
 _RATE_SLACK = 0.05
+
+_erf = np.vectorize(math.erf, otypes=[float])  # elementwise, and no scipy import
 
 # Delays whose phases the numeric overlap holds at once: an (n - 1) x
 # DELAY_BLOCK complex matrix, 8 MiB a block at n = 512.
@@ -164,6 +166,27 @@ def coincidence_rate_gaussian(pump: PumpSpec, pm: PhasematchSpec, tau):
     return out if out.ndim else float(out)
 
 
+def coincidence_rate_sinc(pump: PumpSpec, pm: PhasematchSpec, tau):
+    """Closed-form sinc-profile rate ``1 - sqrt(pi) / (2 kappa) erf(kappa w / 2)``.
+
+    The exchange overlap of Grice and Walmsley (PRA 56, 1627 (1997)) with
+    ``w = max(0, 2 - 4 |tau| / |tau_s - tau_i|)``, ``kappa = |tau_s + tau_i|
+    sigma_p / (4 sqrt(2))``, and the triangle ``1 - w / 2`` at kappa = 0.  The
+    support |tau| < |tau_s - tau_i| / 2 is the crystal's alone: the pump
+    reshapes the dip only through kappa, the chirp not at all.
+    """
+    if pm.profile != "sinc":
+        raise UnsupportedProfileError("closed-form sinc rate requires the sinc profile")
+    tau = np.asarray(tau, dtype=float)
+    w = np.maximum(0.0, 2.0 - 4.0 * np.abs(tau) / abs(pm.tau_s - pm.tau_i))
+    kappa = abs(pm.tau_s + pm.tau_i) * pump.sigma_p / (4.0 * math.sqrt(2.0))
+    if kappa == 0.0:
+        out = 1.0 - 0.5 * w
+    else:
+        out = 1.0 - math.sqrt(math.pi) / (2.0 * kappa) * _erf(0.5 * kappa * w)
+    return out if out.ndim else float(out)
+
+
 def gaussian_scan(pump: PumpSpec, pm: PhasematchSpec, delays) -> DelayScan:
     """Closed-form rates over a delay axis."""
     delays = np.asarray(delays, dtype=float)
@@ -177,7 +200,8 @@ def default_delays(pm: PhasematchSpec, n: int = 201, spans: float = 4.0) -> np.n
     w = gaussian_dip_width(pm)
     if w == 0.0:
         raise DomainError("tau_s = tau_i gives a zero-width dip")
-    return np.linspace(-spans * GAUSSIAN_FWHM_FACTOR * w, spans * GAUSSIAN_FWHM_FACTOR * w, n)
+    end = spans * GAUSSIAN_FWHM_FACTOR * w
+    return _read_only(np.linspace(-end, end, n))  # an owned copy of linspace's view: adopted
 
 
 def extract_dip(scan: DelayScan, model: str = "numeric") -> HOMResult:

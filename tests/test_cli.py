@@ -203,6 +203,20 @@ class TestHom:
         assert code == 0
         assert peak <= 405e6 / 8
 
+    def test_long_closed_form_scan_peak(self, tmp_path):
+        # delays, rates and the dip depth, 8 bytes a row each, and a boolean
+        # mask (25.07 B/row); a copied delay axis and a whole ps column made it 33.07
+        rows = 10**6
+        tracemalloc.start()
+        try:
+            code = run(tmp_path, "hom", "--preset", "ppktp-8mm", "--model", "gaussian",
+                       "--delay-points", str(rows))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 25.1 * rows
+
     def test_narrow_delay_range_fails(self, tmp_path, capsys):
         code = run(tmp_path, "hom", "--preset", "ppktp-8mm", "--delay-span", "0.4")
         assert code != 0

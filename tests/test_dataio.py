@@ -4,7 +4,9 @@ import math
 import struct
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -40,13 +42,11 @@ from biphoton import (
     write_grid,
     write_rows,
 )
-from biphoton import dataio
+from biphoton import dataio, hom, jsa
 from biphoton.dataio import _format_cells, format_float, provenance_line
 from biphoton.hom import gaussian_dip_width
 from biphoton.jsa import FrequencyGrid
 from biphoton.spectral import GAUSSIAN_FWHM_FACTOR, wavelength_to_angular_frequency
-
-from helpers import matmul_overlap
 
 
 def write_scan_lines(path, lines):
@@ -736,37 +736,40 @@ class TestFitDip:
         )
         assert report.t_c == pytest.approx(t_ref, rel=5e-3)
 
-    def test_sinc_kernel_default_grid_unchanged(self, ppktp):
-        # the kernel as built when sinc_dip_kernel ignored n_grid (build_jsa's own grid)
-        src = preset_with_pump(ppktp, pump_fwhm_nm=2.0, profile="sinc")
-        scan = coincidence_scan(
-            build_jsa(src.pump, src.pm, grid=None), default_delays(src.pm, n=801, spans=4.0)
-        )
-        depth = 1.0 - scan.rates
-        depth = depth / depth.max()
-        center = scan.delays[int(np.argmax(depth))]
-        u = (scan.delays - center) / intensity_fwhm(scan.delays, depth)
+    @pytest.mark.parametrize("symmetric,pump_fwhm_nm,kappa", [
+        (True, 2.0, 0.0), (False, 2.0, 0.38), (False, 4.5, 0.85),
+    ], ids=["kappa-0", "kappa-0.38", "kappa-0.85"])
+    def test_sinc_kernel_unit_shape(self, ppktp, symmetric, pump_fwhm_nm, kappa):
+        # tau_i = -tau_s makes the state exchange-symmetric: kappa = 0, the triangle
+        preset = replace(ppktp, pm=replace(ppktp.pm, tau_i=-ppktp.pm.tau_s)) if symmetric else ppktp
+        src = preset_with_pump(preset, pump_fwhm_nm=pump_fwhm_nm)
+        k = abs(src.pm.tau_s + src.pm.tau_i) * src.pump.sigma_p / (4 * math.sqrt(2))
+        assert k == pytest.approx(kappa, abs=0.005)
+        # support edge in u from the inverse erf: erf(k w / 2) = erf(k) / 2 at
+        # half depth, w = 2 - 2 |u| (2 - w_half) in units of the FWHM
+        if k == 0:
+            w_half = 1.0
+        else:
+            y = math.erf(k) / 2
+            w_half = 2 / k * NormalDist().inv_cdf((1 + y) / 2) / math.sqrt(2)
+        edge = 1 / (2 - w_half)
+        kernel = sinc_dip_kernel(preset, pump_fwhm_nm)
+        assert kernel(0.0) == 1.0
+        np.testing.assert_allclose(kernel(np.array([-0.5, 0.5])), 0.5, rtol=0, atol=1e-12)
+        outside = np.array([1 + 1e-9, 1.5, 10.0]) * edge
+        np.testing.assert_array_equal(kernel(np.concatenate([-outside, outside])), 0.0)
+        assert np.all(kernel(np.array([-1, 1]) * edge * (1 - 1e-6)) > 0)
+
+    def test_sinc_kernel_builds_no_jsa(self, ppktp, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sinc kernel is a closed form")
+
+        for module in (dataio, hom, jsa):
+            for name in ("build_jsa", "coincidence_scan"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
         kernel = sinc_dip_kernel(ppktp, 2.0)
-        np.testing.assert_array_equal(kernel.u, u)
-        np.testing.assert_array_equal(kernel.depth, depth)
-
-    @pytest.mark.parametrize("pump_fwhm_nm", [0.7, 2.0, 4.5])
-    def test_sinc_kernel_matches_matmul_overlap(self, ppktp, pump_fwhm_nm):
-        src = preset_with_pump(ppktp, pump_fwhm_nm=pump_fwhm_nm, profile="sinc")
-        state = build_jsa(src.pump, src.pm, auto_grid(src.pump, src.pm, n=128))
-        delays = default_delays(src.pm, n=801, spans=4.0)
-        depth = 1.0 - np.clip(1.0 - matmul_overlap(state, delays), 0.0, None)
-        depth = depth / depth.max()
-        center = delays[int(np.argmax(depth))]
-        u = (delays - center) / intensity_fwhm(delays, depth)
-        kernel = sinc_dip_kernel(ppktp, pump_fwhm_nm, n_grid=128)
-        np.testing.assert_allclose(kernel.u, u, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(kernel.depth, depth, rtol=0, atol=1e-12)
-
-    def test_sinc_kernel_honours_n_grid(self, ppktp):
-        default = sinc_dip_kernel(ppktp, 2.0)
-        coarse = sinc_dip_kernel(ppktp, 2.0, n_grid=256)
-        assert not np.array_equal(coarse.depth, default.depth)
+        assert kernel(0.5) == pytest.approx(0.5, abs=1e-12)
 
     @staticmethod
     def poisson_scans(ppktp, model, seeds):

@@ -26,6 +26,7 @@ from biphoton import (
     build_jsa,
     coincidence_rate_gaussian,
     coincidence_rate_numeric,
+    coincidence_rate_sinc,
     coincidence_scan,
     correlation_time_gaussian,
     default_delays,
@@ -180,6 +181,67 @@ class TestClosedForm:
             visibility_coefficient(make_pump(3e12), pm)
 
 
+class TestSincClosedForm:
+    """The sinc profile's exchange overlap in closed form, as an oracle."""
+
+    @pytest.mark.parametrize("pump_fwhm_nm", [0.7, 2.0, 4.5])
+    def test_numeric_error_falls_with_grid(self, ppktp_sinc, pump_fwhm_nm):
+        # the grid truncates the sinc's slow tails: doubling the span (and
+        # the points, to keep the step) halves the numeric scan's error
+        src = preset_with_pump(ppktp_sinc, pump_fwhm_nm=pump_fwhm_nm)
+        delays = default_delays(src.pm)
+        exact = coincidence_rate_sinc(src.pump, src.pm, delays)
+        errors = []
+        for n, span in ((512, 4.0), (1024, 8.0)):
+            grid = auto_grid(src.pump, src.pm, n=n, span_fwhms=span)
+            rates = coincidence_scan(build_jsa(src.pump, src.pm, grid), delays).rates
+            errors.append(np.max(np.abs(rates - exact)))
+        assert errors[0] < 0.025
+        assert errors[1] < 0.55 * errors[0]
+
+    @pytest.mark.parametrize("sigma", [1e12, 4e12, 2e13])
+    def test_symmetric_walkoffs_give_the_triangle(self, sigma):
+        pm = make_pm(-1.1e-12, 1.1e-12, profile="sinc")
+        delays = np.linspace(-2e-12, 2e-12, 401)
+        triangle = 1.0 - np.maximum(0.0, 1.0 - np.abs(delays) / 1.1e-12)
+        rates = coincidence_rate_sinc(make_pump(sigma), pm, delays)
+        np.testing.assert_allclose(rates, triangle, rtol=0, atol=1e-15)
+        assert coincidence_rate_sinc(make_pump(sigma), pm, 0.0) == 0.0
+
+    def test_chirp_leaves_scan_unchanged(self, ppktp_sinc):
+        src = preset_with_pump(ppktp_sinc, pump_fwhm_nm=2.0)
+        chirped = preset_with_pump(ppktp_sinc, pump_fwhm_nm=2.0, beta=-2e-26)
+        delays = default_delays(src.pm)
+        closed = coincidence_rate_sinc(src.pump, src.pm, delays)
+        assert np.array_equal(coincidence_rate_sinc(chirped.pump, chirped.pm, delays), closed)
+        grid = auto_grid(src.pump, src.pm, n=256)
+        plain = coincidence_scan(build_jsa(src.pump, src.pm, grid), delays).rates
+        numeric = coincidence_scan(build_jsa(chirped.pump, chirped.pm, grid), delays).rates
+        np.testing.assert_allclose(numeric, plain, rtol=0, atol=1e-12)
+
+    def test_visibility_at_most_one(self, rng):
+        for _ in range(20):
+            pump, pm = random_source(rng, profile="sinc")
+            delays = default_delays(pm)
+            rates = coincidence_rate_sinc(pump, pm, delays)
+            assert 0.0 <= 1.0 - coincidence_rate_sinc(pump, pm, 0.0) <= 1.0
+            assert np.all((rates >= 0.0) & (rates <= 1.0))
+
+    def test_support_does_not_move_with_the_pump(self, ppktp_sinc):
+        pm = ppktp_sinc.pm
+        edge = abs(pm.tau_s - pm.tau_i) / 2
+        outside = np.array([-2.0, -1.0, 1.0, 2.0]) * edge
+        inside = np.array([-1.0, 1.0]) * edge * (1 - 1e-6)
+        for width_nm in np.geomspace(0.45, 4.5, 5):
+            src = preset_with_pump(ppktp_sinc, pump_fwhm_nm=width_nm)
+            assert np.array_equal(coincidence_rate_sinc(src.pump, src.pm, outside), np.ones(4))
+            assert np.all(coincidence_rate_sinc(src.pump, src.pm, inside) < 1.0)
+
+    def test_gaussian_profile_rejected(self):
+        with pytest.raises(UnsupportedProfileError):
+            coincidence_rate_sinc(make_pump(3e12), make_pm(-1.4e-12, 0.84e-12), 0.0)
+
+
 class TestCorrelationTime:
     def test_preset_value(self, ppktp):
         assert correlation_time_gaussian(ppktp.pm) == pytest.approx(1.16e-12, rel=1e-12)
@@ -243,17 +305,28 @@ class TestExtractDip:
         with pytest.raises(DomainError):
             DelayScan(delays=np.linspace(-1, 1, 11), rates=np.full(11, 1.2))
 
+    @pytest.mark.parametrize("n,spans", [(2, 4.0), (201, 4.0), (801, 4.0), (1000, 0.4), (5, 0.0)])
+    def test_default_delays_owned_linspace(self, ppktp, n, spans):
+        end = spans * GAUSSIAN_FWHM_FACTOR * gaussian_dip_width(ppktp.pm)
+        delays = default_delays(ppktp.pm, n=n, spans=spans)
+        assert delays.tobytes() == np.linspace(-end, end, n).tobytes()
+        assert delays.flags.owndata and not delays.flags.writeable
+
     def test_fresh_rates_adopted(self, ppktp, monkeypatch):
-        # the caller's delays are copied, the freshly computed rates kept
-        adopted = record_adoptions(monkeypatch, hom)
+        # a caller's writeable delays are copied; default_delays' read-only
+        # axis and the freshly computed rates are kept
         state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=32))
         delays = default_delays(ppktp.pm)
+        adopted = record_adoptions(monkeypatch, hom)
+        gaussian_scan(ppktp.pump, ppktp.pm, np.array(delays))
+        coincidence_scan(state, np.array(delays))
         gaussian_scan(ppktp.pump, ppktp.pm, delays)
         coincidence_scan(state, delays)
-        assert adopted == [False, True, False, True]
+        assert adopted == [False, True, False, True, True, True, True, True]
 
     def test_gaussian_scan_memory(self, ppktp):
-        # the copied delays and the adopted rates, 8 bytes a row each
+        # two temporaries of the rate formula, 8 bytes a row each; the axis
+        # and the rates are adopted
         delays = default_delays(ppktp.pm, n=10**6)
         tracemalloc.start()
         try:

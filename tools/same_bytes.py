@@ -136,6 +136,9 @@ RUNS = (
     Run("analyze-sinc",
         ("analyze", "scan.csv", "--model", "sinc-kernel-dip", *_P, "--pump-fwhm-nm", "2",
          *_OUT)),
+    Run("analyze-sinc-4.5",
+        ("analyze", "scan.csv", "--model", "sinc-kernel-dip", *_P, "--pump-fwhm-nm", "4.5",
+         *_OUT)),
     Run("analyze-zero-fails", ("analyze", "zero_scan.csv", *_OUT)),
     Run("analyze-nan-fails", ("analyze", "nan_scan.csv", *_OUT)),
 )
