@@ -24,6 +24,10 @@ too coarse for the source go to stderr, and a failure on such a grid names
 memory budget.  A ``--delay-points`` or ``--steps`` whose scan or sweep would
 exceed that budget is refused, with its flag and value, before anything large
 is allocated.
+
+A sweep point is the run with its axis's option (``pump_fwhm_nm``, ``length_mm``
+or ``chirp_fs2``) set to the point's value, and a profile-forcing ``--model``
+sets ``profile``: both resolve through ``_load_source``, as the run does.
 """
 
 from __future__ import annotations
@@ -84,6 +88,9 @@ _UNHASHED = {"out", "config", "scan_file"}
 # columns and their copies: the CSV rows are formatted a block at a time, and
 # tracemalloc reads 33 for a closed-form hom scan of 10^6 delays.
 _BYTES_PER_ROW = 256
+
+# Each sweep axis and the option its points replace (see the module docstring).
+_SWEEP_AXES = {"pump_fwhm": "pump_fwhm_nm", "length": "length_mm", "chirp": "chirp_fs2"}
 
 
 def _meta(opts: dict, **extra) -> dict:
@@ -206,16 +213,17 @@ def _coarse_grid_reported(opts: dict, state):
         print(f"warning: {warning}", file=sys.stderr)
 
 
-def _dip(opts: dict, source, model: str, n_delays: int = 201, delay_span: float = 4.0):
-    """HOM scan and dip readout of ``source`` under ``model``.
+def _dip(opts: dict, model: str, n_delays: int = 201, delay_span: float = 4.0):
+    """HOM scan and dip readout of the run ``opts`` describes, under ``model``.
 
     ``gaussian`` is the closed form on the Gaussian-approximated profile;
     ``numeric`` integrates the gridded JSA with the source's own profile, and
     ``numeric-sinc``/``numeric-gaussian`` force that profile first.  Returns
-    the ``HOMResult`` and the source the model ran on.
+    the ``HOMResult`` and the model's own fields of ``hom.json``.
     """
     if model != "numeric":
-        source = preset_with_pump(source, profile=model.removeprefix("numeric-"))
+        opts = {**opts, "profile": model.removeprefix("numeric-")}
+    source = _load_source(opts)
     state = None if model == "gaussian" else _build_state(opts, source)
     # the numeric overlap's phases of one block of delays: an (n - 1) x block
     # complex exponent and its exp
@@ -226,9 +234,13 @@ def _dip(opts: dict, source, model: str, n_delays: int = 201, delay_span: float 
     delays = default_delays(source.pm, n=n_delays, spans=delay_span)
     if state is None:
         scan = gaussian_scan(source.pump, source.pm, delays)
-        return extract_dip(scan, model="gaussian-analytic"), source
+        return extract_dip(scan, model="gaussian-analytic"), {
+            "closed_form_t_c_ps": correlation_time_gaussian(source.pm) * 1e12,
+            "visibility_coefficient": visibility_coefficient(source.pump, source.pm),
+        }
     with _coarse_grid_reported(opts, state):
-        return extract_dip(coincidence_scan(state, delays), model="numeric"), source
+        result = extract_dip(coincidence_scan(state, delays), model="numeric")
+    return result, {"profile": source.pm.profile}
 
 
 def cmd_simulate(opts: dict) -> int:
@@ -281,25 +293,16 @@ def cmd_hom(opts: dict) -> int:
     delay_span = opts.get("delay_span", 4.0)
     if not delay_span > 0:
         raise DomainError(f"--delay-span must be > 0, got {delay_span}")
-    source = _load_source(opts)
-    model = opts.get("model", "numeric")
     meta = _meta(opts)
 
-    result, source = _dip(opts, source, model, n_delays, delay_span)
-    if model == "gaussian":
-        extra = {
-            "closed_form_t_c_ps": correlation_time_gaussian(source.pm) * 1e12,
-            "visibility_coefficient": visibility_coefficient(source.pump, source.pm),
-        }
-    else:
-        extra = {"profile": source.pm.profile}
+    result, fields = _dip(opts, opts.get("model", "numeric"), n_delays, delay_span)
     payload = {
         "provenance": meta,
         "t_c_ps": result.t_c * 1e12,
         "visibility": result.visibility,
         "model": result.model,
+        **fields,
     }
-    payload.update(extra)
 
     outdir = _outdir(opts)
     export_delay_scan(result.scan, outdir / "scan.csv", meta)
@@ -315,7 +318,7 @@ def cmd_sweep(opts: dict) -> int:
         raise DomainError(f"--steps must be >= 1, got {steps}")
     axis = opts.get("axis")
     if axis is None:
-        print("error: --axis must be pump_fwhm | length | chirp", file=sys.stderr)
+        print(f"error: --axis must be {' | '.join(_SWEEP_AXES)}", file=sys.stderr)
         return 2
     start = opts.get("start")
     stop = opts.get("stop")
@@ -324,20 +327,15 @@ def cmd_sweep(opts: dict) -> int:
         return 2
     with _budget_names("--steps", steps):
         check_memory_budget("the sweep", _BYTES_PER_ROW * steps)
-    source = _load_source(opts)
+    # the run's own options must hold, the one the axis replaces included
+    _load_source(opts)
     model = opts.get("model", "gaussian")
     meta = _meta(opts)
 
     values = np.linspace(start, stop, steps)
     t_c_ps, visibility = [], []
     for value in values:
-        point = preset_with_pump(
-            source,
-            pump_fwhm_nm=value if axis == "pump_fwhm" else None,
-            beta=value * 1e-30 if axis == "chirp" else None,
-            length_scale=(value * 1e-3) / source.pm.length_L if axis == "length" else 1.0,
-        )
-        result, _ = _dip(opts, point, model)
+        result, _ = _dip({**opts, _SWEEP_AXES[axis]: value}, model)
         t_c_ps.append(result.t_c * 1e12)
         visibility.append(result.visibility)
 
@@ -427,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = subs.add_parser("sweep", help="dip width versus a source parameter")
     _add_source_options(sweep)
-    sweep.add_argument("--axis", choices=("pump_fwhm", "length", "chirp"))
+    sweep.add_argument("--axis", choices=tuple(_SWEEP_AXES))
     sweep.add_argument("--start", type=float, help="first value (nm, mm or fs^2)")
     sweep.add_argument("--stop", type=float, help="last value (nm, mm or fs^2)")
     sweep.add_argument("--steps", type=int)
@@ -461,7 +459,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(_options(args))
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -59,7 +59,8 @@ class DelayScan:
         # compared in place: np.diff would add a temporary of 8 bytes a row
         if delays.size < 2 or not np.all(delays[1:] > delays[:-1]):
             raise DomainError("delays must be strictly increasing")
-        if np.min(rates) < -1e-9 or np.max(rates) > 1.0 + _RATE_SLACK:
+        # written so that a NaN, which fails every comparison, is refused too
+        if not (np.min(rates) >= -1e-9 and np.max(rates) <= 1.0 + _RATE_SLACK):
             raise DomainError(
                 f"rates outside [0, {1 + _RATE_SLACK}]: "
                 f"min={np.min(rates):.3g}, max={np.max(rates):.3g}"

@@ -250,6 +250,26 @@ class TestSweep:
         t_cs = np.array([float(r.split(",")[1]) for r in data_rows(tmp_path / "sweep.csv")[1:]])
         assert t_cs[0] < t_cs[1] < t_cs[2]
 
+    @pytest.mark.parametrize("axis,flag,start,stop,steps,model,extra", [
+        ("pump_fwhm", "--pump-fwhm-nm", 0.7, 3.0, 3, "numeric-sinc", ("--grid-n", "64")),
+        ("length", "--length-mm", 4.0, 16.0, 4, "gaussian", ()),
+        ("chirp", "--chirp-fs2", -20000.0, 20000.0, 3, "numeric-gaussian", ("--grid-n", "64")),
+    ])
+    def test_row_equals_hom_run(self, tmp_path, axis, flag, start, stop, steps, model, extra):
+        # a sweep point is the hom run with the axis's own option set to its value
+        source = ("--preset", "ppktp-8mm", "--model", model, *extra)
+        assert run(tmp_path, "sweep", *source, "--axis", axis, "--start", repr(start),
+                   "--stop", repr(stop), "--steps", str(steps)) == 0
+        rows = [r.split(",") for r in data_rows(tmp_path / "sweep.csv")[1:]]
+        values = np.linspace(start, stop, steps)
+        assert len(rows) == steps
+        for k, (row, value) in enumerate(zip(rows, values)):
+            out = tmp_path / f"hom{k}"
+            assert run(out, "hom", *source, flag, repr(float(value))) == 0
+            payload = json.loads((out / "hom.json").read_text())
+            assert row == [format_float(value), format_float(payload["t_c_ps"]),
+                           format_float(payload["visibility"])]
+
     def test_zero_steps_rejected(self, tmp_path, capsys):
         code = run(tmp_path, "sweep", "--preset", "ppktp-8mm", "--axis", "pump_fwhm",
                    "--start", "1", "--stop", "2", "--steps", "0")
@@ -296,6 +316,11 @@ class TestSweep:
     (["sweep", "--preset", "ppktp-8mm", "--axis", "length", "--start", "0", "--stop", "8",
       "--steps", "3"], "waveguide length must be > 0"),
     (["analyze", "ZERO_SCAN"], "no positive counts"),
+    # Python float ** overflows in the closed-form coefficients
+    (["hom", "--preset", "ppktp-8mm", "--model", "gaussian", "--length-mm", "1e200"],
+     "Numerical result out of range"),
+    (["simulate", "--preset", "ppktp-8mm", "--length-mm", "1e300", "--grid-n", "16"],
+     "Numerical result out of range"),
 ])
 def test_failed_run_leaves_no_outdir(tmp_path, capsys, argv, message):
     # every output is computed before the output directory is made

@@ -304,6 +304,8 @@ class TestExtractDip:
             DelayScan(delays=np.array([0.0, np.nan, 1e-13]), rates=np.ones(3))
         with pytest.raises(DomainError):
             DelayScan(delays=np.linspace(-1, 1, 11), rates=np.full(11, 1.2))
+        with pytest.raises(DomainError, match="min=nan, max=nan"):
+            DelayScan(delays=np.linspace(-1e-12, 1e-12, 5), rates=[1, np.nan, 0.2, 0.5, 1])
 
     @pytest.mark.parametrize("n,spans", [(2, 4.0), (201, 4.0), (801, 4.0), (1000, 0.4), (5, 0.0)])
     def test_default_delays_owned_linspace(self, ppktp, n, spans):

@@ -117,12 +117,21 @@ RUNS = (
     Run("hom-n3-fails", ("hom", *_P, "--grid-n", "3", *_OUT)),
     Run("hom-n4000-fails", ("hom", *_P, "--grid-n", "4000", *_OUT)),
     Run("hom-delay-span-0-fails", ("hom", *_P, "--delay-span", "0", *_OUT)),
+    Run("hom-gaussian-over-profile-sinc",
+        ("hom", *_P, "--model", "gaussian", "--profile", "sinc", *_OUT)),
     Run("sweep-pump-gaussian",
         ("sweep", *_P, "--axis", "pump_fwhm", "--start", "0.7", "--stop", "4.5", "--steps", "5",
          "--model", "gaussian", *_OUT)),
     Run("sweep-length-gaussian",
         ("sweep", *_P, "--axis", "length", "--start", "4", "--stop", "16", "--steps", "4", *_OUT),
         quick=True),
+    Run("sweep-length-over-length-mm",
+        ("sweep", *_P, "--length-mm", "16", "--axis", "length", "--start", "4", "--stop", "16",
+         "--steps", "4", "--model", "gaussian", *_OUT)),
+    Run("sweep-chirp-over-chirp-fs2-128",
+        ("sweep", *_P, "--chirp-fs2", "500", "--profile", "sinc", "--axis", "chirp",
+         "--start", "-20000", "--stop", "20000", "--steps", "3", "--model", "numeric-sinc",
+         "--grid-n", "128", *_OUT), quick=True),
     Run("sweep-chirp-numeric-sinc",
         ("sweep", *_P, "--axis", "chirp", "--start", "-20000", "--stop", "20000", "--steps", "3",
          "--model", "numeric-sinc", "--grid-n", "128", *_OUT)),
