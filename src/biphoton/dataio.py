@@ -9,25 +9,27 @@ CSV conventions
   detuning axes, as measured spectra may come that way;
 * joint amplitudes: ``nu_s_rad_s,nu_i_rad_s,re,im``.
 
-Every CSV file is written by one of two writers: :func:`write_grid` for the
-N x N joint grids (one row per cell, signal-major) and :func:`write_rows` for
-1-D tables (scans, marginals, sweeps); both format their body in one block
-loop of about ``_GRID_BLOCK_CELLS`` rows, so their memory stays bounded.
-Files start with a ``# biphoton: {json}`` provenance line if given metadata.
-Floats are written with 9 significant digits (``%.9g``, the routine behind
-:func:`format_float`), which round-trips exactly through parse/format cycles
-and keeps repeated runs byte-identical.  Both writers format their cells,
-axis labels included, with one numpy-vectorized routine that gives exactly
-the bytes of ``%.9g``; the cells it cannot settle with certainty (within
-1e-5 of a rounding tie, non-finite, or 10 <= |v| < 1e9, which no grid
+Every CSV file is written by :func:`write_rows`, one row per cell of its
+equal-shape columns; :func:`write_grid` adapts it to the N x N joint grids
+(signal-major), passing the two formatted axes as row labels.  The body is
+formatted in one block loop of about ``_GRID_BLOCK_CELLS`` rows, so memory
+stays bounded.  Files start with a ``# biphoton: {json}`` provenance line if
+given metadata.  Floats are written with 9 significant digits (``%.9g``, the
+routine behind :func:`format_float`), which round-trips exactly through
+parse/format cycles and keeps repeated runs byte-identical.  Every cell, axis
+labels included, is formatted by one numpy-vectorized routine that gives
+exactly the bytes of ``%.9g``; the cells it cannot settle with certainty
+(within 1e-5 of a rounding tie, non-finite, or 10 <= |v| < 1e9, which no grid
 holds) are formatted by Python's ``%``.
 
 The readers share one parser: blank lines and ``#`` lines are skipped
 anywhere, cells may be padded with whitespace, and a malformed line is
 reported as ``path:lineno:``.  A line ends at ``\\n``, ``\\r\\n`` or ``\\r``
 only.  The header is found by iterating the file, and the body is parsed by
-one ``np.loadtxt`` call on the file itself; a body holding ``#`` or
-whitespace-only lines, or a bad one, is read again line by line.
+one ``np.loadtxt`` call on the file itself, as every file written here is.
+A body that call refuses is parsed again in one Python pass, with ``float()``,
+which names the first bad line: a 512 x 512 JSI with one ``#`` line in its
+body loads in about 0.7-1.1 s, against 0.12-0.2 s clean.
 :func:`load_jsi` accepts grid rows in any order but rejects duplicate and
 missing cells; it scatters each row's square root straight into the complex
 amplitude that the state adopts.
@@ -42,13 +44,15 @@ from __future__ import annotations
 import functools
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CoverageError, DomainError, FitError, ParseError
-from .hom import DelayScan, coincidence_rate_sinc, coincidence_scan, default_delays, extract_dip
+from .errors import CoverageError, DomainError, FitError, NoDipError, ParseError
+from .hom import MIN_VISIBILITY, DelayScan, coincidence_rate_sinc, coincidence_scan
+from .hom import default_delays, extract_dip
 from .jsa import (
     FrequencyGrid,
     JointSpectralAmplitude,
@@ -173,15 +177,6 @@ def provenance_line(meta: dict) -> str:
     return PROVENANCE_PREFIX + json.dumps(meta, sort_keys=True, separators=(",", ":"))
 
 
-def _write_csv(path, meta: dict | None, header: str, body, comments=()) -> None:
-    """Write the provenance line, comment lines, header and the ``body`` byte chunks."""
-    head = [] if meta is None else [provenance_line(meta)]
-    head += [*comments, header]
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(head) + "\n").encode("utf-8"))
-        fh.writelines(body)
-
-
 def _row_cells(columns) -> np.ndarray:
     """CSV rows joined from equal-shape float ``columns``, one per cell."""
     ends = [b","] * (len(columns) - 1) + [b"\n"]
@@ -205,11 +200,15 @@ def _body_blocks(columns, labels=None):
 
 
 def write_rows(path, meta: dict | None, header: str, columns, comments=(), labels=None) -> None:
-    """Write equal-length 1-D float ``columns`` as CSV rows, after ``labels(rows)`` if given."""
+    """Write a CSV file: the provenance line, ``comments``, ``header``, then one row per
+    cell of the equal-shape float ``columns``, each after ``labels(rows)`` if given."""
     columns = [np.asarray(c, dtype=float) for c in columns]
     if len({c.shape for c in columns}) != 1:
         raise ValueError(f"columns of unequal shapes {[c.shape for c in columns]}")
-    _write_csv(path, meta, header, _body_blocks(columns, labels), comments)
+    head = [] if meta is None else [provenance_line(meta)]
+    with open(path, "wb") as fh:
+        fh.write(("\n".join([*head, *comments, header]) + "\n").encode("utf-8"))
+        fh.writelines(_body_blocks(columns, labels))
 
 
 def write_grid(path, meta: dict | None, header: str, axis_s, axis_i, values) -> None:
@@ -220,23 +219,22 @@ def write_grid(path, meta: dict | None, header: str, axis_s, axis_i, values) -> 
     """
     labels_s = _format_cells(axis_s, b",")
     labels_i = _format_cells(axis_i, b",")
-    values = [np.asarray(v, dtype=float) for v in values]
-    body = _body_blocks(values, lambda rows: np.add(labels_s[rows, None], labels_i).ravel())
-    _write_csv(path, meta, header, body)
+    write_rows(path, meta, header, values,
+               labels=lambda rows: np.add(labels_s[rows, None], labels_i).ravel())
 
 
 def _read_csv(path: Path, header_problem) -> tuple[list[str], list[str], np.ndarray]:
     """The ``#`` comment lines, header cells and numeric body rows of a CSV file.
 
     ``header_problem(cells)`` returns why a header is wrong, or None.  A line
-    is what iterating the file gives (ended by ``\\n``, ``\\r\\n`` or ``\\r``)
-    for the header scan, the body parse and the error path alike.  The header
-    is found by iterating the file, and the body is then parsed by one
+    ends at ``\\n``, ``\\r\\n`` or ``\\r`` on both paths.  The header is
+    found by iterating the file, and the body is then parsed by one
     ``np.loadtxt`` call on the file itself, which skips empty lines but
     refuses ``#`` and whitespace-only ones.  Only when that call fails are the
-    lines read again, stripped and filtered, parsed in one pass and, if that
-    fails too, scanned one by one to report the first bad line.  The comments
-    are those before the header, or every ``#`` line when the body held some.
+    lines read again and parsed in one Python pass, which skips blank and
+    ``#`` lines, strips each cell as ``np.loadtxt`` does and reports the first
+    bad line.  The comments are those before the header, or every ``#`` line
+    when the body held some.
     """
     comments: list[str] = []
     header = None
@@ -269,39 +267,25 @@ def _read_csv(path: Path, header_problem) -> tuple[list[str], list[str], np.ndar
         pass
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
-    body = [s for s in map(str.strip, lines[header_at:]) if s and s[0] != "#"]
-    try:
-        data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-        if data.shape[1] == len(header):
-            return [raw for raw in lines if raw.lstrip().startswith("#")], header, data
-    except ValueError:
-        pass
-    raise _first_bad_line(path, lines, header_at + 1, len(header))
-
-
-def _first_bad_line(path: Path, lines: list[str], start: int, n_columns: int) -> ParseError:
-    """The error for the first body line from ``start`` on that is not a numeric row."""
-    for lineno, raw in enumerate(lines[start - 1 :], start=start):
+    values = array("d")
+    for lineno, raw in enumerate(lines[header_at:], start=header_at + 1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line:
             continue
-        cells = line.split(",")
-        if len(cells) != n_columns:
-            return ParseError(f"{path}:{lineno}: expected {n_columns} columns, got {len(cells)}")
-        if not all(map(_is_plain_number, cells)):
-            return ParseError(f"{path}:{lineno}: non-numeric cell in {raw!r}")
-    return ParseError(f"{path}: data rows are not plain numeric CSV")
-
-
-def _is_plain_number(cell: str) -> bool:
-    """Whether ``np.loadtxt`` reads ``cell``: ``float()`` minus ``1_0`` and non-ASCII digits."""
-    if not cell.isascii() or "_" in cell:
-        return False
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
+        if line[0] == "#":
+            comments.append(raw)
+            continue
+        cells = [c.strip() for c in line.split(",")]
+        if len(cells) != len(header):
+            raise ParseError(f"{path}:{lineno}: expected {len(header)} columns, got {len(cells)}")
+        try:
+            # float() also reads 1_0 and non-ASCII digits, which np.loadtxt refuses
+            if not all(c.isascii() and "_" not in c for c in cells):
+                raise ValueError
+            values.extend(map(float, cells))
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-numeric cell in {raw!r}") from None
+    return comments, header, np.frombuffer(values).reshape(-1, len(header))
 
 
 @dataclass(frozen=True)
@@ -533,10 +517,18 @@ def sinc_dip_kernel(preset: SourcePreset, pump_fwhm_nm: float):
     :func:`~biphoton.hom.coincidence_rate_sinc`, scaled; the half-depth delay
     is bisected on the half support [0, |tau_s - tau_i| / 2], where the depth
     falls monotonically (a Newton step can leave it at strong pump coupling).
+    A depth below ``MIN_VISIBILITY`` (a pump so broad that the dip vanishes
+    in rounding) raises ``NoDipError``.
     """
     src = preset_with_pump(preset, pump_fwhm_nm=pump_fwhm_nm, profile="sinc")
     rate = functools.partial(coincidence_rate_sinc, src.pump, src.pm)
-    half = 0.5 * (1.0 - rate(0.0))
+    depth = 1.0 - rate(0.0)
+    if not depth >= MIN_VISIBILITY:
+        raise NoDipError(
+            f"no dip: the sinc kernel at pump FWHM {pump_fwhm_nm} nm has depth "
+            f"{depth:.4g} < {MIN_VISIBILITY}"
+        )
+    half = 0.5 * depth
     lo, hi = 0.0, 0.5 * abs(src.pm.tau_s - src.pm.tau_i)
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         lo, hi = (mid, hi) if 1.0 - rate(mid) > half else (lo, mid)

@@ -202,6 +202,8 @@ def default_delays(pm: PhasematchSpec, n: int = 201, spans: float = 4.0) -> np.n
     if w == 0.0:
         raise DomainError("tau_s = tau_i gives a zero-width dip")
     end = spans * GAUSSIAN_FWHM_FACTOR * w
+    if not math.isfinite(end):
+        raise DomainError(f"delay span {spans} dip widths overflows to {end} s")
     return _read_only(np.linspace(-end, end, n))  # an owned copy of linspace's view: adopted
 
 

@@ -120,6 +120,9 @@ class FrequencyGrid:
             raise GridError(f"need at least 2 samples per axis, got {self.n_s}x{self.n_i}")
         if not self.nu_s_max > self.nu_s_min or not self.nu_i_max > self.nu_i_min:
             raise GridError("grid bounds must satisfy max > min on both axes")
+        bounds = (self.nu_s_min, self.nu_s_max, self.nu_i_min, self.nu_i_max)
+        if not all(map(math.isfinite, bounds)):
+            raise GridError(f"grid bounds must be finite, got {bounds}")
 
     @classmethod
     def square_symmetric(cls, nu_max: float, n: int) -> "FrequencyGrid":

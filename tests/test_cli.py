@@ -334,6 +334,32 @@ def test_failed_run_leaves_no_outdir(tmp_path, capsys, argv, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", "--preset", "ppktp-8mm", "--grid-span-fwhms", "1e300", "--grid-n", "16"],
+     "grid bounds must be finite"),
+    (["hom", "--preset", "ppktp-8mm", "--model", "gaussian", "--delay-span", "1e308"],
+     "overflows to inf"),
+    (["analyze", "SCAN", "--model", "sinc-kernel-dip", "--preset", "ppktp-8mm",
+      "--pump-fwhm-nm", "1e17"], "pump FWHM 1e+17 nm has depth 0 < 0.02"),
+    (["analyze", "SCAN", "--model", "sinc-kernel-dip", "--preset", "ppktp-8mm",
+      "--pump-fwhm-nm", "1e300"], "pump FWHM 1e+300 nm has depth 0 < 0.02"),
+], ids=["grid-span", "delay-span", "pump-1e17", "pump-1e300"])
+def test_overflowing_input_fails_in_one_line(tmp_path, argv, message):
+    # refused before numpy warns or LAPACK prints: a fresh interpreter, so
+    # that warnings and C-level output reach the streams
+    scan = synthetic_scan(tmp_path / "scan.csv")
+    argv = [str(scan) if arg == "SCAN" else arg for arg in argv]
+    src = str(Path(biphoton.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "biphoton.cli", *argv, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert message in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv,resolution,cause", [
     (["simulate", "--grid-n", "2"], "signal marginal FWHM not resolved on this grid",
      "half maximum not reached"),

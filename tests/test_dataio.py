@@ -1,6 +1,7 @@
 """CSV formats, dip fits, and the summary table."""
 
 import math
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -18,6 +19,7 @@ from biphoton import (
     DomainError,
     FitError,
     MeasuredScan,
+    NoDipError,
     ParseError,
     SpectralFilter,
     apply_spectral_filter,
@@ -47,6 +49,8 @@ from biphoton.dataio import _format_cells, format_float, provenance_line
 from biphoton.hom import gaussian_dip_width
 from biphoton.jsa import FrequencyGrid
 from biphoton.spectral import GAUSSIAN_FWHM_FACTOR, wavelength_to_angular_frequency
+
+from helpers import make_pump, random_source
 
 
 def write_scan_lines(path, lines):
@@ -99,6 +103,17 @@ class TestLoadScan:
         write_scan_lines(path, ["delay_ps,coincidences"] + rows)
         with pytest.raises(ParseError, match=":7:"):
             load_scan(path)
+
+    def test_bad_row_named_past_padded_cells(self, tmp_path):
+        # np.loadtxt strips a no-break space as str.strip() does, so line 3
+        # is a good row and the first bad one is line 8
+        rows = [f"{t},100" for t in range(12)]
+        rows[1], rows[5] = "1,\xa0100", "5,x"
+        path = tmp_path / "scan.csv"
+        write_scan_lines(path, ["delay_ps,coincidences", *rows[:2], "# note", *rows[2:]])
+        with pytest.raises(ParseError) as info:
+            load_scan(path)
+        assert str(info.value) == f"{path}:8: non-numeric cell in '5,x'"
 
     def test_unknown_unit_rejected(self, tmp_path):
         path = tmp_path / "scan.csv"
@@ -572,6 +587,32 @@ class TestLoadJsi:
             atol=1e-7,
         )
 
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        profile=st.sampled_from(("gaussian", "sinc")),
+        n=st.integers(4, 64),
+        chirped=st.booleans(),
+        filtered=st.booleans(),
+    )
+    def test_round_trip_is_the_written_digits(self, seed, profile, n, chirped, filtered):
+        # each loaded cell is the square root of the 9-digit intensity as written
+        rng = np.random.default_rng(seed)
+        pump, pm = random_source(rng, profile)
+        if not chirped:
+            pump = make_pump(pump.sigma_p)
+        state = build_jsa(pump, pm, auto_grid(pump, pm, n=n))
+        if filtered:
+            width = rng.uniform(0.3, 2.0) * state.grid.nu_s_max
+            state = apply_spectral_filter(state, SpectralFilter("gaussian", 0.0, width, "both"))
+        with tempfile.TemporaryDirectory() as tmp:
+            export_jsi_csv(state, Path(tmp) / "jsi.csv")
+            loaded = load_jsi(Path(tmp) / "jsi.csv")
+        written = [float(format_float(v)) for v in state.intensity.ravel().tolist()]
+        assert (loaded.grid.n_s, loaded.grid.n_i) == (state.grid.n_s, state.grid.n_i)
+        assert loaded.amplitude.real.tobytes() == np.sqrt(written).tobytes()
+        assert loaded.amplitude.imag.tobytes() == bytes(8 * n * n)
+
     def test_amplitude_adopted(self, tmp_path):
         header, rows = jsi_lines()
         write_scan_lines(tmp_path / "jsi.csv", header + rows)
@@ -687,7 +728,7 @@ class TestLoadJsi:
             clean, messy = Path(tmp) / "clean.csv", Path(tmp) / "messy.csv"
             write_grid(clean, {"seed": seed}, header, *axes, (values,))
             lines = clean.read_text(encoding="utf-8").splitlines()
-            pad = ["", " ", "\t", "  "]
+            pad = ["", " ", "\t", "  ", "\xa0", "\u2003"]
             rows = [
                 ",".join(rng.choice(pad) + cell + rng.choice(pad) for cell in row.split(","))
                 for row in (lines[2:][i] for i in rng.permutation(len(lines) - 2))
@@ -821,6 +862,12 @@ class TestFitDip:
         scan = next(self.poisson_scans(ppktp, model, [0]))
         with pytest.raises(FitError, match=f"did not converge \\(model={model},"):
             fit_dip(scan, model=model, kernel=kernel)
+
+    @pytest.mark.parametrize("pump_fwhm_nm", [1e16, 1e17, 1e300])
+    def test_sinc_kernel_without_dip_refused(self, ppktp, pump_fwhm_nm):
+        # the depth 1 - R(0) rounds to (nearly) 0: the kernel would divide by it
+        with pytest.raises(NoDipError, match=re.escape(f"pump FWHM {pump_fwhm_nm} nm")):
+            sinc_dip_kernel(ppktp, pump_fwhm_nm)
 
     def test_kernel_required(self, ppktp):
         _, delays, counts = synthetic_counts(ppktp)

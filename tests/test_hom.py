@@ -314,6 +314,10 @@ class TestExtractDip:
         assert delays.tobytes() == np.linspace(-end, end, n).tobytes()
         assert delays.flags.owndata and not delays.flags.writeable
 
+    def test_default_delays_refuse_an_infinite_end(self, ppktp):
+        with pytest.raises(DomainError, match="overflows to inf"):
+            default_delays(ppktp.pm, spans=1e308)
+
     def test_fresh_rates_adopted(self, ppktp, monkeypatch):
         # a caller's writeable delays are copied; default_delays' read-only
         # axis and the freshly computed rates are kept

@@ -12,6 +12,7 @@ from biphoton import (
     DomainError,
     EmptyStateError,
     FrequencyGrid,
+    GridError,
     JointSpectralAmplitude,
     SpectralFilter,
     UnsupportedProfileError,
@@ -223,6 +224,14 @@ class TestIntensity:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * jsa_bytes(128, 128)
+
+
+@pytest.mark.parametrize("bounds", [
+    (-math.inf, math.inf, -1.0, 1.0), (-1.0, 1.0, -1.0, math.inf), (math.nan, 1.0, -1.0, 1.0),
+], ids=["both", "one", "nan"])
+def test_grid_bounds_must_be_finite(bounds):
+    with pytest.raises(GridError):
+        FrequencyGrid(4, 4, *bounds)
 
 
 class TestGridAnalyticOracle:

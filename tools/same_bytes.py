@@ -75,12 +75,30 @@ def _nan_scan_text() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _messy_scan_text() -> str:
+    """The seeded scan with a ``#`` line, a whitespace-only line and a padded cell in its body."""
+    lines = _scan_text().splitlines()
+    lines[40] = lines[40].replace(",", ",\xa0")
+    lines[80:80] = ["   "]
+    lines[20:20] = ["# lamp check"]
+    return "\n".join(lines) + "\n"
+
+
+def _bad_row_scan_text() -> str:
+    """A no-break-space padded good row on line 3 and a bad one on line 8."""
+    rows = [f"{t},100" for t in range(12)]
+    rows[1], rows[5] = "1,\xa0100", "5,x"
+    return "\n".join(["delay_ps,coincidences", *rows[:2], "# note", *rows[2:]]) + "\n"
+
+
 # Files written into every run's directory before it starts.
 INPUTS = {
     "run.conf": "pump_fwhm_nm = 0.7\nprofile = sinc\ngrid_n = 128\n",
     "scan.csv": _scan_text(),
     "nan_scan.csv": _nan_scan_text(),
     "zero_scan.csv": "delay_ps,coincidences\n" + "".join(f"{d},0\n" for d in range(12)),
+    "messy_scan.csv": _messy_scan_text(),
+    "bad_row_scan.csv": _bad_row_scan_text(),
 }
 
 _P = ("--preset", "ppktp-8mm")
@@ -102,6 +120,8 @@ RUNS = (
     Run("simulate-n2-fails", ("simulate", *_P, "--grid-n", "2", *_OUT), quick=True),
     Run("simulate-n4000-fails", ("simulate", *_P, "--grid-n", "4000", *_OUT)),
     Run("simulate-filter-0-fails", ("simulate", *_P, "--filter-fwhm-nm", "0", *_OUT)),
+    Run("simulate-span-overflow-fails",
+        ("simulate", *_P, "--grid-span-fwhms", "1e300", "--grid-n", "16", *_OUT)),
     Run("hom-numeric", ("hom", *_P, "--model", "numeric", *_OUT)),
     Run("hom-numeric-chirped-128",
         ("hom", *_P, "--model", "numeric", "--chirp-fs2", "-20000", "--grid-n", "128", *_OUT),
@@ -117,6 +137,8 @@ RUNS = (
     Run("hom-n3-fails", ("hom", *_P, "--grid-n", "3", *_OUT)),
     Run("hom-n4000-fails", ("hom", *_P, "--grid-n", "4000", *_OUT)),
     Run("hom-delay-span-0-fails", ("hom", *_P, "--delay-span", "0", *_OUT)),
+    Run("hom-delay-span-overflow-fails",
+        ("hom", *_P, "--model", "gaussian", "--delay-span", "1e308", *_OUT)),
     Run("hom-gaussian-over-profile-sinc",
         ("hom", *_P, "--model", "gaussian", "--profile", "sinc", *_OUT)),
     Run("sweep-pump-gaussian",
@@ -150,6 +172,12 @@ RUNS = (
          *_OUT)),
     Run("analyze-zero-fails", ("analyze", "zero_scan.csv", *_OUT)),
     Run("analyze-nan-fails", ("analyze", "nan_scan.csv", *_OUT)),
+    Run("analyze-messy", ("analyze", "messy_scan.csv", "--model", "gaussian-dip", *_OUT),
+        quick=True),
+    Run("analyze-bad-row-fails", ("analyze", "bad_row_scan.csv", *_OUT)),
+    Run("analyze-sinc-no-dip-fails",
+        ("analyze", "scan.csv", "--model", "sinc-kernel-dip", *_P, "--pump-fwhm-nm", "1e17",
+         *_OUT)),
 )
 
 
