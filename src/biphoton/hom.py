@@ -35,6 +35,11 @@ MIN_VISIBILITY = 0.02
 # Scan end points must sit above this rate for a trustworthy baseline.
 BASELINE_RATE = 0.9
 
+# The readout refuses a dip FWHM narrower than this many delay steps: the
+# half-depth crossings are interpolated between samples, so a dip inside a
+# step or two reads as the step, not as its width.
+MIN_DIP_STEPS = 4.0
+
 _RATE_SLACK = 0.05
 
 _erf = np.vectorize(math.erf, otypes=[float])  # elementwise, and no scipy import
@@ -163,7 +168,10 @@ def coincidence_rate_gaussian(pump: PumpSpec, pm: PhasematchSpec, tau):
         raise DomainError("tau_s = tau_i gives a zero-width dip")
     h = visibility_coefficient(pump, pm)
     tau = np.asarray(tau, dtype=float)
-    out = 1.0 - h * np.exp(-(tau * tau) / (2.0 * w * w))
+    # tau^2 overflows far out on an absurd delay axis, where exp(-inf) = 0 is
+    # the rate's right limit
+    with np.errstate(over="ignore"):
+        out = 1.0 - h * np.exp(-(tau * tau) / (2.0 * w * w))
     return out if out.ndim else float(out)
 
 
@@ -210,9 +218,11 @@ def default_delays(pm: PhasematchSpec, n: int = 201, spans: float = 4.0) -> np.n
 def extract_dip(scan: DelayScan, model: str = "numeric") -> HOMResult:
     """Visibility and dip FWHM from a scan.
 
-    Requires baseline coverage (first/last rates above ``BASELINE_RATE``)
-    and a dip deeper than ``MIN_VISIBILITY``.  The FWHM is read between the
-    half-depth crossings adjacent to the dip minimum, linearly interpolated.
+    Requires baseline coverage (first/last rates above ``BASELINE_RATE``),
+    a dip deeper than ``MIN_VISIBILITY`` and a FWHM of at least
+    ``MIN_DIP_STEPS`` of the scan's mean delay step.  The FWHM is read
+    between the half-depth crossings adjacent to the dip minimum, linearly
+    interpolated.
     """
     rates = scan.rates
     if rates[0] <= BASELINE_RATE or rates[-1] <= BASELINE_RATE:
@@ -225,4 +235,11 @@ def extract_dip(scan: DelayScan, model: str = "numeric") -> HOMResult:
     if visibility < MIN_VISIBILITY:
         raise NoDipError(f"no dip: visibility {visibility:.4f} < {MIN_VISIBILITY}")
     t_c = intensity_fwhm(scan.delays, depth)
+    delays = scan.delays
+    steps = t_c * (delays.size - 1) / (delays[-1] - delays[0])
+    if not steps >= MIN_DIP_STEPS:
+        raise CoverageError(
+            f"dip FWHM spans {steps:.3g} delay steps (< {MIN_DIP_STEPS:g}): "
+            f"sample the dip more finely with more --delay-points or a smaller --delay-span"
+        )
     return HOMResult(scan=scan, t_c=t_c, visibility=min(visibility, 1.0), model=model)

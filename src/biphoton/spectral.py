@@ -177,9 +177,12 @@ def pump_envelope(pump: PumpSpec, nu_sum):
     """
     nu = np.asarray(nu_sum, dtype=float)
     out = np.empty(nu.shape, dtype=complex)
-    np.square(nu / pump.sigma_p, out=out.real)
+    # far detunings overflow the exponent to -inf, and exp(-inf) = 0 is the
+    # envelope's limit; invalid operations (an inf phase) still warn
+    with np.errstate(over="ignore"):
+        np.square(nu / pump.sigma_p, out=out.real)
+        np.multiply(pump.beta * nu, nu, out=out.imag)
     np.negative(out.real, out=out.real)
-    np.multiply(pump.beta * nu, nu, out=out.imag)
     # a -0 phase becomes +0, as in the sum of a real and a complex array
     out.imag += 0.0
     np.exp(out, out=out)
@@ -207,8 +210,9 @@ def phasematching_profile(pm: PhasematchSpec, nu_s, nu_i):
     x *= 0.5
     if pm.profile == "sinc":
         return sinc(x)
-    out = -pm.gamma * x
-    out *= x
+    with np.errstate(over="ignore"):  # exp(-inf) = 0, as in pump_envelope
+        out = -pm.gamma * x
+        out *= x
     return np.exp(out, out=out) if np.ndim(out) else np.exp(out)
 
 

@@ -343,7 +343,18 @@ def test_failed_run_leaves_no_outdir(tmp_path, capsys, argv, message):
       "--pump-fwhm-nm", "1e17"], "pump FWHM 1e+17 nm has depth 0 < 0.02"),
     (["analyze", "SCAN", "--model", "sinc-kernel-dip", "--preset", "ppktp-8mm",
       "--pump-fwhm-nm", "1e300"], "pump FWHM 1e+300 nm has depth 0 < 0.02"),
-], ids=["grid-span", "delay-span", "pump-1e17", "pump-1e300"])
+    # finite, but the exponents overflow: exp(-inf) = 0 leaves no amplitude
+    (["simulate", "--preset", "ppktp-8mm", "--grid-span-fwhms", "1e200", "--grid-n", "16"],
+     "error: amplitude is identically zero"),
+    # the whole dip inside one delay step
+    (["hom", "--preset", "ppktp-8mm", "--model", "gaussian", "--delay-span", "1e6"],
+     "dip FWHM spans 1 delay steps (< 4)"),
+    (["hom", "--preset", "ppktp-8mm", "--model", "gaussian", "--delay-span", "1e300"],
+     "dip FWHM spans 1 delay steps (< 4)"),
+    (["hom", "--preset", "ppktp-8mm", "--grid-n", "64", "--delay-span", "1e3"],
+     "dip FWHM spans 1 delay steps (< 4)"),
+], ids=["grid-span", "delay-span", "pump-1e17", "pump-1e300", "grid-span-1e200",
+        "delay-span-1e6", "delay-span-1e300", "numeric-delay-span-1e3"])
 def test_overflowing_input_fails_in_one_line(tmp_path, argv, message):
     # refused before numpy warns or LAPACK prints: a fresh interpreter, so
     # that warnings and C-level output reach the streams

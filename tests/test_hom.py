@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +286,27 @@ class TestExtractDip:
         scan = gaussian_scan(pump, pm, delays)
         with pytest.raises(CoverageError):
             extract_dip(scan)
+
+    def test_dip_narrower_than_minimum_steps_refused(self):
+        # (n - 1) / (2 spans) steps per FWHM: 5 at 51 points, 3 at 31
+        pump, pm = make_pump(3e12), make_pm(-1.4e-12, 0.84e-12)
+        closed = correlation_time_gaussian(pm)
+        fine = gaussian_scan(pump, pm, default_delays(pm, n=51, spans=5.0))
+        assert extract_dip(fine).t_c == pytest.approx(closed, rel=0.05)
+        coarse = gaussian_scan(pump, pm, default_delays(pm, n=31, spans=5.0))
+        with pytest.raises(CoverageError, match=r"spans 3\.\d+ delay steps \(< 4\).*"
+                           r"--delay-points.*--delay-span"):
+            extract_dip(coarse)
+
+    def test_absurd_delays_rate_one_without_warning(self):
+        # tau^2 overflows to inf, and exp(-inf) = 0 is the right limit
+        pump, pm = make_pump(3e12), make_pm(-1.4e-12, 0.84e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rates = coincidence_rate_gaussian(pump, pm, np.array([-1e300, 1e160, 0.0]))
+            far = coincidence_rate_gaussian(pump, pm, 1e200)
+        assert rates[:2].tolist() == [1.0, 1.0] and far == 1.0
+        assert rates[2] == pytest.approx(1.0 - visibility_coefficient(pump, pm), abs=1e-15)
 
     def test_sinc_refinement(self, ppktp_sinc):
         src = preset_with_pump(ppktp_sinc, pump_fwhm_nm=2.0, profile="sinc")

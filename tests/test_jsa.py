@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from biphoton import (
@@ -31,6 +31,7 @@ from biphoton import (
 )
 from biphoton.dataio import MeasuredScan
 from biphoton.errors import CoverageError
+from biphoton import jsa as jsa_module
 from biphoton.hom import DelayScan
 from biphoton.jsa import MEMORY_BUDGET_BYTES, GaussianJsaParams, gaussian_marginal_fwhms, jsa_bytes
 from biphoton.jsa import BUILD_JSA_PEAK_FACTOR, MIN_SAMPLES_PER_FWHM, check_memory_budget
@@ -489,6 +490,172 @@ class TestSchmidt:
             gaussian_schmidt_number(
                 GaussianJsaParams(c_ss=1e-25 - 1e-27j, c_ii=1e-25 - 1e-27j, c_si=0.0 - 1e-27j)
             )
+
+
+def full_svd_schmidt(state):
+    """Coefficients and K from the full SVD, as ``schmidt_decompose`` took them on every grid."""
+    s = np.linalg.svd(state.amplitude, compute_uv=False)
+    lam = s / math.sqrt(float(np.sum(s * s)))
+    return lam, 1.0 / float(np.sum(lam**4))
+
+
+def sum_rounding(n, rank):
+    """Rounding of a certified tail: ``||f||^2`` is a pairwise sum of n^2 squares
+    and the captured mass a sum of ``rank`` squared singular values, each
+    within about log2(n^2) and ``rank`` eps of the mass."""
+    return (math.log2(n * n) + rank) * np.finfo(float).eps
+
+
+def record_sketch_ranks(monkeypatch):
+    """The rank of every sketch ``schmidt_decompose`` takes, in order."""
+    ranks = []
+    real = jsa_module._sketched_singular_values
+
+    def spy(f, rank):
+        ranks.append(rank)
+        return real(f, rank)
+
+    monkeypatch.setattr(jsa_module, "_sketched_singular_values", spy)
+    return ranks
+
+
+def seeded_state(seed, profile, n, chirped, filtered):
+    """A random source on an n-point grid, chirped or not, optionally filtered."""
+    rng = np.random.default_rng(seed)
+    pump, pm = random_source(rng, profile)
+    if not chirped:
+        pump = make_pump(pump.sigma_p, 0.0)
+    state = build_jsa(pump, pm, auto_grid(pump, pm, n=n))
+    if filtered:
+        width = rng.uniform(0.3, 2.0) * state.grid.nu_s_max
+        target = str(rng.choice(["signal", "idler", "both"]))
+        state = apply_spectral_filter(state, SpectralFilter("gaussian", 0.0, width, target))
+    return state
+
+
+class TestSketchedSchmidt:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        profile=st.sampled_from(("gaussian", "sinc")),
+        n=st.integers(129, 256),
+        chirped=st.booleans(),
+        filtered=st.booleans(),
+    )
+    @example(seed=3, profile="sinc", n=129, chirped=False, filtered=False)
+    @example(seed=4, profile="gaussian", n=256, chirped=True, filtered=True)
+    def test_matches_full_svd(self, seed, profile, n, chirped, filtered):
+        state = seeded_state(seed, profile, n, chirped, filtered)
+        got = schmidt_decompose(state)
+        lam, k = full_svd_schmidt(state)
+        assert abs(got.schmidt_number - k) <= 1e-12 * k
+        assert np.max(np.abs(got.coefficients[:16] - lam[:16])) <= 1e-13
+        rank = got.coefficients.size
+        assert rank in (32, n)
+        # the certified tail is never below the mass the coefficients leave out
+        assert got.tail_mass >= float(np.sum(lam[rank:] ** 2)) - sum_rounding(n, rank)
+        if rank == n:
+            assert got.tail_mass == 0.0  # the full SVD left nothing out
+        else:
+            assert got.tail_mass <= 1e-12
+        assert float(np.sum(got.coefficients**2)) == pytest.approx(1.0, abs=1e-10)
+        again = schmidt_decompose(state)
+        assert again.coefficients.tobytes() == got.coefficients.tobytes()
+        assert (again.schmidt_number, again.entropy_bits, again.tail_mass) == (
+            got.schmidt_number, got.entropy_bits, got.tail_mass
+        )
+
+    @pytest.mark.parametrize("profile", ["gaussian", "sinc"])
+    @pytest.mark.parametrize("chirped", [False, True])
+    def test_certificate_at_every_rank(self, profile, chirped):
+        # each sketch alone, below the rank schmidt_decompose starts at: its
+        # values never exceed the full SVD's, and the mass they miss bounds
+        # the true tail beyond them
+        for seed in range(3):
+            state = seeded_state(seed, profile, 200, chirped, filtered=seed == 2)
+            f = state.amplitude if chirped else state.amplitude.real.copy()
+            total = float(np.sum(state.intensity))
+            lam, _ = full_svd_schmidt(state)
+            for rank in (1, 2, 4, 8, 16):
+                sigma = jsa_module._sketched_singular_values(f, rank) / math.sqrt(total)
+                slack = sum_rounding(200, rank)
+                assert np.all(sigma <= lam[:rank] + slack)
+                certified = 1.0 - float(np.sum(sigma * sigma))
+                assert certified >= float(np.sum(lam[rank:] ** 2)) - slack
+
+    @pytest.mark.parametrize("profile", ["gaussian", "sinc"])
+    @pytest.mark.parametrize("chirped", [False, True])
+    @pytest.mark.parametrize("n", [16, 77, 128])
+    def test_small_grids_keep_full_svd_bits(self, monkeypatch, profile, chirped, n):
+        state = seeded_state(n, profile, n, chirped, filtered=False)
+        ranks = record_sketch_ranks(monkeypatch)
+        got = schmidt_decompose(state)
+        lam, k = full_svd_schmidt(state)
+        assert ranks == []
+        assert got.coefficients.tobytes() == lam.tobytes()
+        assert (got.schmidt_number, got.tail_mass) == (k, 0.0)
+
+    def test_many_mode_source_doubles_the_rank(self, monkeypatch, ppktp_sinc):
+        # a narrow pump and a long crystal: rank 32 leaves more than 1e-12
+        src = preset_with_pump(ppktp_sinc, pump_fwhm_nm=0.5, length_scale=2.0)
+        state = build_jsa(src.pump, src.pm, auto_grid(src.pump, src.pm, n=320))
+        ranks = record_sketch_ranks(monkeypatch)
+        got = schmidt_decompose(state)
+        lam, k = full_svd_schmidt(state)
+        assert ranks == [32, 64]
+        assert got.coefficients.size == 64 and 0.0 <= got.tail_mass <= 1e-12
+        assert abs(got.schmidt_number - k) <= 1e-12 * k
+        assert np.max(np.abs(got.coefficients[:16] - lam[:16])) <= 1e-13
+        assert got.tail_mass >= float(np.sum(lam[64:] ** 2)) - sum_rounding(320, 64)
+
+    @pytest.mark.parametrize("length_scale,n,sketched", [(2.0, 256, [32]), (1.0, 512, [32, 64])])
+    def test_wider_spectrum_falls_back(self, monkeypatch, ppktp_sinc, length_scale, n, sketched):
+        # once 4 r reaches n the full SVD runs, bit for bit the old result
+        src = preset_with_pump(ppktp_sinc, pump_fwhm_nm=0.5, length_scale=length_scale)
+        state = build_jsa(src.pump, src.pm, auto_grid(src.pump, src.pm, n=n))
+        ranks = record_sketch_ranks(monkeypatch)
+        got = schmidt_decompose(state)
+        lam, k = full_svd_schmidt(state)
+        assert ranks == sketched
+        assert got.coefficients.tobytes() == lam.tobytes()
+        assert (got.schmidt_number, got.tail_mass) == (k, 0.0)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(129, 256),
+        span=st.sampled_from((1.5, 2.0, 3.0, 4.0)),
+    )
+    @example(seed=2, n=256, span=1.5)
+    @example(seed=23, n=184, span=4.0)
+    def test_unchirped_gaussian_spectrum_is_geometric(self, seed, n, span):
+        # Law, Walmsley and Eberly, PRL 84, 5304 (2000): lambda_n =
+        # sqrt(1 - mu^2) mu^n with mu^2 = (K - 1)/(K + 1)
+        pump, pm = random_source(np.random.default_rng(seed))
+        pump = make_pump(pump.sigma_p, 0.0)
+        grid = auto_grid(pump, pm, n=n, span_fwhms=span)
+        state = build_jsa(pump, pm, grid)
+        assume(not state.provenance["warnings"])
+        params = gaussian_jsa_params(pump, pm)
+        k = gaussian_schmidt_number(params)
+        mu = math.sqrt((k - 1.0) / (k + 1.0))
+        want = math.sqrt(1.0 - mu * mu) * mu ** np.arange(16)
+        # the bound from the grid: |f|^2 = exp(-2 nu^T C nu) has marginal
+        # variances c_ii / (4 det) and c_ss / (4 det), so the mass outside
+        # the box is at most the two marginal tails; cutting it off moves each
+        # normalized singular value by at most sqrt(edge / (1 - edge)) + edge
+        # (Weyl).  The sum over the grid aliases by at most
+        # 4 exp(-pi^2 / (lambda_max h^2)) (Poisson summation), and the sketch
+        # agrees with the full SVD to 1e-13.
+        a, b, c = params.c_ss.real, params.c_ii.real, params.c_si.real
+        det = a * b - c * c
+        x = grid.nu_s_max
+        edge = math.erfc(x / math.sqrt(b / (2.0 * det))) + math.erfc(x / math.sqrt(a / (2.0 * det)))
+        lam_max = float(np.linalg.eigvalsh(2.0 * np.array([[a, c], [c, b]])).max())
+        alias = 4.0 * math.exp(-math.pi**2 / (lam_max * grid.d_nu_s**2))
+        bound = math.sqrt(edge / (1.0 - edge)) + edge + alias + 1e-13
+        got = schmidt_decompose(state)
+        assert np.max(np.abs(got.coefficients[:16] - want)) <= bound
 
 
 def reference_rho(state):

@@ -1,6 +1,7 @@
 """Conversions, pump envelope, phasematching profile, walk-offs."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,21 @@ class TestPumpEnvelope:
         for nu in (0.0, 2e12, -5e12):
             assert type(pump_envelope(pump, nu)) is complex
 
+    @pytest.mark.parametrize("beta", [0.0, 1e-26, -1e-26])
+    def test_far_detuning_is_zero_without_warning(self, beta):
+        # the exponent overflows to -inf, and exp(-inf) = 0 is the limit
+        pump = PumpSpec(omega_p0=2.45e15, sigma_p=3e12, beta=beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = pump_envelope(pump, np.array([1e200, -1e300, 0.0]))
+        assert out.tolist() == [0j, 0j, 1 + 0j]
+
+    def test_invalid_exponent_still_warns(self):
+        # 0 * inf in the unchirped phase is NaN: only overflow is silenced
+        pump = PumpSpec(omega_p0=2.45e15, sigma_p=3e12, beta=0.0)
+        with pytest.warns(RuntimeWarning, match="invalid"):
+            pump_envelope(pump, np.array([np.inf]))
+
     def test_invariants(self):
         with pytest.raises(DomainError):
             PumpSpec(omega_p0=2.45e15, sigma_p=0.0)
@@ -121,6 +137,14 @@ class TestPumpEnvelope:
 
 
 class TestPhasematchingAmplitude:
+    def test_gaussian_far_detuning_is_zero_without_warning(self):
+        pm = make_pm(-1.4e-12, 0.84e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = phasematching_profile(pm, np.array([1e200, 0.0]), np.array([1e200, 1e300]))
+            far = phasematching_profile(pm, 1e300, -1e300)
+        assert out.tolist() == [0.0, 0.0] and far == 0.0
+
     def test_perfect_phasematching(self):
         pm = make_pm(-1.4e-12, 0.84e-12)
         assert phasematching_profile(pm, 0.0, 0.0) == 1.0

@@ -116,12 +116,22 @@ RUNS = (
     Run("simulate-n4", ("simulate", *_P, "--grid-n", "4", *_OUT), quick=True),
     Run("simulate-n6", ("simulate", *_P, "--grid-n", "6", *_OUT)),
     Run("simulate-n1024", ("simulate", *_P, "--grid-n", "1024", *_OUT)),
+    # a many-mode source: its Schmidt sketch doubles from rank 32 to 64, and
+    # at n=256 that reaches the full SVD
+    Run("simulate-many-mode-320",
+        ("simulate", *_P, "--profile", "sinc", "--pump-fwhm-nm", "0.5", "--length-mm", "16",
+         "--grid-n", "320", *_OUT)),
+    Run("simulate-many-mode-256",
+        ("simulate", *_P, "--profile", "sinc", "--pump-fwhm-nm", "0.5", "--length-mm", "16",
+         "--grid-n", "256", *_OUT)),
     Run("simulate-config", ("simulate", *_P, "--config", "run.conf", *_OUT), quick=True),
     Run("simulate-n2-fails", ("simulate", *_P, "--grid-n", "2", *_OUT), quick=True),
     Run("simulate-n4000-fails", ("simulate", *_P, "--grid-n", "4000", *_OUT)),
     Run("simulate-filter-0-fails", ("simulate", *_P, "--filter-fwhm-nm", "0", *_OUT)),
     Run("simulate-span-overflow-fails",
         ("simulate", *_P, "--grid-span-fwhms", "1e300", "--grid-n", "16", *_OUT)),
+    Run("simulate-span-1e200-fails",
+        ("simulate", *_P, "--grid-span-fwhms", "1e200", "--grid-n", "16", *_OUT)),
     Run("hom-numeric", ("hom", *_P, "--model", "numeric", *_OUT)),
     Run("hom-numeric-chirped-128",
         ("hom", *_P, "--model", "numeric", "--chirp-fs2", "-20000", "--grid-n", "128", *_OUT),
@@ -139,6 +149,8 @@ RUNS = (
     Run("hom-delay-span-0-fails", ("hom", *_P, "--delay-span", "0", *_OUT)),
     Run("hom-delay-span-overflow-fails",
         ("hom", *_P, "--model", "gaussian", "--delay-span", "1e308", *_OUT)),
+    Run("hom-delay-span-1e6-fails",
+        ("hom", *_P, "--model", "gaussian", "--delay-span", "1e6", *_OUT)),
     Run("hom-gaussian-over-profile-sinc",
         ("hom", *_P, "--model", "gaussian", "--profile", "sinc", *_OUT)),
     Run("sweep-pump-gaussian",
