@@ -509,13 +509,13 @@ def sum_rounding(n, rank):
 def record_sketch_ranks(monkeypatch):
     """The rank of every sketch ``schmidt_decompose`` takes, in order."""
     ranks = []
-    real = jsa_module._sketched_singular_values
+    real = jsa_module._extend_range
 
-    def spy(f, rank):
+    def spy(f, q, rank, rng):
         ranks.append(rank)
-        return real(f, rank)
+        return real(f, q, rank, rng)
 
-    monkeypatch.setattr(jsa_module, "_sketched_singular_values", spy)
+    monkeypatch.setattr(jsa_module, "_extend_range", spy)
     return ranks
 
 
@@ -538,7 +538,7 @@ class TestSketchedSchmidt:
     @given(
         seed=st.integers(0, 2**32 - 1),
         profile=st.sampled_from(("gaussian", "sinc")),
-        n=st.integers(129, 256),
+        n=st.integers(129, 384),
         chirped=st.booleans(),
         filtered=st.booleans(),
     )
@@ -551,7 +551,7 @@ class TestSketchedSchmidt:
         assert abs(got.schmidt_number - k) <= 1e-12 * k
         assert np.max(np.abs(got.coefficients[:16] - lam[:16])) <= 1e-13
         rank = got.coefficients.size
-        assert rank in (32, n)
+        assert rank in (32, 64, n)
         # the certified tail is never below the mass the coefficients leave out
         assert got.tail_mass >= float(np.sum(lam[rank:] ** 2)) - sum_rounding(n, rank)
         if rank == n:
@@ -568,7 +568,8 @@ class TestSketchedSchmidt:
     @pytest.mark.parametrize("profile", ["gaussian", "sinc"])
     @pytest.mark.parametrize("chirped", [False, True])
     def test_certificate_at_every_rank(self, profile, chirped):
-        # each sketch alone, below the rank schmidt_decompose starts at: its
+        # each extension of one basis, below the rank schmidt_decompose
+        # starts at: it stays orthonormal and keeps the basis it extends, its
         # values never exceed the full SVD's, and the mass they miss bounds
         # the true tail beyond them
         for seed in range(3):
@@ -576,8 +577,15 @@ class TestSketchedSchmidt:
             f = state.amplitude if chirped else state.amplitude.real.copy()
             total = float(np.sum(state.intensity))
             lam, _ = full_svd_schmidt(state)
+            rng, q = np.random.default_rng(seed), None
             for rank in (1, 2, 4, 8, 16):
-                sigma = jsa_module._sketched_singular_values(f, rank) / math.sqrt(total)
+                last, q = q, jsa_module._extend_range(f, q, rank, rng)
+                assert q.shape == (200, rank)
+                assert np.max(np.abs(q.conj().T @ q - np.eye(rank))) <= 1e-14
+                if last is not None:
+                    assert np.max(np.abs(last - q @ (q.conj().T @ last))) <= 1e-14
+                s = np.linalg.svd(q.conj().T @ f, compute_uv=False)
+                sigma = s / math.sqrt(total)
                 slack = sum_rounding(200, rank)
                 assert np.all(sigma <= lam[:rank] + slack)
                 certified = 1.0 - float(np.sum(sigma * sigma))
@@ -595,18 +603,24 @@ class TestSketchedSchmidt:
         assert got.coefficients.tobytes() == lam.tobytes()
         assert (got.schmidt_number, got.tail_mass) == (k, 0.0)
 
-    def test_many_mode_source_doubles_the_rank(self, monkeypatch, ppktp_sinc):
-        # a narrow pump and a long crystal: rank 32 leaves more than 1e-12
-        src = preset_with_pump(ppktp_sinc, pump_fwhm_nm=0.5, length_scale=2.0)
-        state = build_jsa(src.pump, src.pm, auto_grid(src.pump, src.pm, n=320))
+    @pytest.mark.parametrize("pump_fwhm_nm,length_scale,n", [(0.5, 2.0, 320), (0.7, 1.0, 512)])
+    def test_many_mode_source_doubles_the_rank(
+        self, monkeypatch, ppktp_sinc, pump_fwhm_nm, length_scale, n
+    ):
+        # a narrow pump: rank 32 leaves more than 1e-12 (the second case is
+        # the paper's 0.7 nm point at simulate's default grid).  The rank-64
+        # basis adds what the rank-32 one left, so its tail falls to rounding
+        # (the full SVD's tail beyond 64 is below 1e-16 for both)
+        src = preset_with_pump(ppktp_sinc, pump_fwhm_nm=pump_fwhm_nm, length_scale=length_scale)
+        state = build_jsa(src.pump, src.pm, auto_grid(src.pump, src.pm, n=n))
         ranks = record_sketch_ranks(monkeypatch)
         got = schmidt_decompose(state)
         lam, k = full_svd_schmidt(state)
         assert ranks == [32, 64]
-        assert got.coefficients.size == 64 and 0.0 <= got.tail_mass <= 1e-12
+        assert got.coefficients.size == 64 and 0.0 <= got.tail_mass <= 1e-14
         assert abs(got.schmidt_number - k) <= 1e-12 * k
         assert np.max(np.abs(got.coefficients[:16] - lam[:16])) <= 1e-13
-        assert got.tail_mass >= float(np.sum(lam[64:] ** 2)) - sum_rounding(320, 64)
+        assert got.tail_mass >= float(np.sum(lam[64:] ** 2)) - sum_rounding(n, 64)
 
     @pytest.mark.parametrize("length_scale,n,sketched", [(2.0, 256, [32]), (1.0, 512, [32, 64])])
     def test_wider_spectrum_falls_back(self, monkeypatch, ppktp_sinc, length_scale, n, sketched):
