@@ -239,7 +239,8 @@ class SpectralFilter:
         if self.shape == "rect":
             return (np.abs(nu - self.center) <= 0.5 * self.width).astype(float)
         sigma_f = self.width / AMPLITUDE_FWHM_FACTOR
-        return np.exp(-(((nu - self.center) / sigma_f) ** 2))
+        with np.errstate(over="ignore"):  # exp(-inf) = 0, as in pump_envelope
+            return np.exp(-(((nu - self.center) / sigma_f) ** 2))
 
 
 def gaussian_jsa_params(pump: PumpSpec, pm: PhasematchSpec) -> GaussianJsaParams:
@@ -366,6 +367,11 @@ def build_jsa(
         "warnings": warnings,
     }
     out = JointSpectralAmplitude(grid, amp, provenance)
+    if not np.any(out.intensity):
+        raise EmptyStateError(
+            "joint spectral intensity underflows to zero: the amplitude peaks at "
+            f"{np.max(np.abs(amp)):.3g} on this grid"
+        )
     for label, curve, d in (
         ("signal", out.intensity.sum(axis=1), grid.d_nu_s),
         ("idler", out.intensity.sum(axis=0), grid.d_nu_i),

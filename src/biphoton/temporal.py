@@ -7,7 +7,12 @@ The frequency grid is zero-padded before transforming so the conjugate time
 step ``dt = 2 pi / (N dnu)`` resolves the temporal structure; the padding
 factor only refines the sampling, it adds no information.
 
-:func:`jta_from_jsa` gives the same bits as
+:func:`jta_from_jsa` checks its arguments and charges :func:`jta_bytes` to
+the memory budget, then returns a :class:`JointTemporalAmplitude` that holds
+the spectrum and runs the transform on the first read of its ``amplitude``,
+``intensity`` or ``provenance``.  The timing widths never read them.
+
+The transform gives the same bits as
 ``fftshift(fft2(ifftshift(padded), axes=(1, 0)))`` without building the
 padded array.  That ``fft2`` is a 1-D FFT along the signal axis followed by
 one along the idler axis, and each 1-D FFT is computed line by line with one
@@ -22,12 +27,28 @@ walks the output in blocks of :data:`_ROW_BLOCK` signal-time rows, split at
 the fftshift wrap point so each block reads one contiguous range of lines:
 it places them in a small zero slab, transforms the slab's contiguous rows
 and scales the two fftshift halves straight into the result.  An
-``oversample`` of 4 skips 3/4 of the first pass.
+``oversample`` of 4 skips 3/4 of the first pass.  Two N x N arrays exist
+after it: the complex result and its float |JTA|^2, which the Parseval check
+computes once and the JTA keeps as ``intensity``.
 
-Two N x N arrays exist: the complex result and its float |JTA|^2, which
-the Parseval check computes once and the JTA keeps as ``intensity``.
-:func:`diagonal_widths` bins that array row by row into two 2N - 1 vectors
-and allocates nothing of size N x N.
+:func:`diagonal_widths` takes the two projections of |JTA|^2 from lag sums
+of the JSA instead.  Summing |JTA|^2 over the cells with
+``t_s - t_i = d dt`` on the N-point time torus and applying Parseval along
+each line of constant ``j + k`` gives ``N c^2 sum_D A[D] exp(-2 pi i D d / N)``,
+with ``c = dnu^2 / (2 pi)`` the transform's scale and
+``A[D] = sum_jk f[j, k] f*[j - D, k + D]`` the autocorrelation along the
+anti-diagonals (``D = -(n - 1) .. n - 1``); the sum-time projection is the
+same along the diagonals, ``A[D] = sum_jk f[j, k] f*[j - D, k - D]``.  Each
+line's autocorrelation is one FFT of length 2n, the lines taken
+:data:`_LINE_BLOCK` at a time; one FFT of length N of the summed lags then
+gives the projection on the JTA's dt grid.  That is O(n^2 log n) time and
+O(n _LINE_BLOCK) memory, and nothing N x N is made.  With ``oversample`` 1
+the lines wrap around the torus: line ``j + k = s`` and line ``s + n`` fill
+disjoint parts of one line.  The zero lag summed over all lines is
+sum |f|^2, and it is checked against the state's intensity as the transform
+checks Parseval.  The torus folds ``|t_s -+ t_i| > N dt / 2`` back into the
+window, where binning the N x N intensity would not; a width moves only as
+far as that folded mass moves its half-maximum crossings.
 """
 
 from __future__ import annotations
@@ -45,44 +66,88 @@ from .jsa import (
     check_memory_budget,
     intensity_fwhm,
     jsa_bytes,
-    _read_only,
     _squared_modulus,
 )
 from .spectral import PumpSpec, tabulated_pump_duration
 
 DEFAULT_OVERSAMPLE = 4
 
-# Parseval mismatch above this aborts: it indicates a broken transform.
+# Parseval mismatch above this aborts: it indicates a broken transform or lag sum.
 _PARSEVAL_TOL = 1e-9
 
 # Signal-time rows per block in the second transform pass: the slab stays in cache.
 _ROW_BLOCK = 16
 
+# JSA lines per block of the lag sums: 64 FFTs of length 2n at a time.
+_LINE_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class JointTemporalAmplitude:
-    """Complex pair amplitude over (t_s, t_i), conjugate to a source JSA."""
+    """Complex pair amplitude over (t_s, t_i), conjugate to a source JSA.
 
-    times: np.ndarray  # shared 1-D axis for both photons (s)
-    amplitude: np.ndarray
-    provenance: dict
+    Holds the spectrum and the oversampling only, and is refused on making
+    if its transform is above the memory budget.  The first read of
+    ``amplitude``, ``intensity`` or ``provenance`` runs the transform and its
+    Parseval check and fills all three, each computed once; the arrays are
+    read-only.
+    """
+
+    spectrum: JointSpectralAmplitude
+    oversample: int
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        amp = np.asarray(self.amplitude, dtype=complex)
-        if t.ndim != 1 or amp.shape != (t.size, t.size):
-            raise GridError("JTA needs a square amplitude on a shared 1-D time axis")
-        object.__setattr__(self, "times", _read_only(t))
-        object.__setattr__(self, "amplitude", _read_only(amp))
+        oversample = self.oversample
+        if not self.spectrum.grid.is_square:
+            raise GridError("temporal transform needs a square symmetric grid")
+        if isinstance(oversample, bool) or not isinstance(oversample, numbers.Integral) or oversample < 1:
+            raise DomainError(f"oversample must be an integer >= 1, got {oversample!r}")
+        object.__setattr__(self, "oversample", int(oversample))
+        check_memory_budget(
+            "the joint temporal amplitude", jta_bytes(self.spectrum.grid.n_s, self.oversample)
+        )
 
     @property
     def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
+        """The time step 2 pi / (N dnu) of the N = oversample n point axis (s)."""
+        return 2.0 * math.pi / (self.oversample * self.spectrum.grid.n_s * self.spectrum.grid.d_nu_s)
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        """The shared 1-D time axis of both photons (s), read-only."""
+        big_n = self.oversample * self.spectrum.grid.n_s
+        times = (np.arange(big_n) - big_n // 2) * self.dt
+        times.flags.writeable = False
+        return times
+
+    @cached_property
+    def amplitude(self) -> np.ndarray:
+        """The transformed amplitude; fills ``intensity`` and ``provenance`` on the way."""
+        state = self.spectrum
+        out = _transform(state, self.oversample)
+        intensity = _squared_modulus(out)
+        dnu = state.grid.d_nu_s
+        power_nu = float(np.sum(state.intensity)) * dnu * dnu
+        power_t = float(np.sum(intensity)) * self.dt * self.dt
+        mismatch = abs(power_nu - power_t) / power_nu
+        if mismatch > _PARSEVAL_TOL:
+            raise RuntimeError(f"Parseval violated by the transform: {mismatch:.3e}")
+        provenance = dict(state.provenance)
+        provenance["transform"] = {"oversample": self.oversample, "parseval_mismatch": mismatch}
+        vars(self).update(intensity=intensity, provenance=provenance)
+        return out
 
     @cached_property
     def intensity(self) -> np.ndarray:
-        """|JTA|^2, computed at most once, read-only."""
-        return _squared_modulus(self.amplitude)
+        """|JTA|^2, computed once by the transform's Parseval check, read-only."""
+        self.amplitude
+        return vars(self)["intensity"]
+
+    @cached_property
+    def provenance(self) -> dict:
+        """The spectrum's provenance and the transform's oversampling and Parseval mismatch."""
+        self.amplitude
+        return vars(self)["provenance"]
 
 
 @dataclass(frozen=True)
@@ -119,20 +184,21 @@ def jta_bytes(n: int, oversample: int = DEFAULT_OVERSAMPLE) -> int:
 def jta_from_jsa(
     state: JointSpectralAmplitude, oversample: int = DEFAULT_OVERSAMPLE
 ) -> JointTemporalAmplitude:
-    """Centered 2-D Fourier transform of a square-grid JSA.
+    """Centered 2-D Fourier transform of a square-grid JSA, run when first read.
 
-    Raises GridError for non-square grids and checks Parseval conservation
-    to 1e-9 relative.
+    Raises GridError for non-square grids and DomainError for an oversample
+    that is not an integer >= 1 or whose transform is above the memory
+    budget, all before anything is transformed; the transform checks
+    Parseval conservation to 1e-9 relative.
     """
-    if not state.grid.is_square:
-        raise GridError("temporal transform needs a square symmetric grid")
-    if isinstance(oversample, bool) or not isinstance(oversample, numbers.Integral) or oversample < 1:
-        raise DomainError(f"oversample must be an integer >= 1, got {oversample!r}")
-    oversample = int(oversample)
+    return JointTemporalAmplitude(state, oversample)
+
+
+def _transform(state: JointSpectralAmplitude, oversample: int) -> np.ndarray:
+    """The read-only N x N transform of ``state``, in two passes (module docstring)."""
     n = state.grid.n_s
     dnu = state.grid.d_nu_s
     big_n = oversample * n
-    check_memory_budget("the joint temporal amplitude", jta_bytes(n, oversample))
     half = big_n // 2
     # ifftshift puts the padded rows (and columns) that hold the JSA at
     # start, start + 1, ... modulo big_n: two slices, the second wrapped
@@ -165,55 +231,74 @@ def jta_from_jsa(
             # fftshift along the idler axis, scaled on the way into the result
             np.multiply(spec[:, big_n - half :], scale, out=out[r0 : r0 + rows, :half])
             np.multiply(spec[:, : big_n - half], scale, out=out[r0 : r0 + rows, half:])
-    del lines
-    dt = 2.0 * math.pi / (big_n * dnu)
-    times = (np.arange(big_n) - half) * dt
-
-    times.flags.writeable = False
     out.flags.writeable = False
-    prov = dict(state.provenance)
-    jta = JointTemporalAmplitude(times=times, amplitude=out, provenance=prov)
-
-    power_nu = float(np.sum(state.intensity)) * dnu * dnu
-    power_t = float(np.sum(jta.intensity)) * dt * dt
-    mismatch = abs(power_nu - power_t) / power_nu
-    if mismatch > _PARSEVAL_TOL:
-        raise RuntimeError(f"Parseval violated by the transform: {mismatch:.3e}")
-    prov["transform"] = {"oversample": oversample, "parseval_mismatch": mismatch}
-    return jta
+    return out
 
 
-def _diagonal_bins(power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bin sums of ``power`` over j - k + n - 1 and over j + k, ascending in j.
+def _line_power(amplitude: np.ndarray, anti: bool, big_n: int) -> np.ndarray:
+    """Sum over the lines of ``amplitude`` of |FFT_2n(line)|^2.
 
-    Row j lands in bins j .. j + n - 1: as it is for the j + k bins, and
-    reversed for the j - k bins.  Adding the rows in ascending order gives
-    each bin the same sum, in the same order, as a column sum of the rows
-    shifted right by j.
+    Line s = 0 .. 2n - 2 holds the elements with ``j + k = s`` (``anti``) or
+    ``j - k = s - (n - 1)``, element j at position j.  On a torus of
+    ``big_n`` < 2n - 1 points, line s + big_n fills the rest of line s.
     """
-    n = power.shape[0]
-    minus = np.zeros(2 * n - 1)
-    plus = np.zeros(2 * n - 1)
-    for j, row in enumerate(power):
-        plus[j : j + n] += row
-        minus[j : j + n] += row[::-1]
-    return minus, plus
+    n = amplitude.shape[0]
+    flat = amplitude.ravel()
+    # element j of line s is flat[first + j * step]
+    step = n - 1 if anti else n + 1
+    rows = min(big_n, 2 * n - 1)
+    lines = np.empty((min(_LINE_BLOCK, rows), 2 * n), dtype=complex)
+    power = np.zeros(2 * n)
+    for r0 in range(0, rows, _LINE_BLOCK):
+        r1 = min(r0 + _LINE_BLOCK, rows)
+        block = lines[: r1 - r0]
+        block[...] = 0.0
+        for s in (*range(r0, r1), *range(r0 + big_n, min(r1 + big_n, 2 * n - 1))):
+            lo, hi = max(0, s - n + 1), min(n - 1, s)
+            first = s if anti else n - 1 - s
+            block[s % big_n - r0, lo : hi + 1] = flat[first + lo * step : first + hi * step + 1 : step]
+        power += (np.abs(np.fft.fft(block, axis=1)) ** 2).sum(axis=0)
+    return power
+
+
+def _projections(state: JointSpectralAmplitude, oversample: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of |JTA|^2 over ``t_s - t_i`` and over ``t_s + t_i`` on the N-point
+    time torus, in steps of dt from -(N // 2) dt, from the lag sums of the JSA
+    (module docstring).  Raises RuntimeError if a zero lag misses sum |f|^2.
+    """
+    f = state.amplitude
+    n = f.shape[0]
+    big_n = oversample * n
+    total = float(np.sum(state.intensity))
+    lags = np.arange(-(n - 1), n)
+    scale = big_n * (state.grid.d_nu_s**2 / (2.0 * math.pi)) ** 2
+    out = []
+    for anti in (True, False):
+        # autocorrelation at lag D in entry D mod 2n: the lags do not wrap
+        autocorrelation = np.fft.ifft(_line_power(f, anti, big_n))
+        mismatch = abs(autocorrelation[0].real - total) / total
+        if mismatch > _PARSEVAL_TOL:
+            raise RuntimeError(f"Parseval violated by the lag sums: {mismatch:.3e}")
+        torus = np.zeros(big_n, dtype=complex)
+        np.add.at(torus, lags % big_n, autocorrelation[lags])
+        out.append(np.fft.fftshift(np.fft.fft(torus).real) * scale)
+    return out[0], out[1]
 
 
 def diagonal_widths(jta: JointTemporalAmplitude) -> tuple[float, float]:
     """FWHMs of |JTA|^2 projected on the difference and sum time coordinates.
 
-    Projections are exact anti-diagonal/diagonal bin sums (bin width equals
-    the grid dt), reported directly in ``t_s - t_i`` and ``t_s + t_i``.
+    The projections are taken from lag sums of the JSA on the JTA's own dt
+    grid (module docstring), so the transform does not run; they are reported
+    directly in ``t_s - t_i`` and ``t_s + t_i``.
 
     For gaussian-profile states the difference width coincides with the
     interference-dip FWHM; for rect-like temporal profiles (sinc
     phasematching) the dip is the narrower autocorrelation of the profile,
     so the two differ by up to a factor of two.
     """
-    minus, plus = _diagonal_bins(jta.intensity)
-    n = jta.times.size
-    axis = (np.arange(2 * n - 1) - (n - 1)) * jta.dt
+    minus, plus = _projections(jta.spectrum, jta.oversample)
+    axis = (np.arange(minus.size) - minus.size // 2) * jta.dt
     try:
         dt_minus = intensity_fwhm(axis, minus)
         dt_plus = intensity_fwhm(axis, plus)

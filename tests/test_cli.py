@@ -346,6 +346,14 @@ def test_failed_run_leaves_no_outdir(tmp_path, capsys, argv, message):
     # finite, but the exponents overflow: exp(-inf) = 0 leaves no amplitude
     (["simulate", "--preset", "ppktp-8mm", "--grid-span-fwhms", "1e200", "--grid-n", "16"],
      "error: amplitude is identically zero"),
+    # the sinc amplitude is not zero there, but its square underflows
+    (["simulate", "--preset", "ppktp-8mm", "--profile", "sinc", "--grid-span-fwhms", "1e200",
+      "--grid-n", "16"], "error: joint spectral intensity underflows to zero"),
+    (["hom", "--preset", "ppktp-8mm", "--model", "numeric-sinc", "--grid-span-fwhms", "1e200",
+      "--grid-n", "16"], "error: joint spectral intensity underflows to zero"),
+    # the filter's exponent overflows: exp(-inf) = 0 leaves no amplitude
+    (["simulate", "--preset", "ppktp-8mm", "--filter-fwhm-nm", "1e-300"],
+     "error: filter leaves no amplitude inside the grid"),
     # the whole dip inside one delay step
     (["hom", "--preset", "ppktp-8mm", "--model", "gaussian", "--delay-span", "1e6"],
      "dip FWHM spans 1 delay steps (< 4)"),
@@ -354,6 +362,7 @@ def test_failed_run_leaves_no_outdir(tmp_path, capsys, argv, message):
     (["hom", "--preset", "ppktp-8mm", "--grid-n", "64", "--delay-span", "1e3"],
      "dip FWHM spans 1 delay steps (< 4)"),
 ], ids=["grid-span", "delay-span", "pump-1e17", "pump-1e300", "grid-span-1e200",
+        "sinc-intensity-underflow", "hom-sinc-intensity-underflow", "filter-1e-300",
         "delay-span-1e6", "delay-span-1e300", "numeric-delay-span-1e3"])
 def test_overflowing_input_fails_in_one_line(tmp_path, argv, message):
     # refused before numpy warns or LAPACK prints: a fresh interpreter, so

@@ -36,7 +36,6 @@ from biphoton.hom import DelayScan
 from biphoton.jsa import MEMORY_BUDGET_BYTES, GaussianJsaParams, gaussian_marginal_fwhms, jsa_bytes
 from biphoton.jsa import BUILD_JSA_PEAK_FACTOR, MIN_SAMPLES_PER_FWHM, check_memory_budget
 from biphoton.spectral import pump_envelope, sinc
-from biphoton.temporal import JointTemporalAmplitude
 
 from helpers import make_pm, make_pump, random_source
 
@@ -191,15 +190,11 @@ class TestIntensity:
     @pytest.mark.parametrize("hand_over,given", [
         (lambda a: JointSpectralAmplitude(FrequencyGrid.square_symmetric(1e13, 8), a).amplitude,
          np.ones((8, 8), dtype=complex)),
-        (lambda a: JointTemporalAmplitude(np.linspace(-1e-12, 1e-12, 8), a, {}).amplitude,
-         np.ones((8, 8), dtype=complex)),
-        (lambda a: JointTemporalAmplitude(a, np.ones((12, 12), dtype=complex), {}).times,
-         np.linspace(-1e-12, 1e-12, 12)),
         (lambda a: DelayScan(delays=a, rates=np.full(12, 0.5)).delays,
          np.linspace(-1e-12, 1e-12, 12)),
         (lambda a: MeasuredScan(delays=a, counts=np.ones(12)).delays,
          np.linspace(-1e-12, 1e-12, 12)),
-    ], ids=["jsa-amplitude", "jta-amplitude", "jta-times", "delay-scan", "measured-scan"])
+    ], ids=["jsa-amplitude", "delay-scan", "measured-scan"])
     def test_read_only_owned_array_adopted_other_copied(self, hand_over, given):
         owned = given.copy()
         owned.flags.writeable = False
@@ -233,6 +228,15 @@ class TestIntensity:
 def test_grid_bounds_must_be_finite(bounds):
     with pytest.raises(GridError):
         FrequencyGrid(4, 4, *bounds)
+
+
+def test_underflowing_intensity_refused(ppktp):
+    # far out on a finite grid the sinc amplitude is about 1e-200: not zero,
+    # but its square is
+    source = preset_with_pump(ppktp, profile="sinc")
+    grid = auto_grid(source.pump, source.pm, n=16, span_fwhms=1e200)
+    with pytest.raises(EmptyStateError, match="intensity underflows to zero"):
+        build_jsa(source.pump, source.pm, grid)
 
 
 class TestGridAnalyticOracle:

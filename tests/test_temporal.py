@@ -1,11 +1,16 @@
-"""Joint temporal amplitude: transform correctness and timing widths."""
+"""Joint temporal amplitude: transform correctness and timing widths.
+
+The timing widths come from lag sums of the JSA; the oracle here bins the
+N x N |JTA|^2 of the transform, as the package did before.
+"""
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from biphoton import (
@@ -14,20 +19,25 @@ from biphoton import (
     GridError,
     FrequencyGrid,
     JointSpectralAmplitude,
+    SpectralFilter,
+    apply_spectral_filter,
     build_jsa,
     coincidence_scan,
     correlation_classification,
+    correlation_time_gaussian,
     default_delays,
     diagonal_widths,
     extract_dip,
+    gaussian_jsa_params,
+    intensity_fwhm,
     jta_from_jsa,
     preset_with_pump,
     timing_gain,
 )
 from biphoton import temporal
 from biphoton.jsa import MEMORY_BUDGET_BYTES, auto_grid
-from biphoton.temporal import JointTemporalAmplitude, _diagonal_bins, jta_bytes
-from helpers import random_source, record_adoptions
+from biphoton.temporal import _PARSEVAL_TOL, jta_bytes
+from helpers import random_source
 
 
 def reference_jta(state, oversample, axes=(1, 0)):
@@ -48,6 +58,90 @@ def reference_jta(state, oversample, axes=(1, 0)):
     power_nu = float(np.sum(np.abs(state.amplitude) ** 2)) * dnu * dnu
     power_t = float(np.sum(np.abs(out) ** 2)) * dt * dt
     return out, abs(power_nu - power_t) / power_nu
+
+
+def diagonal_bins(power):
+    """Bin sums of ``power`` over j - k + n - 1 and over j + k, ascending in j.
+
+    Row j lands in bins j .. j + n - 1: as it is for the j + k bins, and
+    reversed for the j - k bins.  Adding the rows in ascending order gives
+    each bin the same sum, in the same order, as a column sum of the rows
+    shifted right by j.
+    """
+    n = power.shape[0]
+    minus = np.zeros(2 * n - 1)
+    plus = np.zeros(2 * n - 1)
+    for j, row in enumerate(power):
+        plus[j : j + n] += row
+        minus[j : j + n] += row[::-1]
+    return minus, plus
+
+
+def binned_widths(jta):
+    """The oracle: FWHMs of the binned projections of the transform's |JTA|^2.
+
+    Returns the two widths, the two bin vectors and the bins' shares of the
+    mass beyond the N-point time window, which the torus folds back into it.
+    """
+    big_n = jta.times.size
+    bins = diagonal_bins(jta.intensity)
+    axis = (np.arange(2 * big_n - 1) - (big_n - 1)) * jta.dt
+    # bins N - 1 - N // 2 .. 2N - 2 - N // 2 lie on the window (the sum-time
+    # bins are labelled one dt high for an even N, which moves no width)
+    outside = np.ones(2 * big_n - 1, dtype=bool)
+    outside[big_n - 1 - big_n // 2 : 2 * big_n - 1 - big_n // 2] = False
+    widths = [intensity_fwhm(axis, b) for b in bins]
+    shares = [float(b[outside].sum() / b.sum()) for b in bins]
+    return widths, bins, shares
+
+
+def crossing_step(curve):
+    """The smaller rise over one sample of the two intervals that bracket half maximum."""
+    peak = int(np.argmax(curve))
+    half = 0.5 * curve[peak]
+    i = peak
+    while curve[i] > half:
+        i -= 1
+    j = peak
+    while curve[j] > half:
+        j += 1
+    return min(curve[i + 1] - curve[i], curve[j - 1] - curve[j])
+
+
+GAUSSIAN_FWHM = 2.0 * math.sqrt(2.0 * math.log(2.0))
+
+
+def gaussian_timing_widths(pump, pm):
+    """Closed-form dt_minus, dt_plus of a Gaussian-profile source.
+
+    For f = exp(-nu^T C nu) the JTA is exp(-t^T C^-1 t / 4), so |JTA|^2 is a
+    Gaussian with covariance S = (Re C^-1)^-1, and t_s -+ t_i have the
+    variances S_ss + S_ii -+ 2 S_si.
+    """
+    p = gaussian_jsa_params(pump, pm)
+    cov = np.linalg.inv(np.linalg.inv(np.array([[p.c_ss, p.c_si], [p.c_si, p.c_ii]])).real)
+    spread = cov[0, 0] + cov[1, 1]
+    return (GAUSSIAN_FWHM * math.sqrt(spread - 2.0 * cov[0, 1]),
+            GAUSSIAN_FWHM * math.sqrt(spread + 2.0 * cov[0, 1]))
+
+
+def sampled_gaussian_width_bound(width, dt, window):
+    """Bound on the FWHM read from a centred Gaussian of FWHM ``width`` sampled
+    every ``dt`` from its peak and folded onto a torus of length ``window``.
+
+    Linear interpolation puts each half-maximum crossing within
+    dt^2 max|y''| / 8 / min|y'| of the true one, extrema over the two samples
+    around it.  Folding adds at most e = 4 y(window / 2) anywhere in the window
+    (two nearest images, and the rest), which lifts half maximum by e / 2 and
+    the curve by e: at most 1.5 e / min|y'| more.  Both crossings move alike.
+    """
+    sigma = width / GAUSSIAN_FWHM
+    x = np.linspace(0.5 * width - dt, 0.5 * width + dt, 2001)
+    y = np.exp(-0.5 * (x / sigma) ** 2)
+    slope = np.min(x / sigma**2 * y)
+    curvature = np.max(np.abs(x**2 / sigma**4 - 1.0 / sigma**2) * y)
+    folded = 4.0 * math.exp(-0.5 * (0.5 * window / sigma) ** 2)
+    return 2.0 * (dt * dt * curvature / 8.0 + 1.5 * folded) / slope
 
 
 def reference_projections(amplitude):
@@ -143,7 +237,7 @@ class TestTransform:
         idler_first, _ = reference_jta(state, oversample, axes=(-2, -1))
         peak = np.max(np.abs(expected))
         np.testing.assert_allclose(jta.amplitude, idler_first, rtol=0, atol=1e-14 * peak)
-        for got, want in zip(_diagonal_bins(jta.intensity), reference_projections(expected)):
+        for got, want in zip(diagonal_bins(jta.intensity), reference_projections(expected)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * want.max())
 
     @pytest.mark.parametrize("seed,profile,n,oversample", [
@@ -153,30 +247,21 @@ class TestTransform:
         pump, pm = random_source(np.random.default_rng(seed), profile)
         jta = jta_from_jsa(build_jsa(pump, pm, auto_grid(pump, pm, n=n)), oversample)
         want = sheared_projections(jta.amplitude)
-        got = _diagonal_bins(jta.intensity)
+        got = diagonal_bins(jta.intensity)
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
-    def test_caller_array_is_copied(self):
-        times = np.linspace(-1e-12, 1e-12, 8)
-        amp = np.ones((8, 8), dtype=complex)
-        view = amp[:]
-        view.flags.writeable = False
-        for given_amp in (amp, view):
-            jta = JointTemporalAmplitude(times=times, amplitude=given_amp, provenance={})
-            amp[0, 0] = 5.0
-            assert jta.amplitude[0, 0] == 1.0 and not jta.amplitude.flags.writeable
-            amp[0, 0] = 1.0
-
     def test_allocation_peak(self, ppktp):
-        # the n x N transformed lines (0.25x at 4x oversampling) are freed
-        # before the float intensity (0.5x) is made; a full-size temporary
-        # besides the result would add 1x nbytes.  The state's own intensity
-        # is made first, so only the transform's allocations are traced.
+        # the first read of the amplitude runs the transform: the n x N
+        # transformed lines (0.25x at 4x oversampling) are freed before the
+        # float intensity (0.5x) is made; a full-size temporary besides the
+        # result would add 1x nbytes.  The state's own intensity is made
+        # first, so only the transform's allocations are traced.
         state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=128))
         state.intensity
+        jta = jta_from_jsa(state, oversample=4)
         tracemalloc.start()
         try:
-            jta = jta_from_jsa(state, oversample=4)
+            jta.amplitude
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -185,20 +270,35 @@ class TestTransform:
     def test_intensity_filled_by_parseval_check(self, ppktp):
         state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=64))
         jta = jta_from_jsa(state, oversample=2)
-        assert "intensity" in vars(jta)
+        assert not {"amplitude", "intensity", "provenance"} & set(vars(jta))
+        jta.amplitude
+        assert "intensity" in vars(jta) and "provenance" in vars(jta)
         assert jta.intensity is jta.intensity and not jta.intensity.flags.writeable
         assert jta.intensity.tobytes() == (np.abs(jta.amplitude) ** 2).tobytes()
 
+    @pytest.mark.parametrize("read", ["intensity", "provenance"])
+    def test_any_first_read_runs_the_transform(self, ppktp, read):
+        state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=32))
+        jta = jta_from_jsa(state, oversample=3)
+        getattr(jta, read)
+        assert {"amplitude", "intensity", "provenance"} <= set(vars(jta))
+        expected, mismatch = reference_jta(state, 3)
+        assert jta.amplitude.tobytes() == expected.tobytes()
+        assert jta.provenance["transform"] == {"oversample": 3, "parseval_mismatch": mismatch}
+
     def test_diagonal_widths_allocate_no_grid(self, ppktp):
-        state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=128))
-        jta = jta_from_jsa(state, oversample=4)
+        # the widths read neither the amplitude nor its intensity: the lag
+        # sums hold O(n) lines at a time
+        state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=512))
         tracemalloc.start()
         try:
-            diagonal_widths(jta)
+            jta = jta_from_jsa(state, oversample=4)
+            timing_gain(jta, ppktp.pump)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.05 * jta.amplitude.nbytes
+        assert peak < 0.05 * jta_bytes(512, 4)
+        assert not {"amplitude", "intensity", "provenance"} & set(vars(jta))
 
     @pytest.mark.parametrize("oversample", [2.7, True, 0, -1, "2"])
     def test_non_integer_oversample_rejected(self, ppktp, oversample):
@@ -213,13 +313,14 @@ class TestTransform:
         assert jta.provenance["transform"]["oversample"] == 3
         assert type(jta.provenance["transform"]["oversample"]) is int
 
-    def test_fresh_arrays_adopted(self, ppktp, monkeypatch):
-        # the transform hands over its times axis and amplitude read-only,
-        # so the JTA keeps them instead of copying
-        adopted = record_adoptions(monkeypatch, temporal)
+    def test_fresh_arrays_adopted(self, ppktp):
+        # after the first read of the amplitude, the JTA keeps the transform's
+        # fresh times axis and amplitude read-only, instead of copying them
         state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=16))
-        jta_from_jsa(state, 2)
-        assert adopted == [True, True]
+        jta = jta_from_jsa(state, 2)
+        kept = (jta.times, jta.amplitude)
+        for array, again in zip(kept, (jta.times, jta.amplitude)):
+            assert array is again and array.base is None and not array.flags.writeable
 
     def test_non_square_grid_rejected(self):
         grid = FrequencyGrid(32, 32, -1e13, 1e13, -0.6e13, 1e13)
@@ -275,13 +376,139 @@ class TestDiagonalWidths:
         assert plus[0] <= plus[1] <= plus[2]
 
     def test_truncated_projection(self):
-        # difference-time distribution centered beyond the window edge rises
-        # monotonically to the boundary, leaving its half maximum unbracketed
-        times = np.linspace(-1e-12, 1e-12, 64)
-        amp = np.exp(-(((times[:, None] - times[None, :] - 3e-12) / 5e-13) ** 2))
-        jta = JointTemporalAmplitude(times=times, amplitude=amp, provenance={})
-        with pytest.raises(CoverageError):
-            diagonal_widths(jta)
+        # a linear phase centres the difference time on the edge of the time
+        # window, t_s - t_i = T/2 with T = 2 pi / dnu: the torus splits the
+        # projection between the window's two ends, leaving its half maximum
+        # unbracketed
+        s = 2.5e12
+        grid = FrequencyGrid.square_symmetric(10 * s, 64)
+        nu_s, nu_i = grid.nu_s[:, None], grid.nu_i[None, :]
+        shift = 0.5 * (2.0 * math.pi / grid.d_nu_s)
+        amp = np.exp(-((nu_s / s) ** 2) - (nu_i / s) ** 2 - 0.5j * (nu_s - nu_i) * shift)
+        state = JointSpectralAmplitude(grid, amp, {"kind": "test"})
+        for oversample in (1, 2, 4):
+            with pytest.raises(CoverageError, match="truncated by the time window"):
+                diagonal_widths(jta_from_jsa(state, oversample))
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        profile=st.sampled_from(("gaussian", "sinc")),
+        n=st.integers(2, 64),
+        oversample=st.integers(1, 4),
+        delays=st.tuples(st.floats(-0.25, 0.25), st.floats(-0.25, 0.25)),
+    )
+    @example(seed=3, profile="sinc", n=7, oversample=1, delays=(0.0, 0.0))
+    @example(seed=4, profile="gaussian", n=9, oversample=2, delays=(0.1, -0.05))
+    def test_lag_sums_equal_folded_bins(self, seed, profile, n, oversample, delays):
+        # the identity itself: the oracle's 2N - 1 bins, folded onto the
+        # N-point torus, are the lag-sum projections up to rounding.  The
+        # sources are symmetric in time, so a linear phase moves each photon
+        # by a share of the window T = 2 pi / dnu to make them asymmetric.
+        pump, pm = random_source(np.random.default_rng(seed), profile)
+        state = build_jsa(pump, pm, auto_grid(pump, pm, n=n))
+        window = 2.0 * math.pi / state.grid.d_nu_s
+        phase = np.exp(-1j * window * (delays[0] * state.grid.nu_s[:, None]
+                                       + delays[1] * state.grid.nu_i[None, :]))
+        state = JointSpectralAmplitude(state.grid, state.amplitude * phase, state.provenance)
+        jta = jta_from_jsa(state, oversample)
+        big_n = jta.times.size
+        # bin b of the difference is d = b - (N - 1), of the sum d = b - 2 (N // 2)
+        b = np.arange(2 * big_n - 1)
+        shifts = (big_n - 1, 2 * (big_n // 2))
+        for got, bins, shift in zip(temporal._projections(state, oversample),
+                                    diagonal_bins(jta.intensity), shifts):
+            folded = np.zeros(big_n)
+            np.add.at(folded, (b - shift + big_n // 2) % big_n, bins)
+            np.testing.assert_allclose(got, folded, rtol=0, atol=1e-12 * folded.max())
+
+    @pytest.mark.parametrize("seed", [1901, 1902, 1903, 1904])
+    def test_match_binned_oracle_at_n512(self, ppktp, seed):
+        # sources as the benchmark draws them (1-4 nm pump, +-5000 fs^2,
+        # 6-12 mm) on the default grid: the JTA window holds the pair, so
+        # folding moves no width beyond rounding
+        rng = np.random.default_rng(seed)
+        src = preset_with_pump(
+            ppktp,
+            pump_fwhm_nm=rng.uniform(1.0, 4.0),
+            beta=rng.uniform(-5000.0, 5000.0) * 1e-30,
+            profile=("gaussian", "sinc")[seed % 2],
+            length_scale=rng.uniform(6e-3, 12e-3) / ppktp.pm.length_L,
+        )
+        jta = jta_from_jsa(build_jsa(src.pump, src.pm), oversample=4)
+        got = diagonal_widths(jta)
+        want, _, _ = binned_widths(jta)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-10 * w
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        profile=st.sampled_from(("gaussian", "sinc")),
+        chirped=st.booleans(),
+        filtered=st.booleans(),
+        n=st.integers(8, 256),
+        oversample=st.integers(1, 4),
+    )
+    @example(seed=1, profile="sinc", chirped=True, filtered=False, n=36, oversample=1)
+    @example(seed=133, profile="sinc", chirped=True, filtered=False, n=22, oversample=1)
+    def test_match_binned_oracle_within_folded_mass(
+        self, seed, profile, chirped, filtered, n, oversample
+    ):
+        # the lag sums fold the mass beyond +-T/2 back into the window.  That
+        # lifts the projection by at most M, the oracle's mass out there, which
+        # lifts half maximum by at most M/2: each crossing moves by at most
+        # 1.5 M over the bracketing rise per dt.  Rounding adds 1e-10.
+        rng = np.random.default_rng(seed)
+        pump, pm = random_source(rng, profile)
+        if not chirped:
+            pump = replace(pump, beta=0.0)
+        state = build_jsa(pump, pm, auto_grid(pump, pm, n=n))
+        if filtered:
+            width = float(rng.uniform(0.3, 2.0)) * 1e13
+            state = apply_spectral_filter(state, SpectralFilter("gaussian", 0.0, width, "both"))
+        jta = jta_from_jsa(state, oversample)
+        want, bins, shares = binned_widths(jta)
+        try:
+            got = diagonal_widths(jta)
+        except CoverageError:
+            # refused only where the window does not hold the pair
+            assert max(shares) > 0.01
+            return
+        for g, w, b, share in zip(got, want, bins, shares):
+            bound = 3.0 * share * b.sum() * jta.dt / crossing_step(b) + 1e-10 * w
+            assert abs(g - w) <= bound
+
+    def test_zero_lag_checked(self, ppktp, monkeypatch):
+        # a broken lag sum fails as a broken transform does
+        state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=32))
+        real = temporal._line_power
+        monkeypatch.setattr(
+            temporal, "_line_power", lambda *args: real(*args) * (1.0 + 10 * _PARSEVAL_TOL)
+        )
+        with pytest.raises(RuntimeError, match="Parseval violated by the lag sums"):
+            diagonal_widths(jta_from_jsa(state))
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(64, 256), oversample=st.integers(2, 4))
+    def test_gaussian_closed_form(self, seed, n, oversample):
+        # chirped Gaussian sources against dt_-+ from (Re C^-1)^-1.  The grid
+        # spans 6 marginal FWHMs, so the amplitude it cuts off is below
+        # rounding; the bound is the sampled read's, from dt and the window.
+        pump, pm = random_source(np.random.default_rng(seed), "gaussian")
+        state = build_jsa(pump, pm, auto_grid(pump, pm, n=n, span_fwhms=6.0))
+        jta = jta_from_jsa(state, oversample)
+        window = jta.times.size * jta.dt
+        want = gaussian_timing_widths(pump, pm)
+        # a pair wider than about half the window folds onto its own half maximum
+        assume(max(want) < 0.4 * window)
+        got = diagonal_widths(jta)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= sampled_gaussian_width_bound(w, jta.dt, window) + 1e-12 * w
+        # the difference width is the dip width: a crystal property only
+        t_c = correlation_time_gaussian(pm)
+        assert want[0] == pytest.approx(t_c, rel=1e-12)
+        assert abs(got[0] - t_c) <= sampled_gaussian_width_bound(t_c, jta.dt, window) + 1e-12 * t_c
 
 
 class TestTimingGain:

@@ -132,6 +132,9 @@ RUNS = (
         ("simulate", *_P, "--grid-span-fwhms", "1e300", "--grid-n", "16", *_OUT)),
     Run("simulate-span-1e200-fails",
         ("simulate", *_P, "--grid-span-fwhms", "1e200", "--grid-n", "16", *_OUT)),
+    Run("simulate-sinc-span-1e200-fails",
+        ("simulate", *_P, "--profile", "sinc", "--grid-span-fwhms", "1e200", "--grid-n", "16",
+         *_OUT), quick=True),
     Run("hom-numeric", ("hom", *_P, "--model", "numeric", *_OUT)),
     Run("hom-numeric-chirped-128",
         ("hom", *_P, "--model", "numeric", "--chirp-fs2", "-20000", "--grid-n", "128", *_OUT),
@@ -144,6 +147,9 @@ RUNS = (
         ("hom", *_P, "--model", "gaussian", "--delay-points", "100000", *_OUT)),
     Run("hom-numeric-n16", ("hom", *_P, "--model", "numeric", "--grid-n", "16", *_OUT),
         quick=True),
+    Run("hom-sinc-span-1e200-fails",
+        ("hom", *_P, "--model", "numeric-sinc", "--grid-span-fwhms", "1e200", "--grid-n", "16",
+         *_OUT), quick=True),
     Run("hom-n3-fails", ("hom", *_P, "--grid-n", "3", *_OUT)),
     Run("hom-n4000-fails", ("hom", *_P, "--grid-n", "4000", *_OUT)),
     Run("hom-delay-span-0-fails", ("hom", *_P, "--delay-span", "0", *_OUT)),
