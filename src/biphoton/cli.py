@@ -192,12 +192,12 @@ def _coarse_grid_reported(opts: dict, state):
     """Report the resolution warnings of ``state`` once the kernels run on it.
 
     If they succeed, each warning is printed on stderr.  A failure on a state
-    that ``build_jsa`` found too coarse is re-raised as a ``DomainError``
-    naming ``--grid-n`` and the warnings; one on a well resolved state passes
-    as it is.
+    that ``build_jsa`` or ``apply_spectral_filter`` found too coarse is
+    re-raised as a ``DomainError`` naming ``--grid-n`` and the warnings; one
+    on a well resolved state passes as it is.
     """
-    # build_jsa records only resolution warnings, each "<samples per marginal
-    # FWHM>; results may be inaccurate" or "... not resolved on this grid"
+    # both record only resolution warnings, each "<samples per marginal or
+    # filter FWHM>; results may be inaccurate" or "... not resolved on this grid"
     warnings = state.provenance.get("warnings", ())
     try:
         yield
@@ -249,14 +249,14 @@ def cmd_simulate(opts: dict) -> int:
     meta = _meta(opts)
     lam_pdc = 2 * np.pi * C_M_PER_S / source.pm.omega_s0
 
+    filter_fwhm_nm = opts.get("filter_fwhm_nm")
+    if filter_fwhm_nm is not None:
+        width = filter_fwhm_nm * 1e-9 * 2 * np.pi * C_M_PER_S / lam_pdc**2
+        state = apply_spectral_filter(
+            state,
+            SpectralFilter(shape="gaussian", center=0.0, width=width, target="both"),
+        )
     with _coarse_grid_reported(opts, state):
-        filter_fwhm_nm = opts.get("filter_fwhm_nm")
-        if filter_fwhm_nm is not None:
-            width = filter_fwhm_nm * 1e-9 * 2 * np.pi * C_M_PER_S / lam_pdc**2
-            state = apply_spectral_filter(
-                state,
-                SpectralFilter(shape="gaussian", center=0.0, width=width, target="both"),
-            )
         sig, idl = marginals(state)
         schmidt = schmidt_decompose(state)
         rho, label = correlation_classification(state)

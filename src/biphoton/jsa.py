@@ -440,18 +440,32 @@ def intensity_fwhm(axis: np.ndarray, values: np.ndarray) -> float:
 def apply_spectral_filter(
     state: JointSpectralAmplitude, filt: SpectralFilter
 ) -> JointSpectralAmplitude:
-    """Multiply the amplitude by a filter transmission along the target axis."""
+    """Multiply the amplitude by a filter transmission along the target axis.
+
+    A filter whose width spans fewer than :data:`MIN_SAMPLES_PER_FWHM` steps
+    of a filtered axis gets a warning in the filtered state's provenance.
+    """
     amp = np.array(state.amplitude)
+    step = 0.0
     if filt.target in ("signal", "both"):
         t = filt.transmission(state.grid.nu_s)
         amp *= t[:, None]
+        step = state.grid.d_nu_s
     if filt.target in ("idler", "both"):
         t = filt.transmission(state.grid.nu_i)
         amp *= t[None, :]
+        step = max(step, state.grid.d_nu_i)
     if not np.any(amp):
         raise EmptyStateError("filter leaves no amplitude inside the grid")
     amp.flags.writeable = False
     prov = dict(state.provenance)
+    if filt.width / step < MIN_SAMPLES_PER_FWHM:
+        # a new list: the parent state keeps its own warnings
+        prov["warnings"] = [
+            *prov.get("warnings", ()),
+            f"filter has {filt.width / step:.1f} samples per FWHM "
+            f"(< {MIN_SAMPLES_PER_FWHM:g}); results may be inaccurate",
+        ]
     prov.setdefault("filters", [])
     prov["filters"] = list(prov["filters"]) + [
         {
@@ -625,8 +639,11 @@ def correlation_classification(state: JointSpectralAmplitude) -> tuple[float, st
     di = state.grid.nu_i - float(idler @ state.grid.nu_i) / total
     var_s = float(signal @ (ds * ds))
     var_i = float(idler @ (di * di))
-    if var_s <= 0 or var_i <= 0:
-        raise DomainError("JSI has zero variance along an axis")
+    if not var_s * var_i > 0:
+        raise DomainError(
+            f"JSI has zero variance along an axis or a variance product that underflows "
+            f"(signal {var_s:.3g}, idler {var_i:.3g})"
+        )
     cov = float(ds @ (weights @ di))
     rho = cov / math.sqrt(var_s * var_i)
     if rho < -CLASSIFICATION_DEAD_ZONE:

@@ -7,29 +7,15 @@ The frequency grid is zero-padded before transforming so the conjugate time
 step ``dt = 2 pi / (N dnu)`` resolves the temporal structure; the padding
 factor only refines the sampling, it adds no information.
 
-:func:`jta_from_jsa` checks its arguments and charges :func:`jta_bytes` to
-the memory budget, then returns a :class:`JointTemporalAmplitude` that holds
-the spectrum and runs the transform on the first read of its ``amplitude``,
-``intensity`` or ``provenance``.  The timing widths never read them.
-
-The transform gives the same bits as
-``fftshift(fft2(ifftshift(padded), axes=(1, 0)))`` without building the
-padded array.  That ``fft2`` is a 1-D FFT along the signal axis followed by
-one along the idler axis, and each 1-D FFT is computed line by line with one
-plan per length, so a line's result does not depend on what else is
-transformed with it.  The first pass therefore transforms the ``n``
-non-zero idler columns only (a zero line transforms to zero), each as one
-contiguous padded line placed where ``ifftshift`` would put it.  Those
-places are one contiguous range modulo N, so the lines are copied in as two
-slices, not scattered by index.  The result is copied once, transposed, so
-that each signal time's ``n`` idler values are contiguous.  The second pass
-walks the output in blocks of :data:`_ROW_BLOCK` signal-time rows, split at
-the fftshift wrap point so each block reads one contiguous range of lines:
-it places them in a small zero slab, transforms the slab's contiguous rows
-and scales the two fftshift halves straight into the result.  An
-``oversample`` of 4 skips 3/4 of the first pass.  Two N x N arrays exist
-after it: the complex result and its float |JTA|^2, which the Parseval check
-computes once and the JTA keeps as ``intensity``.
+The transform is the reference form: the JSA zero-padded to one N x N
+array, ``ifftshift``, an in-place 1-D FFT along the signal axis and then
+along the idler axis, ``fftshift``, then the scale.  It peaks at about 2x the
+JTA's complex bytes (the array and its shifted copy), which :func:`jta_bytes`
+bounds.  :func:`jta_from_jsa` checks its arguments and charges only the O(N)
+lines of the time axis and the lag sums, so timing at n = 2048 is admitted;
+the returned :class:`JointTemporalAmplitude` charges :func:`jta_bytes` and
+runs the transform on the first read of its ``amplitude``, ``intensity`` or
+``provenance``.  The timing widths never read them.
 
 :func:`diagonal_widths` takes the two projections of |JTA|^2 from lag sums
 of the JSA instead.  Summing |JTA|^2 over the cells with
@@ -75,9 +61,6 @@ DEFAULT_OVERSAMPLE = 4
 # Parseval mismatch above this aborts: it indicates a broken transform or lag sum.
 _PARSEVAL_TOL = 1e-9
 
-# Signal-time rows per block in the second transform pass: the slab stays in cache.
-_ROW_BLOCK = 16
-
 # JSA lines per block of the lag sums: 64 FFTs of length 2n at a time.
 _LINE_BLOCK = 64
 
@@ -87,10 +70,10 @@ class JointTemporalAmplitude:
     """Complex pair amplitude over (t_s, t_i), conjugate to a source JSA.
 
     Holds the spectrum and the oversampling only, and is refused on making
-    if its transform is above the memory budget.  The first read of
-    ``amplitude``, ``intensity`` or ``provenance`` runs the transform and its
-    Parseval check and fills all three, each computed once; the arrays are
-    read-only.
+    if its O(N) time lines are above the memory budget.  The first read of
+    ``amplitude``, ``intensity`` or ``provenance`` charges :func:`jta_bytes`,
+    runs the transform and its Parseval check and fills all three, each
+    computed once; the arrays are read-only.
     """
 
     spectrum: JointSpectralAmplitude
@@ -103,9 +86,10 @@ class JointTemporalAmplitude:
         if isinstance(oversample, bool) or not isinstance(oversample, numbers.Integral) or oversample < 1:
             raise DomainError(f"oversample must be an integer >= 1, got {oversample!r}")
         object.__setattr__(self, "oversample", int(oversample))
-        check_memory_budget(
-            "the joint temporal amplitude", jta_bytes(self.spectrum.grid.n_s, self.oversample)
-        )
+        # the time axis and the lag sums' torus, its FFT and projections:
+        # at most four complex lines of N points
+        big_n = self.oversample * self.spectrum.grid.n_s
+        check_memory_budget("the joint temporal amplitude's time lines", 4 * jsa_bytes(1, big_n))
 
     @property
     def dt(self) -> float:
@@ -124,6 +108,9 @@ class JointTemporalAmplitude:
     def amplitude(self) -> np.ndarray:
         """The transformed amplitude; fills ``intensity`` and ``provenance`` on the way."""
         state = self.spectrum
+        check_memory_budget(
+            "the joint temporal amplitude", jta_bytes(state.grid.n_s, self.oversample)
+        )
         out = _transform(state, self.oversample)
         intensity = _squared_modulus(out)
         dnu = state.grid.d_nu_s
@@ -175,8 +162,9 @@ class TimingReport:
 def jta_bytes(n: int, oversample: int = DEFAULT_OVERSAMPLE) -> int:
     """Bytes charged for the JTA of an n x n grid: 2 x 16 (oversample n)^2.
 
-    An upper bound on what the transform keeps: the complex amplitude
-    (16 bytes a cell) and its float intensity (8 bytes a cell).
+    An upper bound on the transform's peak: the padded array and its
+    shifted copy, 16 bytes a cell each; the JTA then keeps the complex
+    amplitude and its float intensity (8 bytes a cell).
     """
     return 2 * jsa_bytes(oversample * n, oversample * n)
 
@@ -187,50 +175,27 @@ def jta_from_jsa(
     """Centered 2-D Fourier transform of a square-grid JSA, run when first read.
 
     Raises GridError for non-square grids and DomainError for an oversample
-    that is not an integer >= 1 or whose transform is above the memory
-    budget, all before anything is transformed; the transform checks
-    Parseval conservation to 1e-9 relative.
+    that is not an integer >= 1 or whose time lines are above the memory
+    budget.  The first read of the transform raises MemoryBudgetError before
+    allocating if :func:`jta_bytes` is above the budget, and checks Parseval
+    conservation to 1e-9 relative.
     """
     return JointTemporalAmplitude(state, oversample)
 
 
 def _transform(state: JointSpectralAmplitude, oversample: int) -> np.ndarray:
-    """The read-only N x N transform of ``state``, in two passes (module docstring)."""
+    """The read-only N x N transform of ``state`` in the reference form (module docstring)."""
     n = state.grid.n_s
     dnu = state.grid.d_nu_s
     big_n = oversample * n
-    half = big_n // 2
-    # ifftshift puts the padded rows (and columns) that hold the JSA at
-    # start, start + 1, ... modulo big_n: two slices, the second wrapped
-    start = ((big_n - n) // 2 - half) % big_n
-    head = min(n, big_n - start)
-    placed = ((slice(start, start + head), slice(0, head)), (slice(0, n - head), slice(head, n)))
-
-    # pass 1, signal axis: one padded line per idler frequency
-    lines = np.zeros((n, big_n), dtype=complex)
-    for dst, src in placed:
-        lines[:, dst] = state.amplitude[src].T
-    np.fft.fft(lines, axis=1, out=lines)
-    # row t of the copy holds signal time t's n idler values
-    lines = lines.T.copy()
-
-    # pass 2, idler axis: fftshift along the signal axis puts line
-    # (r - half) mod big_n in output row r, so the walk splits at row half
-    scale = dnu * dnu / (2.0 * math.pi)
-    out = np.empty((big_n, big_n), dtype=complex)
-    slab = np.zeros((_ROW_BLOCK, big_n), dtype=complex)
-    spectra = np.empty_like(slab)
-    for lo, hi in ((0, half), (half, big_n)):
-        for r0 in range(lo, hi, _ROW_BLOCK):
-            rows = min(_ROW_BLOCK, hi - r0)
-            first = (r0 - half) % big_n
-            block = slab[:rows]
-            for dst, src in placed:
-                block[:, dst] = lines[first : first + rows, src]
-            spec = np.fft.fft(block, axis=1, out=spectra[:rows])
-            # fftshift along the idler axis, scaled on the way into the result
-            np.multiply(spec[:, big_n - half :], scale, out=out[r0 : r0 + rows, :half])
-            np.multiply(spec[:, : big_n - half], scale, out=out[r0 : r0 + rows, half:])
+    start = (big_n - n) // 2
+    out = np.zeros((big_n, big_n), dtype=complex)
+    out[start : start + n, start : start + n] = state.amplitude
+    out = np.fft.ifftshift(out)
+    np.fft.fft(out, axis=0, out=out)
+    np.fft.fft(out, axis=1, out=out)
+    out = np.fft.fftshift(out)
+    out *= dnu * dnu / (2.0 * math.pi)
     out.flags.writeable = False
     return out
 

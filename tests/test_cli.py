@@ -394,7 +394,9 @@ def test_overflowing_input_fails_in_one_line(tmp_path, argv, message):
     (["sweep", "--grid-n", "8", "--model", "numeric-sinc", "--axis", "pump_fwhm",
       "--start", "1", "--stop", "2", "--steps", "2"],
      "signal marginal has 3.1 samples per FWHM (< 8)", "rates outside [0, 1.05]"),
-], ids=["simulate-2", "simulate-5", "hom-3", "hom-8", "hom-12", "sweep-8"])
+    (["simulate", "--grid-n", "512", "--filter-fwhm-nm", "0.005"],
+     "filter has 0.1 samples per FWHM (< 8)", "variance product that underflows"),
+], ids=["simulate-2", "simulate-5", "hom-3", "hom-8", "hom-12", "sweep-8", "filter-0.005"])
 def test_coarse_grid_failure_names_grid_n(tmp_path, capsys, argv, resolution, cause):
     code = run(tmp_path / "out", *argv[:1], "--preset", "ppktp-8mm", *argv[1:])
     assert code == 1
@@ -418,7 +420,8 @@ def test_coarse_grid_that_runs_keeps_its_warnings(tmp_path, capsys):
     ["hom", "--model", "numeric", "--grid-n", "16"],
     ["sweep", "--model", "numeric-sinc", "--grid-n", "48", "--axis", "pump_fwhm",
      "--start", "1", "--stop", "2", "--steps", "2"],
-], ids=["simulate-4", "hom-16", "sweep-48"])
+    ["simulate", "--filter-fwhm-nm", "0.01"],
+], ids=["simulate-4", "hom-16", "sweep-48", "filter-0.01"])
 def test_coarse_grid_warnings_on_stderr(tmp_path, capsys, argv):
     assert run(tmp_path, *argv[:1], "--preset", "ppktp-8mm", *argv[1:]) == 0
     out, err = capsys.readouterr()

@@ -36,6 +36,7 @@ from biphoton import (
     intensity_fwhm,
     marginals,
     preset_with_pump,
+    schmidt_decompose,
     transform_limited_duration,
     visibility_coefficient,
 )
@@ -108,6 +109,34 @@ class TestDiagonalSumOverlap:
         assert coincidence_rate_numeric(state, delays[-1]) == pytest.approx(
             1.0 - got[-1], abs=1e-12
         )
+
+
+class TestChirpInvariance:
+    # the pump phase depends on nu_s + nu_i only: it cancels in |f|^2 and in
+    # the overlap's f[k + m, k] f*[k, k + m], though it reshapes the Schmidt modes
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        profile=st.sampled_from(("gaussian", "sinc")),
+        n=st.integers(8, 128),
+        beta=st.floats(-4e-26, 4e-26),
+    )
+    @example(seed=1, profile="sinc", n=128, beta=-4e-26)
+    def test_jsi_and_scan_unchanged_and_k_at_least_one(self, seed, profile, n, beta):
+        pump, pm = random_source(np.random.default_rng(seed), profile)
+        plain_pump, chirped_pump = make_pump(pump.sigma_p), make_pump(pump.sigma_p, beta)
+        grid = auto_grid(plain_pump, pm, n=n)
+        plain, chirped = (build_jsa(p, pm, grid) for p in (plain_pump, chirped_pump))
+        peak = plain.intensity.max()
+        np.testing.assert_allclose(chirped.intensity, plain.intensity, rtol=0, atol=1e-14 * peak)
+        # the scan's overlap, unclipped: a grid of 8 points may alias it outside [0, 1]
+        delays = default_delays(pm, n=41)
+        np.testing.assert_allclose(
+            _exchange_overlap(chirped, delays), _exchange_overlap(plain, delays),
+            rtol=0, atol=1e-12,
+        )
+        for state in (plain, chirped):
+            assert schmidt_decompose(state).schmidt_number >= 1.0
 
 
 class TestDelayBlocks:

@@ -420,6 +420,19 @@ class TestFilters:
         )
         assert filtered.provenance["filters"][0]["target"] == "idler"
 
+    def test_narrow_filter_warns_in_its_own_list(self, ppktp):
+        state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=6))
+        built = list(state.provenance["warnings"])
+        assert built
+        step = state.grid.d_nu_s
+        narrow = apply_spectral_filter(state, SpectralFilter("gaussian", 0.0, 2 * step, "both"))
+        assert narrow.provenance["warnings"] == [
+            *built, "filter has 2.0 samples per FWHM (< 8); results may be inaccurate"
+        ]
+        assert state.provenance["warnings"] == built
+        wide = apply_spectral_filter(state, SpectralFilter("gaussian", 0.0, 8 * step, "signal"))
+        assert wide.provenance["warnings"] == built
+
     def test_filter_validation(self):
         with pytest.raises(DomainError):
             SpectralFilter(shape="box", center=0.0, width=1e12)
@@ -751,5 +764,9 @@ class TestClassification:
         amp = np.zeros((8, 8))
         amp[4, :] = 1.0  # no spread along the signal axis
         state = JointSpectralAmplitude(grid, amp, {})
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="zero variance"):
+            correlation_classification(state)
+        # both variances about 3e-255: their product underflows to zero
+        state = JointSpectralAmplitude(grid, np.full((8, 8), 1e-140), {})
+        with pytest.raises(DomainError, match="variance product that underflows"):
             correlation_classification(state)

@@ -35,6 +35,7 @@ from biphoton import (
     timing_gain,
 )
 from biphoton import temporal
+from biphoton.errors import MemoryBudgetError
 from biphoton.jsa import MEMORY_BUDGET_BYTES, auto_grid
 from biphoton.temporal import _PARSEVAL_TOL, jta_bytes
 from helpers import random_source
@@ -251,10 +252,10 @@ class TestTransform:
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
     def test_allocation_peak(self, ppktp):
-        # the first read of the amplitude runs the transform: the n x N
-        # transformed lines (0.25x at 4x oversampling) are freed before the
-        # float intensity (0.5x) is made; a full-size temporary besides the
-        # result would add 1x nbytes.  The state's own intensity is made
+        # the first read of the amplitude runs the transform, which the
+        # memory budget charges jta_bytes: the padded array and its shifted
+        # copy peak at 2x the amplitude's bytes, and the float intensity is
+        # made after the first is freed.  The state's own intensity is made
         # first, so only the transform's allocations are traced.
         state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=128))
         state.intensity
@@ -265,7 +266,7 @@ class TestTransform:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.7 * jta.amplitude.nbytes
+        assert peak <= jta_bytes(128, 4) + 2**20
 
     def test_intensity_filled_by_parseval_check(self, ppktp):
         state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=64))
@@ -333,13 +334,36 @@ class TestTransform:
 class TestMemoryBudget:
     def test_estimate(self):
         assert jta_bytes(1024, 4) == 2 * 16 * 4096**2
-        # the traced benchmark sweep transforms n=1024 at 4x; n=2048 is refused
+        # the traced benchmark sweep transforms n=1024 at 4x; reading the
+        # transform at n=2048 is refused
         assert jta_bytes(1024, 4) <= MEMORY_BUDGET_BYTES < jta_bytes(2048, 4)
 
     def test_oversized_transform_refused_before_allocating(self, ppktp):
         state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=64))
-        with pytest.raises(DomainError, match="memory budget"):
-            jta_from_jsa(state, oversample=1000)
+        jta = jta_from_jsa(state, oversample=1000)
+        with pytest.raises(MemoryBudgetError, match="joint temporal amplitude would need"):
+            jta.amplitude
+        assert not {"amplitude", "intensity", "provenance"} & set(vars(jta))
+
+    def test_oversized_time_lines_refused_on_making(self, ppktp):
+        state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=64))
+        with pytest.raises(MemoryBudgetError, match="time lines would need"):
+            jta_from_jsa(state, oversample=10**9)
+
+    def test_timing_admitted_at_n2048(self, ppktp):
+        # the lag sums hold O(n) lines; only a read of the N x N transform is refused
+        state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=2048))
+        jta = jta_from_jsa(state)
+        report = timing_gain(jta, ppktp.pump)
+        assert report.dt_minus > 0 and report.dt_plus > 0
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryBudgetError, match="above the 1024 MiB memory budget"):
+                jta.amplitude
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestDiagonalWidths:

@@ -128,6 +128,9 @@ RUNS = (
     Run("simulate-n2-fails", ("simulate", *_P, "--grid-n", "2", *_OUT), quick=True),
     Run("simulate-n4000-fails", ("simulate", *_P, "--grid-n", "4000", *_OUT)),
     Run("simulate-filter-0-fails", ("simulate", *_P, "--filter-fwhm-nm", "0", *_OUT)),
+    # filters narrower than the grid step: a warning, then a variance product that underflows
+    Run("simulate-filter-0.01", ("simulate", *_P, "--filter-fwhm-nm", "0.01", *_OUT)),
+    Run("simulate-filter-0.005-fails", ("simulate", *_P, "--filter-fwhm-nm", "0.005", *_OUT)),
     Run("simulate-span-overflow-fails",
         ("simulate", *_P, "--grid-span-fwhms", "1e300", "--grid-n", "16", *_OUT)),
     Run("simulate-span-1e200-fails",
