@@ -19,11 +19,13 @@ the hash.
 The output directory defaults to $BIPHOTON_OUTDIR or the current directory.
 Each command computes all of its results before it creates that directory,
 so a run that fails writes nothing.  ``build_jsa``'s warnings about a grid
-too coarse for the source go to stderr, and a failure on such a grid names
-``--grid-n``, its value and the samples per FWHM; so does a grid above the
-memory budget.  A ``--delay-points`` or ``--steps`` whose scan or sweep would
-exceed that budget is refused, with its flag and value, before anything large
-is allocated.
+too coarse for the source, and ``simulate``'s about a filter narrower than 8
+grid steps, go to stderr.  A failure on such a state names the flag of the
+step that warned, with its value and the samples per FWHM: ``--grid-n`` for
+the grid's warnings, ``--filter-fwhm-nm`` for the filter's, both if both
+warned.  A grid above the memory budget names ``--grid-n`` too.  A
+``--delay-points`` or ``--steps`` whose scan or sweep would exceed that budget
+is refused, with its flag and value, before anything large is allocated.
 
 A sweep point is the run with its axis's option (``pump_fwhm_nm``, ``length_mm``
 or ``chirp_fs2``) set to the point's value, and a profile-forcing ``--model``
@@ -188,27 +190,36 @@ def _build_state(opts: dict, source):
 
 
 @contextlib.contextmanager
-def _coarse_grid_reported(opts: dict, state):
+def _coarse_grid_reported(opts: dict, state, built=None):
     """Report the resolution warnings of ``state`` once the kernels run on it.
 
     If they succeed, each warning is printed on stderr.  A failure on a state
-    that ``build_jsa`` or ``apply_spectral_filter`` found too coarse is
-    re-raised as a ``DomainError`` naming ``--grid-n`` and the warnings; one
-    on a well resolved state passes as it is.
+    with warnings is re-raised as a ``DomainError`` naming the flag of each
+    step that warned, with its warnings: ``--grid-n`` for those of ``built``,
+    the state ``build_jsa`` made (default ``state``), ``--filter-fwhm-nm``
+    for those a filter added.  One on a well resolved state passes as it is.
     """
     # both record only resolution warnings, each "<samples per marginal or
     # filter FWHM>; results may be inaccurate" or "... not resolved on this grid"
     warnings = state.provenance.get("warnings", ())
+    # apply_spectral_filter appends its warnings to those of the state it filters
+    n_built = len((built or state).provenance.get("warnings", ()))
     try:
         yield
     except ValueError as exc:
         if not warnings:
             raise
-        coarse = ", ".join(w.partition(";")[0] for w in warnings)
-        raise DomainError(
-            f"--grid-n {opts.get('grid_n', _GRID_N)} is too coarse for this source "
-            f"({coarse}): {exc}"
-        ) from exc
+        blamed = (
+            (f"--grid-n {opts.get('grid_n', _GRID_N)} is too coarse for this source",
+             warnings[:n_built]),
+            (f"--filter-fwhm-nm {opts.get('filter_fwhm_nm')} is too narrow for this grid",
+             warnings[n_built:]),
+        )
+        causes = " and ".join(
+            f"{flag} ({', '.join(w.partition(';')[0] for w in found)})"
+            for flag, found in blamed if found
+        )
+        raise DomainError(f"{causes}: {exc}") from exc
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
 
@@ -245,7 +256,7 @@ def _dip(opts: dict, model: str, n_delays: int = 201, delay_span: float = 4.0):
 
 def cmd_simulate(opts: dict) -> int:
     source = _load_source(opts)
-    state = _build_state(opts, source)
+    state = built = _build_state(opts, source)
     meta = _meta(opts)
     lam_pdc = 2 * np.pi * C_M_PER_S / source.pm.omega_s0
 
@@ -256,7 +267,7 @@ def cmd_simulate(opts: dict) -> int:
             state,
             SpectralFilter(shape="gaussian", center=0.0, width=width, target="both"),
         )
-    with _coarse_grid_reported(opts, state):
+    with _coarse_grid_reported(opts, state, built):
         sig, idl = marginals(state)
         schmidt = schmidt_decompose(state)
         rho, label = correlation_classification(state)

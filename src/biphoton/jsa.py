@@ -57,9 +57,10 @@ MIN_SAMPLES_PER_FWHM = 8.0
 
 # Largest set of arrays, in bytes, that one grid or transform may allocate.
 # Sizes are estimated before allocating, so an oversized request fails with a
-# DomainError instead of exhausting memory.  The budget admits the JTA of an
-# n=1024 grid at 4x oversampling (charged about 0.54 GB, see jta_bytes) and
-# rejects that of n=2048 (about 2.1 GB).
+# DomainError instead of exhausting memory.  The budget admits the first read
+# of the JTA's transform on an n=1024 grid at 4x oversampling (charged about
+# 0.54 GB, see jta_bytes) and refuses it at n=2048 (about 2.1 GB), where the
+# timing widths, which never read the transform, still run.
 MEMORY_BUDGET_BYTES = 1 << 30
 
 # build_jsa's peak allocation in units of the amplitude it returns (jsa_bytes),
@@ -82,14 +83,6 @@ def check_memory_budget(what: str, nbytes: int) -> None:
             f"{what} would need about {nbytes / 2**20:.0f} MiB, above the "
             f"{MEMORY_BUDGET_BYTES / 2**20:.0f} MiB memory budget"
         )
-
-
-def _squared_modulus(amplitude: np.ndarray) -> np.ndarray:
-    """Read-only |amplitude|^2, the bits of ``np.abs(amplitude) ** 2``."""
-    power = np.abs(amplitude)
-    np.square(power, out=power)
-    power.flags.writeable = False
-    return power
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -185,13 +178,14 @@ class JointSpectralAmplitude:
 
     @cached_property
     def intensity(self) -> np.ndarray:
-        """Joint spectral intensity |f|^2, computed at most once, read-only."""
-        return _squared_modulus(self.amplitude)
+        """Joint spectral intensity |f|^2, computed at most once, read-only.
 
-    @property
-    def norm_squared(self) -> float:
-        """L2 norm integral, sum |f|^2 dnu_s dnu_i."""
-        return float(np.sum(self.intensity)) * self.grid.d_nu_s * self.grid.d_nu_i
+        It has the bits of ``np.abs(amplitude) ** 2``, squared in place.
+        """
+        power = np.abs(self.amplitude)
+        np.square(power, out=power)
+        power.flags.writeable = False
+        return power
 
 
 @dataclass(frozen=True)

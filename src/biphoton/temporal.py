@@ -14,8 +14,8 @@ JTA's complex bytes (the array and its shifted copy), which :func:`jta_bytes`
 bounds.  :func:`jta_from_jsa` checks its arguments and charges only the O(N)
 lines of the time axis and the lag sums, so timing at n = 2048 is admitted;
 the returned :class:`JointTemporalAmplitude` charges :func:`jta_bytes` and
-runs the transform on the first read of its ``amplitude``, ``intensity`` or
-``provenance``.  The timing widths never read them.
+runs the transform on the first read of its ``amplitude``, and keeps only
+that complex array.  The timing widths never read it.
 
 :func:`diagonal_widths` takes the two projections of |JTA|^2 from lag sums
 of the JSA instead.  Summing |JTA|^2 over the cells with
@@ -52,7 +52,6 @@ from .jsa import (
     check_memory_budget,
     intensity_fwhm,
     jsa_bytes,
-    _squared_modulus,
 )
 from .spectral import PumpSpec, tabulated_pump_duration
 
@@ -71,9 +70,8 @@ class JointTemporalAmplitude:
 
     Holds the spectrum and the oversampling only, and is refused on making
     if its O(N) time lines are above the memory budget.  The first read of
-    ``amplitude``, ``intensity`` or ``provenance`` charges :func:`jta_bytes`,
-    runs the transform and its Parseval check and fills all three, each
-    computed once; the arrays are read-only.
+    ``amplitude`` charges :func:`jta_bytes`, runs the transform and its
+    Parseval check, and keeps the read-only result.
     """
 
     spectrum: JointSpectralAmplitude
@@ -106,35 +104,24 @@ class JointTemporalAmplitude:
 
     @cached_property
     def amplitude(self) -> np.ndarray:
-        """The transformed amplitude; fills ``intensity`` and ``provenance`` on the way."""
+        """The N x N transform in the reference form (module docstring), read-only."""
         state = self.spectrum
-        check_memory_budget(
-            "the joint temporal amplitude", jta_bytes(state.grid.n_s, self.oversample)
-        )
-        out = _transform(state, self.oversample)
-        intensity = _squared_modulus(out)
+        n = state.grid.n_s
         dnu = state.grid.d_nu_s
+        big_n = self.oversample * n
+        check_memory_budget("the joint temporal amplitude", jta_bytes(n, self.oversample))
+        start = (big_n - n) // 2
+        out = np.zeros((big_n, big_n), dtype=complex)
+        out[start : start + n, start : start + n] = state.amplitude
+        out = np.fft.ifftshift(out)
+        np.fft.fft(out, axis=0, out=out)
+        np.fft.fft(out, axis=1, out=out)
+        out = np.fft.fftshift(out)
+        out *= dnu * dnu / (2.0 * math.pi)
+        out.flags.writeable = False
         power_nu = float(np.sum(state.intensity)) * dnu * dnu
-        power_t = float(np.sum(intensity)) * self.dt * self.dt
-        mismatch = abs(power_nu - power_t) / power_nu
-        if mismatch > _PARSEVAL_TOL:
-            raise RuntimeError(f"Parseval violated by the transform: {mismatch:.3e}")
-        provenance = dict(state.provenance)
-        provenance["transform"] = {"oversample": self.oversample, "parseval_mismatch": mismatch}
-        vars(self).update(intensity=intensity, provenance=provenance)
+        _check_parseval("the transform", power_nu, np.vdot(out, out).real * self.dt * self.dt)
         return out
-
-    @cached_property
-    def intensity(self) -> np.ndarray:
-        """|JTA|^2, computed once by the transform's Parseval check, read-only."""
-        self.amplitude
-        return vars(self)["intensity"]
-
-    @cached_property
-    def provenance(self) -> dict:
-        """The spectrum's provenance and the transform's oversampling and Parseval mismatch."""
-        self.amplitude
-        return vars(self)["provenance"]
 
 
 @dataclass(frozen=True)
@@ -164,7 +151,7 @@ def jta_bytes(n: int, oversample: int = DEFAULT_OVERSAMPLE) -> int:
 
     An upper bound on the transform's peak: the padded array and its
     shifted copy, 16 bytes a cell each; the JTA then keeps the complex
-    amplitude and its float intensity (8 bytes a cell).
+    amplitude alone.
     """
     return 2 * jsa_bytes(oversample * n, oversample * n)
 
@@ -183,21 +170,12 @@ def jta_from_jsa(
     return JointTemporalAmplitude(state, oversample)
 
 
-def _transform(state: JointSpectralAmplitude, oversample: int) -> np.ndarray:
-    """The read-only N x N transform of ``state`` in the reference form (module docstring)."""
-    n = state.grid.n_s
-    dnu = state.grid.d_nu_s
-    big_n = oversample * n
-    start = (big_n - n) // 2
-    out = np.zeros((big_n, big_n), dtype=complex)
-    out[start : start + n, start : start + n] = state.amplitude
-    out = np.fft.ifftshift(out)
-    np.fft.fft(out, axis=0, out=out)
-    np.fft.fft(out, axis=1, out=out)
-    out = np.fft.fftshift(out)
-    out *= dnu * dnu / (2.0 * math.pi)
-    out.flags.writeable = False
-    return out
+def _check_parseval(what: str, want: float, got: float) -> None:
+    """Raise RuntimeError naming ``what`` if ``got`` misses the power ``want`` by
+    more than :data:`_PARSEVAL_TOL` relative: a broken transform or lag sum."""
+    mismatch = abs(want - got) / want
+    if mismatch > _PARSEVAL_TOL:
+        raise RuntimeError(f"Parseval violated by {what}: {mismatch:.3e}")
 
 
 def _line_power(amplitude: np.ndarray, anti: bool, big_n: int) -> np.ndarray:
@@ -241,9 +219,7 @@ def _projections(state: JointSpectralAmplitude, oversample: int) -> tuple[np.nda
     for anti in (True, False):
         # autocorrelation at lag D in entry D mod 2n: the lags do not wrap
         autocorrelation = np.fft.ifft(_line_power(f, anti, big_n))
-        mismatch = abs(autocorrelation[0].real - total) / total
-        if mismatch > _PARSEVAL_TOL:
-            raise RuntimeError(f"Parseval violated by the lag sums: {mismatch:.3e}")
+        _check_parseval("the lag sums", total, autocorrelation[0].real)
         torus = np.zeros(big_n, dtype=complex)
         np.add.at(torus, lags % big_n, autocorrelation[lags])
         out.append(np.fft.fftshift(np.fft.fft(torus).real) * scale)
@@ -263,10 +239,9 @@ def diagonal_widths(jta: JointTemporalAmplitude) -> tuple[float, float]:
     so the two differ by up to a factor of two.
     """
     minus, plus = _projections(jta.spectrum, jta.oversample)
-    axis = (np.arange(minus.size) - minus.size // 2) * jta.dt
     try:
-        dt_minus = intensity_fwhm(axis, minus)
-        dt_plus = intensity_fwhm(axis, plus)
+        dt_minus = intensity_fwhm(jta.times, minus)
+        dt_plus = intensity_fwhm(jta.times, plus)
     except CoverageError as exc:
         raise CoverageError(f"diagonal projection truncated by the time window: {exc}") from exc
     return dt_minus, dt_plus

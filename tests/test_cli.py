@@ -394,15 +394,25 @@ def test_overflowing_input_fails_in_one_line(tmp_path, argv, message):
     (["sweep", "--grid-n", "8", "--model", "numeric-sinc", "--axis", "pump_fwhm",
       "--start", "1", "--stop", "2", "--steps", "2"],
      "signal marginal has 3.1 samples per FWHM (< 8)", "rates outside [0, 1.05]"),
+    # the filter's own warning names the filter, not the grid
     (["simulate", "--grid-n", "512", "--filter-fwhm-nm", "0.005"],
-     "filter has 0.1 samples per FWHM (< 8)", "variance product that underflows"),
-], ids=["simulate-2", "simulate-5", "hom-3", "hom-8", "hom-12", "sweep-8", "filter-0.005"])
+     "--filter-fwhm-nm 0.005 is too narrow for this grid (filter has 0.1 samples per FWHM (< 8))",
+     "variance product that underflows"),
+    # both steps warned: each flag with its own warnings
+    (["simulate", "--grid-n", "5", "--filter-fwhm-nm", "0.5"],
+     "--grid-n 5 is too coarse for this source (signal marginal has 1.0 samples per FWHM (< 8), "
+     "idler marginal has 1.0 samples per FWHM (< 8)) and --filter-fwhm-nm 0.5 is too narrow for "
+     "this grid (filter has 0.1 samples per FWHM (< 8)): ", "zero variance"),
+], ids=["simulate-2", "simulate-5", "hom-3", "hom-8", "hom-12", "sweep-8", "filter-0.005",
+        "grid-5-filter-0.5"])
 def test_coarse_grid_failure_names_grid_n(tmp_path, capsys, argv, resolution, cause):
     code = run(tmp_path / "out", *argv[:1], "--preset", "ppktp-8mm", *argv[1:])
     assert code == 1
     err = capsys.readouterr().err
-    # the resolution warnings are in the one error line, not printed before it
-    assert err.startswith(f"error: --grid-n {argv[2]} is too coarse for this source (")
+    # the resolution warnings are in the one error line, not printed before it;
+    # a case that names its flags itself gives them first
+    blamed = f"--grid-n {argv[2]} is too coarse for this source ("
+    assert err.startswith(f"error: {resolution if resolution.startswith('--') else blamed}")
     assert err.count("\n") == 1
     assert resolution in err and cause in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()

@@ -7,11 +7,12 @@ import sys
 import textwrap
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from biphoton import (
@@ -137,6 +138,60 @@ class TestChirpInvariance:
         )
         for state in (plain, chirped):
             assert schmidt_decompose(state).schmidt_number >= 1.0
+
+
+class TestRandomSourceInvariants:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(16, 256))
+    def test_gaussian_dip_width_doubles_with_length(self, seed, n):
+        # doubling the length doubles both walk-offs and, with them, the dip
+        # width sqrt(gamma)|tau_s - tau_i|/2; the pump does not enter.  The
+        # numeric overlap is periodic in the delay with period 2 pi / dnu, so
+        # only grids that resolve the marginals and whose period is at least
+        # twice the scan are kept: there the aliased dips lie below rounding
+        pump, pm = random_source(np.random.default_rng(seed), "gaussian")
+        long = replace(pm, length_L=2 * pm.length_L, tau_s=2 * pm.tau_s, tau_i=2 * pm.tau_i)
+        widths = []
+        for source in (pm, long):
+            state = build_jsa(pump, source, auto_grid(pump, source, n=n))
+            delays = default_delays(source)
+            assume(not state.provenance["warnings"])
+            assume(2 * math.pi / state.grid.d_nu_s >= 2 * (delays[-1] - delays[0]))
+            widths.append(extract_dip(coincidence_scan(state, delays)).t_c)
+        assert abs(widths[1] / (2 * widths[0]) - 1) <= 1e-12
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        profile=st.sampled_from(("gaussian", "sinc")),
+        n=st.integers(8, 256),
+    )
+    def test_zero_delay_overlap_at_most_one(self, seed, profile, n):
+        # |sum f[j, k] f*[k, j]| <= sum |f|^2 (Cauchy-Schwarz), so visibility
+        # <= 1; extract_dip clamps it, so the raw overlap is checked
+        pump, pm = random_source(np.random.default_rng(seed), profile)
+        state = build_jsa(pump, pm, auto_grid(pump, pm, n=n))
+        assume(not state.provenance["warnings"])
+        assert 1.0 - coincidence_rate_numeric(state, 0.0) <= 1.0 + 1e-12
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        profile=st.sampled_from(("gaussian", "sinc")),
+        n=st.integers(8, 256),
+    )
+    def test_exchange_symmetric_rates_even_in_delay(self, seed, profile, n):
+        # tau_i = -tau_s makes f(nu_s, nu_i) = f(nu_i, nu_s) for any pump
+        # width, gamma and chirp, so the overlap is real and even in the delay
+        pump, pm = random_source(np.random.default_rng(seed), profile)
+        pm = replace(pm, tau_i=-pm.tau_s)
+        state = build_jsa(pump, pm, auto_grid(pump, pm, n=n))
+        assume(not state.provenance["warnings"])
+        delays = default_delays(pm, n=41)
+        np.testing.assert_allclose(
+            coincidence_scan(state, -delays[::-1]).rates[::-1],
+            coincidence_scan(state, delays).rates, rtol=0, atol=1e-12,
+        )
 
 
 class TestDelayBlocks:

@@ -180,8 +180,9 @@ class TestIntensity:
     def test_filtered_and_normalized_states_get_their_own(self, ppktp):
         state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=64))
         filtered = apply_spectral_filter(state, SpectralFilter("gaussian", 0.0, 1e13, "both"))
+        norm_squared = np.sum(state.intensity) * state.grid.d_nu_s * state.grid.d_nu_i
         normalized = JointSpectralAmplitude(
-            state.grid, state.amplitude / np.sqrt(state.norm_squared), state.provenance
+            state.grid, state.amplitude / np.sqrt(norm_squared), state.provenance
         )
         for other in (filtered, normalized):
             assert other.intensity is not state.intensity

@@ -85,7 +85,7 @@ def binned_widths(jta):
     mass beyond the N-point time window, which the torus folds back into it.
     """
     big_n = jta.times.size
-    bins = diagonal_bins(jta.intensity)
+    bins = diagonal_bins(np.abs(jta.amplitude) ** 2)
     axis = (np.arange(2 * big_n - 1) - (big_n - 1)) * jta.dt
     # bins N - 1 - N // 2 .. 2N - 2 - N // 2 lie on the window (the sum-time
     # bins are labelled one dt high for an even N, which moves no width)
@@ -180,7 +180,6 @@ class TestTransform:
         power_nu = np.sum(np.abs(state.amplitude) ** 2) * dnu * dnu
         power_t = np.sum(np.abs(jta.amplitude) ** 2) * jta.dt * jta.dt
         assert abs(power_nu - power_t) / power_nu < 1e-9
-        assert jta.provenance["transform"]["parseval_mismatch"] < 1e-9
 
     def test_separable_gaussian_reciprocal_width(self):
         # exp(-(nu/s)^2) maps to a temporal amplitude with 1/e half-width 2/s
@@ -232,13 +231,13 @@ class TestTransform:
         expected, mismatch = reference_jta(state, oversample)
         jta = jta_from_jsa(state, oversample)
         assert jta.amplitude.tobytes() == expected.tobytes()
-        assert jta.provenance["transform"] == {"oversample": oversample, "parseval_mismatch": mismatch}
         assert mismatch < 1e-9
         # the idler-first fft2 order differs by rounding only
         idler_first, _ = reference_jta(state, oversample, axes=(-2, -1))
         peak = np.max(np.abs(expected))
         np.testing.assert_allclose(jta.amplitude, idler_first, rtol=0, atol=1e-14 * peak)
-        for got, want in zip(diagonal_bins(jta.intensity), reference_projections(expected)):
+        for got, want in zip(diagonal_bins(np.abs(jta.amplitude) ** 2),
+                             reference_projections(expected)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * want.max())
 
     @pytest.mark.parametrize("seed,profile,n,oversample", [
@@ -248,15 +247,15 @@ class TestTransform:
         pump, pm = random_source(np.random.default_rng(seed), profile)
         jta = jta_from_jsa(build_jsa(pump, pm, auto_grid(pump, pm, n=n)), oversample)
         want = sheared_projections(jta.amplitude)
-        got = diagonal_bins(jta.intensity)
+        got = diagonal_bins(np.abs(jta.amplitude) ** 2)
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
     def test_allocation_peak(self, ppktp):
         # the first read of the amplitude runs the transform, which the
         # memory budget charges jta_bytes: the padded array and its shifted
-        # copy peak at 2x the amplitude's bytes, and the float intensity is
-        # made after the first is freed.  The state's own intensity is made
-        # first, so only the transform's allocations are traced.
+        # copy peak at 2x the amplitude's bytes, and the Parseval check makes
+        # no N x N array.  The state's own intensity is made first, so only
+        # the transform's allocations are traced.
         state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=128))
         state.intensity
         jta = jta_from_jsa(state, oversample=4)
@@ -268,28 +267,9 @@ class TestTransform:
             tracemalloc.stop()
         assert peak <= jta_bytes(128, 4) + 2**20
 
-    def test_intensity_filled_by_parseval_check(self, ppktp):
-        state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=64))
-        jta = jta_from_jsa(state, oversample=2)
-        assert not {"amplitude", "intensity", "provenance"} & set(vars(jta))
-        jta.amplitude
-        assert "intensity" in vars(jta) and "provenance" in vars(jta)
-        assert jta.intensity is jta.intensity and not jta.intensity.flags.writeable
-        assert jta.intensity.tobytes() == (np.abs(jta.amplitude) ** 2).tobytes()
-
-    @pytest.mark.parametrize("read", ["intensity", "provenance"])
-    def test_any_first_read_runs_the_transform(self, ppktp, read):
-        state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=32))
-        jta = jta_from_jsa(state, oversample=3)
-        getattr(jta, read)
-        assert {"amplitude", "intensity", "provenance"} <= set(vars(jta))
-        expected, mismatch = reference_jta(state, 3)
-        assert jta.amplitude.tobytes() == expected.tobytes()
-        assert jta.provenance["transform"] == {"oversample": 3, "parseval_mismatch": mismatch}
-
     def test_diagonal_widths_allocate_no_grid(self, ppktp):
-        # the widths read neither the amplitude nor its intensity: the lag
-        # sums hold O(n) lines at a time
+        # the widths do not read the amplitude: the lag sums hold O(n) lines
+        # at a time
         state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=512))
         tracemalloc.start()
         try:
@@ -299,7 +279,17 @@ class TestTransform:
         finally:
             tracemalloc.stop()
         assert peak < 0.05 * jta_bytes(512, 4)
-        assert not {"amplitude", "intensity", "provenance"} & set(vars(jta))
+        assert "amplitude" not in vars(jta)
+
+    def test_transform_parseval_checked(self, ppktp, monkeypatch):
+        # a broken transform fails on its first read, as broken lag sums do
+        state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=32))
+        real = np.fft.fftshift
+        monkeypatch.setattr(np.fft, "fftshift", lambda a: real(a) * (1.0 + 10 * _PARSEVAL_TOL))
+        jta = jta_from_jsa(state)
+        with pytest.raises(RuntimeError, match="Parseval violated by the transform"):
+            jta.amplitude
+        assert "amplitude" not in vars(jta)
 
     @pytest.mark.parametrize("oversample", [2.7, True, 0, -1, "2"])
     def test_non_integer_oversample_rejected(self, ppktp, oversample):
@@ -311,8 +301,7 @@ class TestTransform:
         state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=16))
         jta = jta_from_jsa(state, np.int64(3))
         assert jta.times.size == 48
-        assert jta.provenance["transform"]["oversample"] == 3
-        assert type(jta.provenance["transform"]["oversample"]) is int
+        assert jta.oversample == 3 and type(jta.oversample) is int
 
     def test_fresh_arrays_adopted(self, ppktp):
         # after the first read of the amplitude, the JTA keeps the transform's
@@ -343,7 +332,7 @@ class TestMemoryBudget:
         jta = jta_from_jsa(state, oversample=1000)
         with pytest.raises(MemoryBudgetError, match="joint temporal amplitude would need"):
             jta.amplitude
-        assert not {"amplitude", "intensity", "provenance"} & set(vars(jta))
+        assert "amplitude" not in vars(jta)
 
     def test_oversized_time_lines_refused_on_making(self, ppktp):
         state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=64))
@@ -441,7 +430,7 @@ class TestDiagonalWidths:
         b = np.arange(2 * big_n - 1)
         shifts = (big_n - 1, 2 * (big_n // 2))
         for got, bins, shift in zip(temporal._projections(state, oversample),
-                                    diagonal_bins(jta.intensity), shifts):
+                                    diagonal_bins(np.abs(jta.amplitude) ** 2), shifts):
             folded = np.zeros(big_n)
             np.add.at(folded, (b - shift + big_n // 2) % big_n, bins)
             np.testing.assert_allclose(got, folded, rtol=0, atol=1e-12 * folded.max())

@@ -131,6 +131,9 @@ RUNS = (
     # filters narrower than the grid step: a warning, then a variance product that underflows
     Run("simulate-filter-0.01", ("simulate", *_P, "--filter-fwhm-nm", "0.01", *_OUT)),
     Run("simulate-filter-0.005-fails", ("simulate", *_P, "--filter-fwhm-nm", "0.005", *_OUT)),
+    # both the grid and the filter warn, and the failure names both flags
+    Run("simulate-n5-filter-0.5-fails",
+        ("simulate", *_P, "--grid-n", "5", "--filter-fwhm-nm", "0.5", *_OUT), quick=True),
     Run("simulate-span-overflow-fails",
         ("simulate", *_P, "--grid-span-fwhms", "1e300", "--grid-n", "16", *_OUT)),
     Run("simulate-span-1e200-fails",
