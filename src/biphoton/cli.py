@@ -78,7 +78,7 @@ from .jsa import (
     schmidt_decompose,
 )
 from .presets import _key_value_lines, available_presets, load_preset, preset_with_pump
-from .spectral import omega_fwhm_to_wavelength_fwhm, C_M_PER_S
+from .spectral import C_M_PER_S, PROFILES, omega_fwhm_to_wavelength_fwhm
 
 _N_SCHMIDT_REPORTED = 16
 _GRID_N = 512
@@ -372,7 +372,7 @@ def cmd_analyze(opts: dict) -> int:
     scan_sha256 = hashlib.sha256(Path(opts["scan_file"]).read_bytes()).hexdigest()
     meta = _meta(opts, scan_sha256=scan_sha256)
 
-    report = fit_dip(scan, model=model, kernel=kernel)
+    report = fit_dip(scan, kernel)
     payload = {"provenance": meta}
     payload.update(report.to_dict())
     outdir = _outdir(opts)
@@ -400,7 +400,7 @@ def _add_source_options(sub: argparse.ArgumentParser) -> None:
                      help="pump spectral intensity FWHM in nm")
     sub.add_argument("--chirp-fs2", type=float, dest="chirp_fs2",
                      help="pump quadratic spectral phase in fs^2")
-    sub.add_argument("--profile", choices=("gaussian", "sinc"),
+    sub.add_argument("--profile", choices=PROFILES,
                      help="phasematching profile override")
     sub.add_argument("--length-mm", type=float, dest="length_mm",
                      help="waveguide length override in mm (rescales walk-offs)")

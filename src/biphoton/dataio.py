@@ -14,9 +14,11 @@ equal-shape columns; :func:`write_grid` adapts it to the N x N joint grids
 (signal-major), passing the two formatted axes as row labels.  The body is
 formatted in one block loop of about ``_GRID_BLOCK_CELLS`` rows, so memory
 stays bounded.  Files start with a ``# biphoton: {json}`` provenance line if
-given metadata.  Floats are written with 9 significant digits (``%.9g``, the
-routine behind :func:`format_float`), which round-trips exactly through
-parse/format cycles and keeps repeated runs byte-identical.  Every cell, axis
+given metadata; that of a joint grid also holds the state's ``provenance``
+and its ``grid``, the ``FrequencyGrid`` field by field.  Floats are written
+with 9 significant digits (``%.9g``, the routine behind :func:`format_float`),
+which round-trips exactly through parse/format cycles and keeps repeated runs
+byte-identical.  Every cell, axis
 labels included, is formatted by one numpy-vectorized routine that gives
 exactly the bytes of ``%.9g``; the cells it cannot settle with certainty
 (within 1e-5 of a rounding tie, non-finite, or 10 <= |v| < 1e9, which no grid
@@ -45,7 +47,7 @@ import functools
 import json
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -394,21 +396,10 @@ def export_jsi_csv(state: JointSpectralAmplitude, path, meta: dict | None = None
 
 
 def _state_meta(state: JointSpectralAmplitude, meta: dict | None) -> dict:
-    header_meta = {"grid": _grid_meta(state.grid), "provenance": state.provenance}
+    header_meta = {"grid": asdict(state.grid), "provenance": state.provenance}
     if meta:
         header_meta.update(meta)
     return header_meta
-
-
-def _grid_meta(grid: FrequencyGrid) -> dict:
-    return {
-        "n_s": grid.n_s,
-        "n_i": grid.n_i,
-        "nu_s_min": grid.nu_s_min,
-        "nu_s_max": grid.nu_s_max,
-        "nu_i_min": grid.nu_i_min,
-        "nu_i_max": grid.nu_i_max,
-    }
 
 
 def _central_frequencies(state: JointSpectralAmplitude) -> tuple[float, float]:
@@ -633,24 +624,18 @@ def _levenberg_marquardt(residual, p: np.ndarray, lower: np.ndarray, upper: np.n
     return None
 
 
-def fit_dip(scan: MeasuredScan, model: str = "gaussian-dip", kernel=None) -> FitReport:
+def fit_dip(scan: MeasuredScan, kernel=None) -> FitReport:
     """Fit (baseline, visibility, center, width) to a measured scan.
 
-    ``model`` is ``gaussian-dip`` or ``sinc-kernel-dip``; the latter needs
-    ``kernel``, a dip shape of depth 1 and FWHM 1 such as
-    :func:`sinc_dip_kernel` returns.  Counts with a sigma column are weighted
+    ``kernel`` is the dip shape, of depth 1 and FWHM 1, such as
+    :func:`sinc_dip_kernel` returns (model ``sinc-kernel-dip``); None fits the
+    Gaussian dip (``gaussian-dip``).  Counts with a sigma column are weighted
     by it; integer-looking raw counts get Poisson sqrt(n) weights; otherwise
     the fit is unweighted.  The fitted width parameter is the dip intensity
     FWHM, reported with its covariance-based uncertainty.
     """
-    if model == "gaussian-dip":
-        shape = _gaussian_depth
-    elif model == "sinc-kernel-dip":
-        if kernel is None:
-            raise DomainError("sinc-kernel-dip fitting needs a dip kernel")
-        shape = kernel
-    else:
-        raise DomainError(f"unknown dip model {model!r}")
+    model = "gaussian-dip" if kernel is None else "sinc-kernel-dip"
+    shape = _gaussian_depth if kernel is None else kernel
 
     delays = scan.delays
     counts = scan.counts

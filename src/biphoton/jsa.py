@@ -17,12 +17,16 @@ read-only next to the amplitude as ``intensity``; the resolution warnings,
 marginals, correlation label, norm, HOM normalization, JSI export, the
 Schmidt spectrum's certificate and the JTA's Parseval check all read that
 one array.
+
+A built state's provenance holds its ``PumpSpec`` and ``PhasematchSpec``,
+and a filtered one each ``SpectralFilter``, field by field from the
+dataclass (``dataclasses.asdict``), so each record lists its fields once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -91,6 +95,15 @@ def _read_only(array: np.ndarray) -> np.ndarray:
         array = array.copy()
         array.flags.writeable = False
     return array
+
+
+def _resolution_warning(what: str, samples: float) -> str:
+    """The warning for ``samples`` < 8 per FWHM: one decimal, but 7.95-7.99 read 7.9, not 8.0."""
+    shown = min(round(samples, 1), MIN_SAMPLES_PER_FWHM - 0.1)
+    return (
+        f"{what} has {shown:.1f} samples per FWHM "
+        f"(< {MIN_SAMPLES_PER_FWHM:g}); results may be inaccurate"
+    )
 
 
 def jsa_bytes(n_s: int, n_i: int) -> int:
@@ -346,16 +359,8 @@ def build_jsa(
     warnings: list[str] = []
     provenance = {
         "kind": "model",
-        "pump": {"omega_p0": pump.omega_p0, "sigma_p": pump.sigma_p, "beta": pump.beta},
-        "pm": {
-            "length_L": pm.length_L,
-            "tau_s": pm.tau_s,
-            "tau_i": pm.tau_i,
-            "gamma": pm.gamma,
-            "profile": pm.profile,
-            "omega_s0": pm.omega_s0,
-            "omega_i0": pm.omega_i0,
-        },
+        "pump": asdict(pump),
+        "pm": asdict(pm),
         # kept: it is hashed into the header of every written grid
         "normalized": False,
         "warnings": warnings,
@@ -376,10 +381,7 @@ def build_jsa(
             warnings.append(f"{label} marginal FWHM not resolved on this grid")
             continue
         if width / d < MIN_SAMPLES_PER_FWHM:
-            warnings.append(
-                f"{label} marginal has {width / d:.1f} samples per FWHM "
-                f"(< {MIN_SAMPLES_PER_FWHM:g}); results may be inaccurate"
-            )
+            warnings.append(_resolution_warning(f"{label} marginal", width / d))
     return out
 
 
@@ -456,19 +458,9 @@ def apply_spectral_filter(
     if filt.width / step < MIN_SAMPLES_PER_FWHM:
         # a new list: the parent state keeps its own warnings
         prov["warnings"] = [
-            *prov.get("warnings", ()),
-            f"filter has {filt.width / step:.1f} samples per FWHM "
-            f"(< {MIN_SAMPLES_PER_FWHM:g}); results may be inaccurate",
+            *prov.get("warnings", ()), _resolution_warning("filter", filt.width / step)
         ]
-    prov.setdefault("filters", [])
-    prov["filters"] = list(prov["filters"]) + [
-        {
-            "shape": filt.shape,
-            "center": filt.center,
-            "width": filt.width,
-            "target": filt.target,
-        }
-    ]
+    prov["filters"] = [*prov.get("filters", ()), asdict(filt)]
     return JointSpectralAmplitude(state.grid, amp, prov)
 
 

@@ -12,7 +12,7 @@ provenance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 
 from .errors import DomainError, ParseError
@@ -100,20 +100,14 @@ def _parse_preset_text(text: str, origin: str) -> SourcePreset:
         except ValueError as exc:
             raise ParseError(f"{origin}: key {key!r} is not a number: {raw!r}") from exc
 
-    pump = PumpSpec(
-        omega_p0=fnum("pump.omega_p0"),
-        sigma_p=fnum("pump.sigma_p"),
-        beta=fnum("pump.beta"),
-    )
-    pm = PhasematchSpec(
-        length_L=fnum("pm.length_L"),
-        tau_s=fnum("pm.tau_s"),
-        tau_i=fnum("pm.tau_i"),
-        omega_s0=fnum("pm.omega_s0"),
-        omega_i0=fnum("pm.omega_i0"),
-        gamma=fnum("pm.gamma"),
-        profile=need("pm.profile"),
-    )
+    def spec(cls, prefix: str):
+        # every field is a required key, read in field order; only the profile is text
+        return cls(**{
+            f.name: (need if f.name == "profile" else fnum)(f"{prefix}.{f.name}")
+            for f in fields(cls)
+        })
+
+    pump, pm = spec(PumpSpec, "pump"), spec(PhasematchSpec, "pm")
     return SourcePreset(name=need("name"), pump=pump, pm=pm, notes=values.get("notes", ""))
 
 

@@ -7,6 +7,19 @@ from biphoton.jsa import _read_only
 
 OMEGA0 = 1.227134571536712e15
 
+# The fields each source record writes into provenance and grid headers,
+# listed by hand: the writers read them from the dataclasses, so these lists
+# pin the header keys.
+PUMP_KEYS = ("omega_p0", "sigma_p", "beta")
+PM_KEYS = ("length_L", "tau_s", "tau_i", "omega_s0", "omega_i0", "gamma", "profile")
+GRID_KEYS = ("n_s", "n_i", "nu_s_min", "nu_s_max", "nu_i_min", "nu_i_max")
+FILTER_KEYS = ("shape", "center", "width", "target")
+
+
+def record_fields(record, keys):
+    """``{key: record.key}`` for each of ``keys``."""
+    return {key: getattr(record, key) for key in keys}
+
 
 def make_pm(tau_s, tau_i, gamma=0.193, profile="gaussian", length=8e-3):
     return PhasematchSpec(

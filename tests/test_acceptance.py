@@ -275,7 +275,7 @@ def test_criterion_10_fit_recovery(ppktp):
     pulls = []
     for _ in range(200):
         counts = rng.poisson(1e4 * rates).astype(float)
-        report = fit_dip(MeasuredScan(delays=delays, counts=counts), model="gaussian-dip")
+        report = fit_dip(MeasuredScan(delays=delays, counts=counts))
         recovered.append(report.t_c)
         pulls.append((report.t_c - truth) / report.t_c_sigma)
     elapsed = time.monotonic() - started

@@ -425,6 +425,16 @@ def test_coarse_grid_that_runs_keeps_its_warnings(tmp_path, capsys):
     assert "--grid-n" not in capsys.readouterr().err
 
 
+def test_samples_just_below_eight_never_read_eight(tmp_path, capsys):
+    # both marginals span 7.95-7.99 grid steps, which "%.1f" alone printed as 8.0
+    argv = ["--model", "numeric", "--grid-n", "64", "--pump-fwhm-nm", "0.1"]
+    assert run(tmp_path, "hom", "--preset", "ppktp-8mm", *argv) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: {arm} marginal has 7.9 samples per FWHM (< 8); results may be inaccurate"
+        for arm in ("signal", "idler")
+    ]
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--grid-n", "4"],
     ["hom", "--model", "numeric", "--grid-n", "16"],

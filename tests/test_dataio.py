@@ -50,7 +50,7 @@ from biphoton.hom import gaussian_dip_width
 from biphoton.jsa import FrequencyGrid
 from biphoton.spectral import GAUSSIAN_FWHM_FACTOR, wavelength_to_angular_frequency
 
-from helpers import make_pump, random_source
+from helpers import GRID_KEYS, make_pump, random_source, record_fields
 
 
 def write_scan_lines(path, lines):
@@ -223,19 +223,7 @@ def deep_state(ppktp):
 
 
 def state_meta(state, meta):
-    grid = state.grid
-    return {
-        "grid": {
-            "n_s": grid.n_s,
-            "n_i": grid.n_i,
-            "nu_s_min": grid.nu_s_min,
-            "nu_s_max": grid.nu_s_max,
-            "nu_i_min": grid.nu_i_min,
-            "nu_i_max": grid.nu_i_max,
-        },
-        "provenance": state.provenance,
-        **meta,
-    }
+    return {"grid": record_fields(state.grid, GRID_KEYS), "provenance": state.provenance, **meta}
 
 
 class TestWritersByteIdentical:
@@ -749,7 +737,8 @@ class TestFitDip:
     def test_noiseless_recovery(self, ppktp):
         src, delays, counts = synthetic_counts(ppktp)
         scan = MeasuredScan(delays=delays, counts=counts)
-        report = fit_dip(scan, model="gaussian-dip")
+        report = fit_dip(scan)
+        assert report.model == "gaussian-dip"
         truth = GAUSSIAN_FWHM_FACTOR * gaussian_dip_width(src.pm)
         assert report.t_c == pytest.approx(truth, rel=1e-3)
         assert report.visibility == pytest.approx(0.9733, abs=1e-4)
@@ -759,7 +748,7 @@ class TestFitDip:
         src, delays, counts = synthetic_counts(ppktp)
         noisy = rng.poisson(counts).astype(float)
         scan = MeasuredScan(delays=delays, counts=noisy)
-        report = fit_dip(scan, model="gaussian-dip")
+        report = fit_dip(scan)
         truth = GAUSSIAN_FWHM_FACTOR * gaussian_dip_width(src.pm)
         assert abs(report.t_c - truth) < 3 * report.t_c_sigma
         assert report.t_c_sigma > 0
@@ -772,9 +761,8 @@ class TestFitDip:
         t_ref = extract_dip(scan_sim).t_c
         counts = 1e4 * scan_sim.rates
         kernel = sinc_dip_kernel(ppktp, 2.0)
-        report = fit_dip(
-            MeasuredScan(delays=delays, counts=counts), model="sinc-kernel-dip", kernel=kernel
-        )
+        report = fit_dip(MeasuredScan(delays=delays, counts=counts), kernel)
+        assert report.model == "sinc-kernel-dip"
         assert report.t_c == pytest.approx(t_ref, rel=5e-3)
 
     @pytest.mark.parametrize("symmetric,pump_fwhm_nm,kappa", [
@@ -840,7 +828,7 @@ class TestFitDip:
         monkeypatch.setattr(dataio, "_levenberg_marquardt", recorded)
         kernel = sinc_dip_kernel(ppktp, 2.0) if model == "sinc-kernel-dip" else None
         for scan in self.poisson_scans(ppktp, model, range(10)):
-            report = fit_dip(scan, model=model, kernel=kernel)
+            report = fit_dip(scan, kernel)
             # the same weighted residuals, p0 and bounds; the weights are in
             # the residuals, so they are absolute
             residual, p0, lower, upper, (p, r, _) = problems.pop()
@@ -861,24 +849,13 @@ class TestFitDip:
         kernel = sinc_dip_kernel(ppktp, 2.0) if model == "sinc-kernel-dip" else None
         scan = next(self.poisson_scans(ppktp, model, [0]))
         with pytest.raises(FitError, match=f"did not converge \\(model={model},"):
-            fit_dip(scan, model=model, kernel=kernel)
+            fit_dip(scan, kernel)
 
     @pytest.mark.parametrize("pump_fwhm_nm", [1e16, 1e17, 1e300])
     def test_sinc_kernel_without_dip_refused(self, ppktp, pump_fwhm_nm):
         # the depth 1 - R(0) rounds to (nearly) 0: the kernel would divide by it
         with pytest.raises(NoDipError, match=re.escape(f"pump FWHM {pump_fwhm_nm} nm")):
             sinc_dip_kernel(ppktp, pump_fwhm_nm)
-
-    def test_kernel_required(self, ppktp):
-        _, delays, counts = synthetic_counts(ppktp)
-        scan = MeasuredScan(delays=delays, counts=counts)
-        with pytest.raises(DomainError, match="kernel"):
-            fit_dip(scan, model="sinc-kernel-dip")
-
-    def test_unknown_model(self, ppktp):
-        _, delays, counts = synthetic_counts(ppktp)
-        with pytest.raises(DomainError, match="unknown dip model"):
-            fit_dip(MeasuredScan(delays=delays, counts=counts), model="lorentzian")
 
     def test_flat_scan_width_guess_falls_back(self, monkeypatch):
         # a flat scan has no dip to measure: the width guess is a quarter of

@@ -37,7 +37,8 @@ from biphoton.jsa import MEMORY_BUDGET_BYTES, GaussianJsaParams, gaussian_margin
 from biphoton.jsa import BUILD_JSA_PEAK_FACTOR, MIN_SAMPLES_PER_FWHM, check_memory_budget
 from biphoton.spectral import pump_envelope, sinc
 
-from helpers import make_pm, make_pump, random_source
+from helpers import FILTER_KEYS, PM_KEYS, PUMP_KEYS, make_pm, make_pump, random_source
+from helpers import record_fields
 
 
 def reference_pump_envelope(pump, nu):
@@ -111,8 +112,10 @@ def reference_warnings(amp, grid):
             warnings.append(f"{label} marginal FWHM not resolved on this grid")
             continue
         if width / d < MIN_SAMPLES_PER_FWHM:
+            # one decimal, but a count below 8 never reads 8.0
+            shown = f"{width / d:.1f}"
             warnings.append(
-                f"{label} marginal has {width / d:.1f} samples per FWHM "
+                f"{label} marginal has {'7.9' if shown == '8.0' else shown} samples per FWHM "
                 f"(< {MIN_SAMPLES_PER_FWHM:g}); results may be inaccurate"
             )
     return warnings
@@ -269,6 +272,35 @@ class TestGridAnalyticOracle:
         grid = auto_grid(ppktp.pump, ppktp.pm, n=16)
         state = build_jsa(ppktp.pump, ppktp.pm, grid)
         assert any("samples per FWHM" in w for w in state.provenance["warnings"])
+
+
+class TestProvenanceRecords:
+    """Every field of the pump, phasematching and filter records is in the provenance."""
+
+    def test_build_records_every_spec_field(self):
+        pump, pm = random_source(np.random.default_rng(3), "sinc")
+        state = build_jsa(pump, pm, auto_grid(pump, pm, n=32))
+        assert state.provenance == {
+            "kind": "model",
+            "pump": record_fields(pump, PUMP_KEYS),
+            "pm": record_fields(pm, PM_KEYS),
+            "normalized": False,
+            "warnings": state.provenance["warnings"],
+        }
+
+    def test_each_filter_appends_its_fields(self, ppktp):
+        state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=64))
+        span = state.grid.nu_s_max - state.grid.nu_s_min
+        first = SpectralFilter("rect", 0.05 * span, 0.6 * span, "signal")
+        second = SpectralFilter("gaussian", -0.05 * span, 0.5 * span, "both")
+        once = apply_spectral_filter(state, first)
+        twice = apply_spectral_filter(once, second)
+        assert "filters" not in state.provenance
+        assert once.provenance["filters"] == [record_fields(first, FILTER_KEYS)]
+        assert twice.provenance["filters"] == [
+            record_fields(first, FILTER_KEYS), record_fields(second, FILTER_KEYS)
+        ]
+        assert {k: v for k, v in twice.provenance.items() if k != "filters"} == state.provenance
 
 
 class TestMemoryBudget:
@@ -433,6 +465,19 @@ class TestFilters:
         assert state.provenance["warnings"] == built
         wide = apply_spectral_filter(state, SpectralFilter("gaussian", 0.0, 8 * step, "signal"))
         assert wide.provenance["warnings"] == built
+
+    @pytest.mark.parametrize("samples,shown", [
+        (7.26, "7.3"), (7.94, "7.9"), (7.95, "7.9"), (7.97, "7.9"), (7.999, "7.9"), (0.5, "0.5"),
+    ])
+    def test_samples_below_eight_never_read_eight(self, ppktp, samples, shown):
+        # one decimal as %.1f rounds it, except 7.95-7.99, which %.1f would
+        # print as the minimum itself
+        state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=64))
+        width = samples * state.grid.d_nu_s
+        narrow = apply_spectral_filter(state, SpectralFilter("gaussian", 0.0, width, "both"))
+        assert narrow.provenance["warnings"][-1] == (
+            f"filter has {shown} samples per FWHM (< 8); results may be inaccurate"
+        )
 
     def test_filter_validation(self):
         with pytest.raises(DomainError):

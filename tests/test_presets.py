@@ -1,6 +1,7 @@
 """Shipped preset: derivation reproduction, file parsing, overrides."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -18,6 +19,8 @@ from biphoton.presets import (
     derive_walkoffs_from_ridge_and_dip,
     ppktp_reference_values,
 )
+
+from helpers import PM_KEYS, PUMP_KEYS, record_fields
 
 
 class TestDerivation:
@@ -100,6 +103,18 @@ class TestPresetFiles:
         assert preset.name == "toy"
         assert preset.pm.profile == "sinc"
         assert preset.pm.tau_s == ppktp.pm.tau_s
+
+    @pytest.mark.parametrize(
+        "key", [f"pump.{k}" for k in PUMP_KEYS] + [f"pm.{k}" for k in PM_KEYS] + ["name"]
+    )
+    def test_each_key_required(self, ppktp, key):
+        lines = [f"name = {ppktp.name}"]
+        lines += [f"pump.{k} = {v}" for k, v in record_fields(ppktp.pump, PUMP_KEYS).items()]
+        lines += [f"pm.{k} = {v}" for k, v in record_fields(ppktp.pm, PM_KEYS).items()]
+        assert _parse_preset_text("\n".join(lines), "full.preset") == replace(ppktp, notes="")
+        kept = [line for line in lines if not line.startswith(f"{key} =")]
+        with pytest.raises(ParseError, match=f"^short.preset: missing required key '{key}'$"):
+            _parse_preset_text("\n".join(kept), "short.preset")
 
     def test_parse_errors(self):
         with pytest.raises(ParseError, match="a.preset:2:"):

@@ -465,6 +465,8 @@ class TestDiagonalWidths:
     )
     @example(seed=1, profile="sinc", chirped=True, filtered=False, n=36, oversample=1)
     @example(seed=133, profile="sinc", chirped=True, filtered=False, n=22, oversample=1)
+    # the oracle cannot read this unresolved draw's widths: skipped
+    @example(seed=253, profile="sinc", chirped=False, filtered=False, n=8, oversample=1)
     def test_match_binned_oracle_within_folded_mass(
         self, seed, profile, chirped, filtered, n, oversample
     ):
@@ -481,7 +483,10 @@ class TestDiagonalWidths:
             width = float(rng.uniform(0.3, 2.0)) * 1e13
             state = apply_spectral_filter(state, SpectralFilter("gaussian", 0.0, width, "both"))
         jta = jta_from_jsa(state, oversample)
-        want, bins, shares = binned_widths(jta)
+        try:
+            want, bins, shares = binned_widths(jta)
+        except CoverageError:
+            assume(False)  # no oracle width to hold the lag sums to
         try:
             got = diagonal_widths(jta)
         except CoverageError:

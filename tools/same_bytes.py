@@ -125,6 +125,11 @@ RUNS = (
         ("simulate", *_P, "--profile", "sinc", "--pump-fwhm-nm", "0.5", "--length-mm", "16",
          "--grid-n", "256", *_OUT)),
     Run("simulate-config", ("simulate", *_P, "--config", "run.conf", *_OUT), quick=True),
+    # every recorded input set at once: the grid header carries non-default
+    # pump, phasematching, grid and filter fields
+    Run("simulate-all-inputs-128",
+        ("simulate", *_P, "--profile", "sinc", "--chirp-fs2", "-5000", "--length-mm", "12",
+         "--filter-fwhm-nm", "3", "--grid-n", "128", *_OUT), quick=True),
     Run("simulate-n2-fails", ("simulate", *_P, "--grid-n", "2", *_OUT), quick=True),
     Run("simulate-n4000-fails", ("simulate", *_P, "--grid-n", "4000", *_OUT)),
     Run("simulate-filter-0-fails", ("simulate", *_P, "--filter-fwhm-nm", "0", *_OUT)),
@@ -152,6 +157,10 @@ RUNS = (
     Run("hom-gaussian-100k",
         ("hom", *_P, "--model", "gaussian", "--delay-points", "100000", *_OUT)),
     Run("hom-numeric-n16", ("hom", *_P, "--model", "numeric", "--grid-n", "16", *_OUT),
+        quick=True),
+    # marginals of 7.95-7.99 samples per FWHM, which once printed as 8.0
+    Run("hom-n64-pump-0.1",
+        ("hom", *_P, "--model", "numeric", "--grid-n", "64", "--pump-fwhm-nm", "0.1", *_OUT),
         quick=True),
     Run("hom-sinc-span-1e200-fails",
         ("hom", *_P, "--model", "numeric-sinc", "--grid-span-fwhms", "1e200", "--grid-n", "16",
