@@ -57,12 +57,12 @@ from .dataio import (
 )
 from .errors import DomainError, MemoryBudgetError, ParseError
 from .hom import (
-    DELAY_BLOCK,
     coincidence_scan,
     correlation_time_gaussian,
     default_delays,
     extract_dip,
     gaussian_scan,
+    overlap_block_bytes,
     visibility_coefficient,
 )
 from .jsa import (
@@ -73,7 +73,6 @@ from .jsa import (
     check_memory_budget,
     correlation_classification,
     intensity_fwhm,
-    jsa_bytes,
     marginals,
     schmidt_decompose,
 )
@@ -236,12 +235,9 @@ def _dip(opts: dict, model: str, n_delays: int = 201, delay_span: float = 4.0):
         opts = {**opts, "profile": model.removeprefix("numeric-")}
     source = _load_source(opts)
     state = None if model == "gaussian" else _build_state(opts, source)
-    # the numeric overlap's phases of one block of delays: an (n - 1) x block
-    # complex exponent and its exp
-    block = min(n_delays, DELAY_BLOCK)
-    phases = 0 if state is None else 2 * jsa_bytes(state.grid.n_s - 1, block)
+    block = 0 if state is None else overlap_block_bytes(state.grid.n_s, n_delays)
     with _budget_names("--delay-points", n_delays):
-        check_memory_budget("the delay scan", _BYTES_PER_ROW * n_delays + phases)
+        check_memory_budget("the delay scan", _BYTES_PER_ROW * n_delays + block)
     delays = default_delays(source.pm, n=n_delays, spans=delay_span)
     if state is None:
         scan = gaussian_scan(source.pump, source.pm, delays)

@@ -12,10 +12,23 @@ the sum collapses onto the diagonal sums
 
     overlap(tau) = D_0 + 2 Re sum_{m >= 1} D_m e^{i m dnu tau}.
 
-The D_m take one O(n^2) pass and each delay O(n), so a scan of D delays
-costs O(n^2 + n D) instead of the O(n^2 D) of the direct double sum.  The
-phases e^{i m dnu tau} are taken for :data:`DELAY_BLOCK` delays at a time,
-so the scan's temporaries stay O(n DELAY_BLOCK) however many delays it has.
+The D_m take one O(n^2) pass.  The trigonometric sum is then split by
+baby steps and giant steps (Paterson and Stockmeyer, SIAM J. Comput. 2, 60
+(1973)): with ``r = ceil(sqrt(n - 1))`` and ``q = ceil((n - 1) / r)``, each
+lag is ``m = 1 + b + r a`` for ``0 <= b < r`` and ``0 <= a < q``, so
+
+    sum_m D_m e^{i m theta} = sum_a e^{i r a theta} sum_b D_{1+b+ra} e^{i (1+b) theta}
+
+with ``theta = dnu tau`` and the D_m past n - 1 taken as zero.  A scan of D
+delays thus costs O(n^2) plus O(n D) multiply-adds, but only O(sqrt(n) D)
+complex exponentials, where the direct sum takes O(n D) of them and the
+double sum over the grid O(n^2 D) multiply-adds.  The delays are taken
+:data:`DELAY_BLOCK` at a time, so the scan's temporaries stay
+O(sqrt(n) DELAY_BLOCK) however many delays it has.
+
+The rates are exactly periodic in tau with period ``2 pi / dnu``: the grid
+cannot tell a delay from one shifted by a whole period, so a scan wider than
+the period reads aliased copies of the dip.
 """
 
 from __future__ import annotations
@@ -26,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageError, DomainError, GridError, NoDipError, UnsupportedProfileError
-from .jsa import JointSpectralAmplitude, _read_only, intensity_fwhm
+from .jsa import JointSpectralAmplitude, _read_only, intensity_fwhm, jsa_bytes
 from .spectral import GAUSSIAN_FWHM_FACTOR, PhasematchSpec, PumpSpec
 
 # A dip shallower than this is treated as "no dip" by the readout.
@@ -44,8 +57,8 @@ _RATE_SLACK = 0.05
 
 _erf = np.vectorize(math.erf, otypes=[float])  # elementwise, and no scipy import
 
-# Delays whose phases the numeric overlap holds at once: an (n - 1) x
-# DELAY_BLOCK complex matrix, 8 MiB a block at n = 512.
+# Delays whose phases the numeric overlap holds at once (overlap_block_bytes):
+# 0.75 MiB a block at n = 512.
 DELAY_BLOCK = 1024
 
 
@@ -90,11 +103,47 @@ class HOMResult:
             raise DomainError(f"visibility out of range: {self.visibility}")
 
 
+def _lag_steps(n: int) -> tuple[int, int]:
+    """Baby and giant step counts ``r = ceil(sqrt(n - 1))``, ``q = ceil((n - 1) / r)``."""
+    r = math.isqrt(n - 2) + 1
+    return r, -(-(n - 1) // r)
+
+
+def overlap_block_bytes(n: int, n_delays: int) -> int:
+    """Peak bytes of the numeric overlap's temporaries, ``n_delays`` delays on an n x n grid.
+
+    One block of delays holds its complex exponents, the r baby-step phases
+    and the q inner sums, then the q giant-step phases and the sum: at most
+    r + q + 2 complex rows of the block, as q <= r.
+    """
+    r, q = _lag_steps(n)
+    return jsa_bytes(r + q + 2, min(n_delays, DELAY_BLOCK))
+
+
+def _lag_sum(d_pad: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """``sum_m D_m e^{i m theta}`` per theta, from ``d_pad[a, b] = D_{1+b+ra}``.
+
+    One block of delays a call, so a block's temporaries are freed before
+    the next block's are made (:func:`overlap_block_bytes`).
+    """
+    q, r = d_pad.shape
+    exponents = 1j * theta
+    # complex by complex outer products need no cast buffers, and each
+    # exponential is taken in place of its exponents
+    baby = np.outer(np.arange(1, r + 1, dtype=complex), exponents)
+    inner = d_pad @ np.exp(baby, out=baby)
+    del baby
+    giant = np.outer(np.arange(0, r * q, r, dtype=complex), exponents)
+    inner *= np.exp(giant, out=giant)
+    return np.sum(inner, axis=0)
+
+
 def _exchange_overlap(state: JointSpectralAmplitude, delays: np.ndarray) -> np.ndarray:
     """Re Int e^{i(nu - nu')tau} f(nu,nu') f*(nu',nu) / Int |f|^2 per delay.
 
     On the uniform square grid the phase depends on j - k only, so the
-    double sum is taken over the diagonal sums D_m (module docstring).
+    double sum is taken over the diagonal sums D_m, and their trigonometric
+    sum by baby and giant steps (module docstring).
     """
     if not state.grid.is_square:
         raise GridError(
@@ -102,14 +151,16 @@ def _exchange_overlap(state: JointSpectralAmplitude, delays: np.ndarray) -> np.n
             "so the exchanged amplitude is a transpose"
         )
     f = state.amplitude
+    n = f.shape[0]
     # D_m = sum_k f[k+m, k] f*[k, k+m]; D_{-m} is its conjugate
-    diag = np.array([np.vdot(f.diagonal(m), f.diagonal(-m)) for m in range(f.shape[0])])
-    lags = np.arange(1, diag.size)
+    diag = np.array([np.vdot(f.diagonal(m), f.diagonal(-m)) for m in range(n)])
+    r, q = _lag_steps(n)
+    d_pad = np.pad(diag[1:], (0, q * r - (n - 1))).reshape(q, r)
     steps = state.grid.d_nu_s * delays
     overlap = np.empty(steps.size)
     for d0 in range(0, steps.size, DELAY_BLOCK):
-        phases = np.exp(1j * np.outer(lags, steps[d0 : d0 + DELAY_BLOCK]))
-        overlap[d0 : d0 + DELAY_BLOCK] = diag[0].real + 2.0 * np.real(diag[1:] @ phases)
+        lag_sum = _lag_sum(d_pad, steps[d0 : d0 + DELAY_BLOCK])
+        overlap[d0 : d0 + DELAY_BLOCK] = diag[0].real + 2.0 * lag_sum.real
     return overlap / float(np.sum(state.intensity))
 
 

@@ -175,13 +175,14 @@ class TestHom:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv,mib", [
-        (["--model", "numeric", "--grid-n", "64"], 2443),
+        (["--model", "numeric", "--grid-n", "64"], 2442),
         (["--model", "gaussian"], 2441),
     ], ids=["numeric", "gaussian"])
     def test_oversized_delay_points_rejected(self, tmp_path, capsys, argv, mib):
         # charged before any large allocation: 10^7 delays at n = 64 once died
         # allocating a 9.4 GiB phase matrix; the numeric scan is now charged
-        # the phases of one block of delays
+        # the baby- and giant-step temporaries of one block of delays
+        # (hom.overlap_block_bytes, 0.28 MiB here)
         code = run(tmp_path / "out", "hom", "--preset", "ppktp-8mm", *argv,
                    "--delay-points", "10000000")
         assert code == 1

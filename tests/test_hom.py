@@ -111,6 +111,27 @@ class TestDiagonalSumOverlap:
             1.0 - got[-1], abs=1e-12
         )
 
+    @pytest.mark.parametrize("chirped", [False, True], ids=["unchirped", "chirped"])
+    @pytest.mark.parametrize("n", [2, 3, 17, 96, 100, 256])
+    def test_lag_steps_match_double_sum_past_one_period(self, n, chirped):
+        # the n - 1 lags fill the q x r baby/giant-step matrix exactly at
+        # n = 2, 3 and 17 (r = 1, 2, 4) and leave 5, 1 and 1 zeros at 96, 100
+        # and 256; the delays run 1.5 periods 2 pi / dnu each side.  The
+        # smallest grids span fewer marginal FWHMs so their samples do not
+        # underflow.
+        rng = np.random.default_rng(n)
+        for profile in ("gaussian", "sinc", "gaussian", "sinc"):
+            pump, pm = random_source(rng, profile)
+            if not chirped:
+                pump = make_pump(pump.sigma_p)
+            state = build_jsa(pump, pm, auto_grid(pump, pm, n=n, span_fwhms=min(4.0, n / 4)))
+            period = 2 * math.pi / state.grid.d_nu_s
+            delays = np.linspace(-1.5 * period, 1.5 * period, 301)
+            np.testing.assert_allclose(
+                _exchange_overlap(state, delays), matmul_overlap(state, delays),
+                rtol=0, atol=1e-13,
+            )
+
 
 class TestChirpInvariance:
     # the pump phase depends on nu_s + nu_i only: it cancels in |f|^2 and in
@@ -196,14 +217,15 @@ class TestRandomSourceInvariants:
 
 class TestDelayBlocks:
     def test_blocks_reproduce_one_shot_product(self):
-        # a scan over 3 full blocks and a partial one against the whole
-        # (n - 1) x delays phase matrix in one product.  A fresh interpreter
-        # with one BLAS thread: with more, OpenBLAS splits a product by its
-        # column count, so the one-shot bits themselves depend on it.
+        # a scan over 3 full blocks and a partial one against the same
+        # factorised sum over every delay in one block, bit for bit, and
+        # against the direct product over all n - 1 lags within rounding.  A
+        # fresh interpreter with one BLAS thread: with more, OpenBLAS splits
+        # a product by its column count, so the one-block bits depend on it.
         script = textwrap.dedent("""
             import numpy as np
             from biphoton import JointSpectralAmplitude, auto_grid, build_jsa
-            from biphoton import load_preset, preset_with_pump
+            from biphoton import hom, load_preset, preset_with_pump
             from biphoton.hom import DELAY_BLOCK, _exchange_overlap
 
             src = preset_with_pump(load_preset("ppktp-8mm"), profile="sinc", beta=-1e-26)
@@ -212,13 +234,17 @@ class TestDelayBlocks:
             phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, state.amplitude.shape))
             for state in (state, JointSpectralAmplitude(state.grid, state.amplitude * phase)):
                 delays = np.sort(rng.uniform(-4e-12, 4e-12, 3 * DELAY_BLOCK + 77))
+                got = _exchange_overlap(state, delays)
+                hom.DELAY_BLOCK = delays.size
+                one_block = _exchange_overlap(state, delays)
+                hom.DELAY_BLOCK = DELAY_BLOCK
+                assert got.tobytes() == one_block.tobytes(), np.max(np.abs(got - one_block))
                 f = state.amplitude
                 diag = np.array([np.vdot(f.diagonal(m), f.diagonal(-m)) for m in range(96)])
                 phases = np.exp(1j * np.outer(np.arange(1, 96), state.grid.d_nu_s * delays))
-                want = diag[0].real + 2.0 * np.real(diag[1:] @ phases)
-                want /= float(np.sum(state.intensity))
-                got = _exchange_overlap(state, delays)
-                assert got.tobytes() == want.tobytes(), np.max(np.abs(got - want))
+                direct = diag[0].real + 2.0 * np.real(diag[1:] @ phases)
+                direct /= float(np.sum(state.intensity))
+                assert np.max(np.abs(got - direct)) <= 1e-13, np.max(np.abs(got - direct))
         """)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": src}

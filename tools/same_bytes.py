@@ -158,6 +158,9 @@ RUNS = (
         ("hom", *_P, "--model", "gaussian", "--delay-points", "100000", *_OUT)),
     Run("hom-numeric-n16", ("hom", *_P, "--model", "numeric", "--grid-n", "16", *_OUT),
         quick=True),
+    # 99 lags: the baby/giant-step lag matrix is 10 x 10 with one padded zero
+    Run("hom-numeric-n100", ("hom", *_P, "--model", "numeric", "--grid-n", "100", *_OUT),
+        quick=True),
     # marginals of 7.95-7.99 samples per FWHM, which once printed as 8.0
     Run("hom-n64-pump-0.1",
         ("hom", *_P, "--model", "numeric", "--grid-n", "64", "--pump-fwhm-nm", "0.1", *_OUT),
