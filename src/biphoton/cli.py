@@ -23,7 +23,11 @@ too coarse for the source, and ``simulate``'s about a filter narrower than 8
 grid steps, go to stderr.  A failure on such a state names the flag of the
 step that warned, with its value and the samples per FWHM: ``--grid-n`` for
 the grid's warnings, ``--filter-fwhm-nm`` for the filter's, both if both
-warned.  A grid above the memory budget names ``--grid-n`` too.  A
+warned.  A numeric scan whose delays span the grid's delay period 2 pi / dnu
+reads the dips of the neighbouring periods: it warns on stderr too, naming
+``--grid-n`` and ``--delay-span`` (a sweep, which has no ``--delay-span``,
+names ``--grid-n``), and a failure on it names those flags with the span and
+the period.  A grid above the memory budget names ``--grid-n`` too.  A
 ``--delay-points`` or ``--steps`` whose scan or sweep would exceed that budget
 is refused, with its flag and value, before anything large is allocated.
 
@@ -189,47 +193,81 @@ def _build_state(opts: dict, source):
 
 
 @contextlib.contextmanager
-def _coarse_grid_reported(opts: dict, state, built=None):
+def _coarse_grid_reported(opts: dict, state, built=None, aliased=None):
     """Report the resolution warnings of ``state`` once the kernels run on it.
 
     If they succeed, each warning is printed on stderr.  A failure on a state
     with warnings is re-raised as a ``DomainError`` naming the flag of each
     step that warned, with its warnings: ``--grid-n`` for those of ``built``,
     the state ``build_jsa`` made (default ``state``), ``--filter-fwhm-nm``
-    for those a filter added.  One on a well resolved state passes as it is.
+    for those a filter added.  ``aliased``, a ``(cause, warning)`` pair for a
+    delay scan that spans the grid's delay period (see ``_dip``), is printed
+    and blamed after them.  A failure on a well resolved state with no
+    aliased scan passes as it is.
     """
-    # both record only resolution warnings, each "<samples per marginal or
-    # filter FWHM>; results may be inaccurate" or "... not resolved on this grid"
+    # every warning reads "<what was seen>; results may be inaccurate" or
+    # "... not resolved on this grid", and a blame quotes what was seen:
+    # samples per marginal or filter FWHM, or the scan's span and period
     warnings = state.provenance.get("warnings", ())
     # apply_spectral_filter appends its warnings to those of the state it filters
     n_built = len((built or state).provenance.get("warnings", ()))
+    blamed = [
+        (f"--grid-n {opts.get('grid_n', _GRID_N)} is too coarse for this source",
+         warnings[:n_built]),
+        (f"--filter-fwhm-nm {opts.get('filter_fwhm_nm')} is too narrow for this grid",
+         warnings[n_built:]),
+    ]
+    if aliased is not None:
+        blamed.append((aliased[0], [aliased[1]]))
     try:
         yield
     except ValueError as exc:
-        if not warnings:
+        if not any(found for _, found in blamed):
             raise
-        blamed = (
-            (f"--grid-n {opts.get('grid_n', _GRID_N)} is too coarse for this source",
-             warnings[:n_built]),
-            (f"--filter-fwhm-nm {opts.get('filter_fwhm_nm')} is too narrow for this grid",
-             warnings[n_built:]),
-        )
         causes = " and ".join(
             f"{flag} ({', '.join(w.partition(';')[0] for w in found)})"
             for flag, found in blamed if found
         )
         raise DomainError(f"{causes}: {exc}") from exc
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    for _, found in blamed:
+        for warning in found:
+            print(f"warning: {warning}", file=sys.stderr)
 
 
-def _dip(opts: dict, model: str, n_delays: int = 201, delay_span: float = 4.0):
+def _aliasing(opts: dict, state, delays, delay_span) -> tuple[str, str] | None:
+    """The ``(cause, warning)`` of a scan whose delays span the grid's delay period, else None.
+
+    The numeric rates repeat with period 2 pi / dnu, so such a scan reads the
+    dips of the neighbouring periods.  ``delay_span`` is the run's
+    ``--delay-span``, None for a sweep, which has no such flag.
+    """
+    span = float(delays[-1] - delays[0])
+    period = 2.0 * math.pi / state.grid.d_nu_s
+    if span < period:
+        return None
+    grid_n = f"--grid-n {opts.get('grid_n', _GRID_N)}"
+    if delay_span is None:
+        cause, fix = f"{grid_n} aliases the scan", "raise --grid-n"
+    else:
+        cause = f"{grid_n} and --delay-span {delay_span} alias the scan"
+        fix = "raise --grid-n or lower --delay-span"
+    return cause, (
+        f"the delay scan spans {span * 1e12:.4g} ps, at least the grid's delay period "
+        f"2 pi / dnu = {period * 1e12:.4g} ps, and reads aliased dips: {fix}; "
+        "results may be inaccurate"
+    )
+
+
+def _dip(opts: dict, model: str, n_delays: int = 201, delay_span: float | None = None):
     """HOM scan and dip readout of the run ``opts`` describes, under ``model``.
 
     ``gaussian`` is the closed form on the Gaussian-approximated profile;
     ``numeric`` integrates the gridded JSA with the source's own profile, and
-    ``numeric-sinc``/``numeric-gaussian`` force that profile first.  Returns
-    the ``HOMResult`` and the model's own fields of ``hom.json``.
+    ``numeric-sinc``/``numeric-gaussian`` force that profile first.  The scan
+    covers ``delay_span`` (``--delay-span``; None, as in a sweep, is 4)
+    predicted dip widths each side; a numeric scan that spans the grid's
+    delay period warns and, if it then fails, names the flags that set it.
+    Returns the ``HOMResult`` and the model's own fields of ``hom.json``.
     """
     if model != "numeric":
         opts = {**opts, "profile": model.removeprefix("numeric-")}
@@ -238,14 +276,14 @@ def _dip(opts: dict, model: str, n_delays: int = 201, delay_span: float = 4.0):
     block = 0 if state is None else overlap_block_bytes(state.grid.n_s, n_delays)
     with _budget_names("--delay-points", n_delays):
         check_memory_budget("the delay scan", _BYTES_PER_ROW * n_delays + block)
-    delays = default_delays(source.pm, n=n_delays, spans=delay_span)
+    delays = default_delays(source.pm, n=n_delays, spans=4.0 if delay_span is None else delay_span)
     if state is None:
         scan = gaussian_scan(source.pump, source.pm, delays)
         return extract_dip(scan, model="gaussian-analytic"), {
             "closed_form_t_c_ps": correlation_time_gaussian(source.pm) * 1e12,
             "visibility_coefficient": visibility_coefficient(source.pump, source.pm),
         }
-    with _coarse_grid_reported(opts, state):
+    with _coarse_grid_reported(opts, state, aliased=_aliasing(opts, state, delays, delay_span)):
         result = extract_dip(coincidence_scan(state, delays), model="numeric")
     return result, {"profile": source.pm.profile}
 

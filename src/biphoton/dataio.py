@@ -749,34 +749,32 @@ def table_report(
 
     For each pump width: the sinc-model (or gaussian-model) dip width and
     correlation label, the marginal FWHMs in nm, the transform-limited
-    durations of pump and marginals, and their quadrature convolution.
+    durations of pump and marginals, and their quadrature convolution.  Each
+    row is made by :func:`_table_row`, so one row's state is alive at a time.
     """
+    return [_table_row(preset, width_nm, profile, grid_n) for width_nm in pump_fwhms_nm]
+
+
+def _table_row(preset: SourcePreset, width_nm, profile: str, grid_n: int) -> TableRow:
+    """The :class:`TableRow` of one pump width; its state is freed on return."""
     lam_pump = 2.0 * math.pi * C_M_PER_S / preset.pump.omega_p0
     lam_pdc = 2.0 * math.pi * C_M_PER_S / preset.pm.omega_s0
-    rows: list[TableRow] = []
-    for width_nm in pump_fwhms_nm:
-        src = preset_with_pump(preset, pump_fwhm_nm=width_nm, profile=profile)
-        state = build_jsa(src.pump, src.pm, auto_grid(src.pump, src.pm, n=grid_n))
-        scan = coincidence_scan(state, default_delays(src.pm))
-        dip = extract_dip(scan)
-        sig, idl = marginals(state)
-        fwhm_s = intensity_fwhm(state.grid.nu_s, sig)
-        fwhm_i = intensity_fwhm(state.grid.nu_i, idl)
-        dl_s = omega_fwhm_to_wavelength_fwhm(lam_pdc, fwhm_s)
-        dl_i = omega_fwhm_to_wavelength_fwhm(lam_pdc, fwhm_i)
-        rho, label = correlation_classification(state)
-        rows.append(
-            TableRow(
-                label=label,
-                pump_fwhm_nm=float(width_nm),
-                t_c_sim=dip.t_c,
-                marginal_s_nm=dl_s * 1e9,
-                marginal_i_nm=dl_i * 1e9,
-                duration_s=transform_limited_duration(lam_pdc, dl_s),
-                duration_i=transform_limited_duration(lam_pdc, dl_i),
-                duration_pump=transform_limited_duration(lam_pump, width_nm * 1e-9),
-                duration_conv=convolved_duration(lam_pdc, dl_s, dl_i),
-                rho=rho,
-            )
-        )
-    return rows
+    src = preset_with_pump(preset, pump_fwhm_nm=width_nm, profile=profile)
+    state = build_jsa(src.pump, src.pm, auto_grid(src.pump, src.pm, n=grid_n))
+    dip = extract_dip(coincidence_scan(state, default_delays(src.pm)))
+    sig, idl = marginals(state)
+    dl_s = omega_fwhm_to_wavelength_fwhm(lam_pdc, intensity_fwhm(state.grid.nu_s, sig))
+    dl_i = omega_fwhm_to_wavelength_fwhm(lam_pdc, intensity_fwhm(state.grid.nu_i, idl))
+    rho, label = correlation_classification(state)
+    return TableRow(
+        label=label,
+        pump_fwhm_nm=float(width_nm),
+        t_c_sim=dip.t_c,
+        marginal_s_nm=dl_s * 1e9,
+        marginal_i_nm=dl_i * 1e9,
+        duration_s=transform_limited_duration(lam_pdc, dl_s),
+        duration_i=transform_limited_duration(lam_pdc, dl_i),
+        duration_pump=transform_limited_duration(lam_pump, width_nm * 1e-9),
+        duration_conv=convolved_duration(lam_pdc, dl_s, dl_i),
+        rho=rho,
+    )

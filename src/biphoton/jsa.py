@@ -12,11 +12,11 @@ both axes that sum is constant along each anti-diagonal, so the pump is
 evaluated on the n_s + n_i - 1 distinct sums and read as a Hankel matrix;
 a grid with two different steps evaluates it on the full grid.
 
-A state's intensity |f|^2 is computed once, on first use, and kept
-read-only next to the amplitude as ``intensity``; the resolution warnings,
-marginals, correlation label, norm, HOM normalization, JSI export, the
-Schmidt spectrum's certificate and the JTA's Parseval check all read that
-one array.
+A state's intensity |f|^2 is computed once, by :func:`build_jsa` with the
+amplitude or else on first use, and kept read-only next to the amplitude
+as ``intensity``; the resolution warnings, marginals, correlation label,
+norm, HOM normalization, JSI export, the Schmidt spectrum's certificate and
+the JTA's Parseval check all read that one array.
 
 A built state's provenance holds its ``PumpSpec`` and ``PhasematchSpec``,
 and a filtered one each ``SpectralFilter``, field by field from the
@@ -68,14 +68,20 @@ MIN_SAMPLES_PER_FWHM = 8.0
 MEMORY_BUDGET_BYTES = 1 << 30
 
 # build_jsa's peak allocation in units of the amplitude it returns (jsa_bytes),
-# kept as an upper bound: the phasematching profile's float temporaries and
-# then the intensity used for the resolution warnings live next to it.
-# tracemalloc measures about 1.6x for either profile at n = 512 and about 2.5x
-# at n = 128, where a fixed quarter MiB of ufunc casting buffers counts; a grid
-# with two different steps, whose pump is evaluated on the full grid, measures
-# 2.0-2.2x.  The budget charges 4.5x, so it admits square grids up to n = 3861
+# kept as an upper bound: the amplitude and the intensity used for the
+# resolution warnings are filled one row block at a time, so one block's
+# temporaries live next to them.  tracemalloc measures 1.59x for either
+# profile at n = 512 (1.57x when the profile was made whole and the intensity
+# squared after it) and 1.62x on a grid with two different steps (2.0-2.1x
+# when its pump and profile were made whole), and 2.8x at n = 128, where a
+# block is half the grid and a fixed quarter MiB of ufunc casting buffers
+# counts.  The budget charges 4.5x, so it admits square grids up to n = 3861
 # (n = 1024 is charged 72 MiB).
 BUILD_JSA_PEAK_FACTOR = 4.5
+
+# Cells per row block of the full-grid kernels (build_jsa and the correlation
+# moments): their temporaries are one block, 128 KiB of complex, not n x n.
+BLOCK_CELLS = 8192
 
 _COMPLEX_BYTES = np.dtype(complex).itemsize
 
@@ -109,6 +115,24 @@ def _resolution_warning(what: str, samples: float) -> str:
 def jsa_bytes(n_s: int, n_i: int) -> int:
     """Bytes of the complex amplitude on an ``n_s`` x ``n_i`` grid."""
     return _COMPLEX_BYTES * n_s * n_i
+
+
+def row_blocks(n_rows: int, n_cols: int) -> list[slice]:
+    """Consecutive row slices of an ``n_rows`` x ``n_cols`` grid, about
+    :data:`BLOCK_CELLS` cells each, in order.
+
+    A block holds a multiple of 4 rows, and a last row left alone joins the
+    block before it.  BLAS then takes each row of a blocked matrix-vector
+    product in the same group of 4 rows, and with the same kernel, as in the
+    whole grid's product, so the blocks give its bits (one BLAS thread: above
+    about 600 x 600 cells a threaded product splits its rows by thread, and
+    its bits then depend on the thread count).
+    """
+    step = max(4, BLOCK_CELLS // n_cols // 4 * 4)
+    starts = list(range(0, n_rows, step))
+    if len(starts) > 1 and n_rows - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, [*starts[1:], n_rows])]
 
 
 @dataclass(frozen=True)
@@ -329,7 +353,12 @@ def build_jsa(
     With equal steps on both axes the pump is evaluated once per distinct
     sum, on the n_s + n_i - 1 values ``nu_s_min + nu_i_min + m dnu``, and
     spread over the grid as a Hankel view; with two different steps it is
-    evaluated on the full grid of ``nu_s + nu_i``.
+    evaluated on the grid of ``nu_s + nu_i``.  The intensity and then the
+    amplitude are allocated once and filled one row block (:func:`row_blocks`)
+    at a time: the pump's rows times the profile's, then that block's squared
+    modulus.  The only other temporaries are one block's; each cell gets the
+    bits of the whole-grid product, and the intensity those of
+    :attr:`JointSpectralAmplitude.intensity`.
 
     The linear phasematching phase is dropped (module docstring); for the
     gaussian profile the result equals :func:`evaluate_gaussian_jsa` of
@@ -349,11 +378,20 @@ def build_jsa(
         # nu_s + nu_i is constant along each anti-diagonal
         sums = grid.nu_s_min + grid.nu_i_min + np.arange(grid.n_s + grid.n_i - 1) * grid.d_nu_s
         pump_grid = sliding_window_view(pump_envelope(pump, sums), grid.n_i)
-        amp = np.multiply(pump_grid, phasematching_profile(pm, ns, ni))
     else:
-        amp = pump_envelope(pump, ns + ni)
-        amp *= phasematching_profile(pm, ns, ni)
+        pump_grid = None
+    # the intensity is allocated first, below the amplitude in the heap: a
+    # caller that keeps only the intensity then frees the amplitude's memory
+    # at the heap's top, where it can be returned to the system
+    power = np.empty((grid.n_s, grid.n_i))
+    amp = np.empty((grid.n_s, grid.n_i), dtype=complex)
+    for rows in row_blocks(grid.n_s, grid.n_i):
+        pump_rows = pump_envelope(pump, ns[rows] + ni) if pump_grid is None else pump_grid[rows]
+        np.multiply(pump_rows, phasematching_profile(pm, ns[rows], ni), out=amp[rows])
+        np.abs(amp[rows], out=power[rows])
+        np.square(power[rows], out=power[rows])
     amp.flags.writeable = False
+    power.flags.writeable = False
 
     # filled below from the state's intensity, before the state is returned
     warnings: list[str] = []
@@ -366,6 +404,8 @@ def build_jsa(
         "warnings": warnings,
     }
     out = JointSpectralAmplitude(grid, amp, provenance)
+    # seeds the cached property with the bits it would compute
+    out.__dict__["intensity"] = power
     if not np.any(out.intensity):
         raise EmptyStateError(
             "joint spectral intensity underflows to zero: the amplitude peaks at "
@@ -610,16 +650,32 @@ def correlation_classification(state: JointSpectralAmplitude) -> tuple[float, st
     side lobes do not dominate the second moments.  Labels:
     ``anticorrelated`` (rho < -0.1), ``decorrelated`` (|rho| <= 0.1),
     ``correlated`` (rho > 0.1).
+
+    The masked JSI is made one row block (:func:`row_blocks`) at a time,
+    once for the marginals and once for the covariance's matrix-vector
+    product, so the temporaries are one block and O(n) lines; rho has the
+    bits of the same sums over the whole masked JSI.
     """
-    weights = state.intensity
-    peak = weights.max()
+    intensity = state.intensity
+    peak = intensity.max()
     if not peak > 0:
         raise DomainError("JSI carries no weight")
-    weights = np.where(weights >= CLASSIFICATION_SUPPORT_FLOOR * peak, weights, 0.0)
+    floor = CLASSIFICATION_SUPPORT_FLOOR * peak
+    blocks = row_blocks(*intensity.shape)
+
+    def masked(rows):
+        return np.where(intensity[rows] >= floor, intensity[rows], 0.0)
+
     # the means and variances from the masked JSI's marginals, the covariance
-    # from one matrix-vector product; the common 1/total cancels in rho
-    signal = weights.sum(axis=1)
-    idler = weights.sum(axis=0)
+    # from one matrix-vector product; the common 1/total cancels in rho.  Each
+    # block's rows are added to the idler sum so far in row order, as one sum
+    # over the whole masked JSI adds them.
+    signal = np.empty(intensity.shape[0])
+    idler = np.zeros(intensity.shape[1])
+    for rows in blocks:
+        part = np.vstack([idler, masked(rows)])
+        signal[rows] = part[1:].sum(axis=1)
+        idler = part.sum(axis=0)
     total = float(signal.sum())
     ds = state.grid.nu_s - float(signal @ state.grid.nu_s) / total
     di = state.grid.nu_i - float(idler @ state.grid.nu_i) / total
@@ -630,7 +686,10 @@ def correlation_classification(state: JointSpectralAmplitude) -> tuple[float, st
             f"JSI has zero variance along an axis or a variance product that underflows "
             f"(signal {var_s:.3g}, idler {var_i:.3g})"
         )
-    cov = float(ds @ (weights @ di))
+    weighted_di = np.empty(intensity.shape[0])
+    for rows in blocks:
+        np.matmul(masked(rows), di, out=weighted_di[rows])
+    cov = float(ds @ weighted_di)
     rho = cov / math.sqrt(var_s * var_i)
     if rho < -CLASSIFICATION_DEAD_ZONE:
         label = "anticorrelated"

@@ -184,6 +184,9 @@ def _line_power(amplitude: np.ndarray, anti: bool, big_n: int) -> np.ndarray:
     Line s = 0 .. 2n - 2 holds the elements with ``j + k = s`` (``anti``) or
     ``j - k = s - (n - 1)``, element j at position j.  On a torus of
     ``big_n`` < 2n - 1 points, line s + big_n fills the rest of line s.
+    Each block of :data:`_LINE_BLOCK` lines is transformed in place and its
+    |FFT|^2 squared into one float buffer, so the two buffers are all the
+    temporaries.
     """
     n = amplitude.shape[0]
     flat = amplitude.ravel()
@@ -191,6 +194,7 @@ def _line_power(amplitude: np.ndarray, anti: bool, big_n: int) -> np.ndarray:
     step = n - 1 if anti else n + 1
     rows = min(big_n, 2 * n - 1)
     lines = np.empty((min(_LINE_BLOCK, rows), 2 * n), dtype=complex)
+    squares = np.empty(lines.shape)
     power = np.zeros(2 * n)
     for r0 in range(0, rows, _LINE_BLOCK):
         r1 = min(r0 + _LINE_BLOCK, rows)
@@ -200,7 +204,9 @@ def _line_power(amplitude: np.ndarray, anti: bool, big_n: int) -> np.ndarray:
             lo, hi = max(0, s - n + 1), min(n - 1, s)
             first = s if anti else n - 1 - s
             block[s % big_n - r0, lo : hi + 1] = flat[first + lo * step : first + hi * step + 1 : step]
-        power += (np.abs(np.fft.fft(block, axis=1)) ** 2).sum(axis=0)
+        block_power = squares[: r1 - r0]
+        np.abs(np.fft.fft(block, axis=1, out=block), out=block_power)
+        power += np.square(block_power, out=block_power).sum(axis=0)
     return power
 
 

@@ -1,9 +1,13 @@
 """Shared construction helpers for the test suite."""
 
+import math
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from biphoton import PhasematchSpec, PumpSpec
-from biphoton.jsa import _read_only
+from biphoton.jsa import CLASSIFICATION_SUPPORT_FLOOR, _read_only
+from biphoton.spectral import phasematching_profile, pump_envelope
 
 OMEGA0 = 1.227134571536712e15
 
@@ -81,3 +85,60 @@ def record_adoptions(monkeypatch, module):
 
     monkeypatch.setattr(module, "_read_only", spy)
     return adopted
+
+
+# The unblocked forms of the full-grid kernels, kept as oracles: each blocked
+# kernel must give their bits.
+
+
+def whole_grid_amplitude(pump, pm, grid):
+    """``build_jsa``'s amplitude as one whole-grid product: the Hankel view of
+    the pump times the profile on a grid with equal steps, else the pump on
+    ``nu_s + nu_i`` times the profile."""
+    ns = grid.nu_s[:, None]
+    ni = grid.nu_i[None, :]
+    if grid.d_nu_s == grid.d_nu_i:
+        sums = grid.nu_s_min + grid.nu_i_min + np.arange(grid.n_s + grid.n_i - 1) * grid.d_nu_s
+        pump_grid = sliding_window_view(pump_envelope(pump, sums), grid.n_i)
+        return np.multiply(pump_grid, phasematching_profile(pm, ns, ni))
+    amp = pump_envelope(pump, ns + ni)
+    amp *= phasematching_profile(pm, ns, ni)
+    return amp
+
+
+def whole_grid_rho(state):
+    """``correlation_classification``'s rho from one ``np.where`` copy of the
+    masked JSI; None where the variance product is not positive."""
+    weights = state.intensity
+    weights = np.where(weights >= CLASSIFICATION_SUPPORT_FLOOR * weights.max(), weights, 0.0)
+    signal = weights.sum(axis=1)
+    idler = weights.sum(axis=0)
+    total = float(signal.sum())
+    ds = state.grid.nu_s - float(signal @ state.grid.nu_s) / total
+    di = state.grid.nu_i - float(idler @ state.grid.nu_i) / total
+    var_s = float(signal @ (ds * ds))
+    var_i = float(idler @ (di * di))
+    if not var_s * var_i > 0:
+        return None
+    return float(ds @ (weights @ di)) / math.sqrt(var_s * var_i)
+
+
+def unblocked_line_power(amplitude, anti, big_n):
+    """``temporal._line_power`` with a new FFT, modulus and square per block of 64 lines."""
+    line_block = 64
+    n = amplitude.shape[0]
+    flat = amplitude.ravel()
+    step = n - 1 if anti else n + 1
+    rows = min(big_n, 2 * n - 1)
+    lines = np.empty((min(line_block, rows), 2 * n), dtype=complex)
+    power = np.zeros(2 * n)
+    for r0 in range(0, rows, line_block):
+        r1 = min(r0 + line_block, rows)
+        block = lines[: r1 - r0]
+        block[...] = 0.0
+        for s in (*range(r0, r1), *range(r0 + big_n, min(r1 + big_n, 2 * n - 1))):
+            lo, hi = max(0, s - n + 1), min(n - 1, s)
+            first = s if anti else n - 1 - s
+            block[s % big_n - r0, lo : hi + 1] = flat[first + lo * step : first + hi * step + 1 : step]
+        power += (np.abs(np.fft.fft(block, axis=1)) ** 2).sum(axis=0)
+    return power

@@ -458,10 +458,47 @@ def test_coarse_grid_warnings_on_stderr(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["simulate"], ["hom", "--model", "gaussian"], ["hom", "--model", "numeric", "--grid-n", "128"],
+    ["hom", "--model", "numeric"],
 ])
 def test_resolved_runs_print_no_warnings(tmp_path, capsys, argv):
     assert run(tmp_path, *argv[:1], "--preset", "ppktp-8mm", *argv[1:]) == 0
     assert capsys.readouterr().err == ""
+
+
+# the numeric rates repeat every 2 pi / dnu = 26.96 ps on the preset's n = 128 grid
+ALIASED = "at least the grid's delay period 2 pi / dnu = 26.96 ps, and reads aliased dips"
+
+
+def test_aliased_scan_warns(tmp_path, capsys):
+    # 46.4 ps of delays: the run succeeds, and keeps its files, on aliased dips
+    argv = ["--model", "numeric", "--grid-n", "128", "--delay-span", "20"]
+    assert run(tmp_path, "hom", "--preset", "ppktp-8mm", *argv) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: the delay scan spans 46.4 ps, {ALIASED}: raise --grid-n or lower "
+        "--delay-span; results may be inaccurate"
+    ]
+    assert (tmp_path / "scan.csv").is_file() and (tmp_path / "hom.json").is_file()
+
+
+@pytest.mark.parametrize("argv,blamed,cause", [
+    # 53.9 ps of delays end on the neighbouring periods' dips
+    (["hom", "--model", "numeric", "--grid-n", "128", "--delay-span", "23.24"],
+     "--grid-n 128 and --delay-span 23.24 alias the scan (the delay scan spans 53.92 ps, "
+     f"{ALIASED}: raise --grid-n or lower --delay-span)", "does not reach the baseline"),
+    # a sweep has no --delay-span: its 9.28 ps scans span 4.243 ps periods
+    (["sweep", "--model", "numeric-gaussian", "--grid-n", "16", "--axis", "pump_fwhm",
+      "--start", "1", "--stop", "2", "--steps", "2"],
+     "--grid-n 16 aliases the scan (the delay scan spans 9.28 ps, at least the grid's delay "
+     "period 2 pi / dnu = 4.243 ps, and reads aliased dips: raise --grid-n)",
+     "rates outside [0, 1.05]"),
+], ids=["hom", "sweep"])
+def test_aliased_scan_failure_names_its_flags(tmp_path, capsys, argv, blamed, cause):
+    code = run(tmp_path / "out", *argv[:1], "--preset", "ppktp-8mm", *argv[1:])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{blamed}: " in err and cause in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_preset_chirp_kept_without_flag(tmp_path, monkeypatch):

@@ -900,6 +900,28 @@ class TestDurations:
         assert one == pytest.approx(math.sqrt(2) * single, rel=1e-12)
 
 
+def traced_peak(call):
+    """Peak bytes ``call()`` allocates under tracemalloc, after one untraced warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSets:
+    """Peak allocations at n = 512, bounded just above what was measured."""
+
+    def test_table_holds_one_row_state(self, ppktp):
+        # 1.59 x jsa_bytes: one state's amplitude and intensity (1.5 x) and a
+        # block; it was 3.1 x while each row's state lived through the next build
+        peak = traced_peak(lambda: table_report(ppktp, [1.0, 2.0, 3.0], profile="sinc"))
+        assert peak <= 1.75 * jsa.jsa_bytes(512, 512)
+
+
 class TestTableReport:
     def test_three_row_report(self, ppktp):
         rows = table_report(ppktp, [0.7, 2.0, 4.5], profile="sinc")

@@ -35,10 +35,11 @@ from biphoton import jsa as jsa_module
 from biphoton.hom import DelayScan
 from biphoton.jsa import MEMORY_BUDGET_BYTES, GaussianJsaParams, gaussian_marginal_fwhms, jsa_bytes
 from biphoton.jsa import BUILD_JSA_PEAK_FACTOR, MIN_SAMPLES_PER_FWHM, check_memory_budget
+from biphoton.jsa import BLOCK_CELLS, row_blocks
 from biphoton.spectral import pump_envelope, sinc
 
 from helpers import FILTER_KEYS, PM_KEYS, PUMP_KEYS, make_pm, make_pump, random_source
-from helpers import record_fields
+from helpers import record_fields, whole_grid_amplitude, whole_grid_rho
 
 
 def reference_pump_envelope(pump, nu):
@@ -816,3 +817,78 @@ class TestClassification:
         state = JointSpectralAmplitude(grid, np.full((8, 8), 1e-140), {})
         with pytest.raises(DomainError, match="variance product that underflows"):
             correlation_classification(state)
+
+
+class TestRowBlocks:
+    """The row-blocked build and moments against their whole-grid forms, bit for bit."""
+
+    @pytest.mark.parametrize("n_rows,n_cols", [
+        (2, 2), (3, 3), (33, 33), (100, 100), (257, 257), (81, 100), (512, 512), (9, 5000),
+    ])
+    def test_blocks_cover_rows_in_order(self, n_rows, n_cols):
+        blocks = row_blocks(n_rows, n_cols)
+        assert blocks[0].start == 0 and blocks[-1].stop == n_rows
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        sizes = [b.stop - b.start for b in blocks]
+        # groups of 4 rows, and no row left alone at the end
+        assert all(size % 4 == 0 for size in sizes[:-1])
+        assert len(sizes) == 1 or sizes[-1] > 1
+        assert max(sizes) <= max(BLOCK_CELLS // n_cols, 4) + 1
+
+    @pytest.mark.parametrize("n", [2, 3, 33, 100, 257])
+    @pytest.mark.parametrize("profile", ["gaussian", "sinc"])
+    def test_square_grids(self, profile, n):
+        # n = 100 and 257 end on a ragged block of 20 and 5 rows
+        for seed in range(3):
+            pump, pm = random_source(np.random.default_rng([seed, n]), profile)
+            grid = auto_grid(pump, pm, n=n)
+            state = build_jsa(pump, pm, grid)
+            assert state.amplitude.tobytes() == whole_grid_amplitude(pump, pm, grid).tobytes()
+            self.assert_same_intensity(state)
+            self.assert_same_rho(state)
+
+    @pytest.mark.parametrize("profile", ["gaussian", "sinc"])
+    @pytest.mark.parametrize("axes", [
+        # two different steps: the pump on nu_s + nu_i, a block at a time
+        ((257, -3e13, 3e13), (100, -2e13, 2.5e13)),
+        # one step: 81 rows of 100 cells, whose last row joins the block before it
+        ((81, -2e13, 2e13), (100, -2e13, 2.95e13)),
+    ], ids=["two-steps", "lone-last-row"])
+    def test_rectangular_grids(self, profile, axes):
+        pump, pm = random_source(np.random.default_rng(7), profile)
+        (n_s, s0, s1), (n_i, i0, i1) = axes
+        grid = FrequencyGrid(n_s, n_i, s0, s1, i0, i1)
+        state = build_jsa(pump, pm, grid)
+        assert state.amplitude.tobytes() == whole_grid_amplitude(pump, pm, grid).tobytes()
+        self.assert_same_intensity(state)
+        self.assert_same_rho(state)
+
+    @staticmethod
+    def assert_same_intensity(state):
+        # squared a block at a time as the amplitude is filled
+        assert not state.intensity.flags.writeable
+        assert state.intensity.tobytes() == (np.abs(state.amplitude) ** 2).tobytes()
+
+    @staticmethod
+    def assert_same_rho(state):
+        want = whole_grid_rho(state)
+        if want is None:
+            with pytest.raises(DomainError, match="zero variance"):
+                correlation_classification(state)
+        else:
+            rho, _ = correlation_classification(state)
+            assert np.float64(rho).tobytes() == np.float64(want).tobytes()
+
+    def test_moments_hold_one_block(self, ppktp):
+        # the masked JSI once took 8 n^2 bytes next to the state: 0.57 x
+        # jsa_bytes under tracemalloc; one block and O(n) lines take 0.052 x
+        state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=512))
+        state.intensity  # computed once, outside the measurement
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            correlation_classification(state)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * jsa_bytes(512, 512)

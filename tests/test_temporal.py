@@ -38,7 +38,7 @@ from biphoton import temporal
 from biphoton.errors import MemoryBudgetError
 from biphoton.jsa import MEMORY_BUDGET_BYTES, auto_grid
 from biphoton.temporal import _PARSEVAL_TOL, jta_bytes
-from helpers import random_source
+from helpers import random_source, unblocked_line_power
 
 
 def reference_jta(state, oversample, axes=(1, 0)):
@@ -353,6 +353,20 @@ class TestMemoryBudget:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+class TestLinePower:
+    @pytest.mark.parametrize("oversample", [1, 4], ids=["torus-wraps", "oversample-4"])
+    @pytest.mark.parametrize("n", [2, 3, 33, 100, 257])
+    @pytest.mark.parametrize("profile", ["gaussian", "sinc"])
+    def test_in_place_blocks_match_unblocked(self, profile, n, oversample):
+        # min(N, 2n - 1) lines, 64 a block: n = 33, 100 and 257 end on a
+        # ragged block, and at oversample 1 line s + n wraps onto row s
+        pump, pm = random_source(np.random.default_rng([n, oversample]), profile)
+        f = build_jsa(pump, pm, auto_grid(pump, pm, n=n)).amplitude
+        for anti in (True, False):
+            got = temporal._line_power(f, anti, oversample * n)
+            assert got.tobytes() == unblocked_line_power(f, anti, oversample * n).tobytes()
 
 
 class TestDiagonalWidths:

@@ -114,6 +114,11 @@ RUNS = (
     Run("simulate-filtered-301",
         ("simulate", *_P, "--filter-fwhm-nm", "3", "--grid-n", "301", *_OUT)),
     Run("simulate-n4", ("simulate", *_P, "--grid-n", "4", *_OUT), quick=True),
+    # 80-row blocks of 100 cells: the build's and the moments' last block holds 20 rows
+    Run("simulate-n100", ("simulate", *_P, "--grid-n", "100", *_OUT), quick=True),
+    Run("simulate-sinc-filtered-100",
+        ("simulate", *_P, "--grid-n", "100", "--profile", "sinc", "--filter-fwhm-nm", "3", *_OUT),
+        quick=True),
     Run("simulate-n6", ("simulate", *_P, "--grid-n", "6", *_OUT)),
     Run("simulate-n1024", ("simulate", *_P, "--grid-n", "1024", *_OUT)),
     # a many-mode source: its Schmidt sketch doubles from rank 32 to 64, and
@@ -164,6 +169,14 @@ RUNS = (
     # marginals of 7.95-7.99 samples per FWHM, which once printed as 8.0
     Run("hom-n64-pump-0.1",
         ("hom", *_P, "--model", "numeric", "--grid-n", "64", "--pump-fwhm-nm", "0.1", *_OUT),
+        quick=True),
+    # scans of 46.4 and 53.9 ps on a grid whose delay period is 27 ps: the
+    # first reads aliased dips and warns, the second fails on them
+    Run("hom-aliased-128",
+        ("hom", *_P, "--model", "numeric", "--grid-n", "128", "--delay-span", "20", *_OUT),
+        quick=True),
+    Run("hom-aliased-128-fails",
+        ("hom", *_P, "--model", "numeric", "--grid-n", "128", "--delay-span", "23.24", *_OUT),
         quick=True),
     Run("hom-sinc-span-1e200-fails",
         ("hom", *_P, "--model", "numeric-sinc", "--grid-span-fwhms", "1e200", "--grid-n", "16",
