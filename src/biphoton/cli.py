@@ -2,7 +2,8 @@
 
 Runs are deterministic: outputs carry a provenance header with the tool
 version and a hash of the resolved configuration, never timestamps, so
-identical configurations produce byte-identical files.
+identical configurations produce byte-identical files, at any BLAS thread
+setting: ``main`` first sets numpy's OpenBLAS to one thread.
 
 Each run is resolved once, into one options map that the command both runs
 and hashes.  It holds every option of the subcommand that is set: its flag,
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import json
 import math
@@ -66,7 +68,6 @@ from .hom import (
     default_delays,
     extract_dip,
     gaussian_scan,
-    overlap_block_bytes,
     visibility_coefficient,
 )
 from .jsa import (
@@ -93,6 +94,11 @@ _UNHASHED = {"out", "config", "scan_file"}
 # columns and their copies: the CSV rows are formatted a block at a time, and
 # tracemalloc reads 25.07 for a closed-form hom scan of 10^6 delays.
 _BYTES_PER_ROW = 256
+
+# OpenBLAS's thread-count setter in the scipy-openblas builds of numpy's wheels
+# (64-bit and 32-bit integers) and in plain OpenBLAS.
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                        "openblas_set_num_threads")
 
 # Each sweep axis and the option its points replace (see the module docstring).
 _SWEEP_AXES = {"pump_fwhm": "pump_fwhm_nm", "length": "length_mm", "chirp": "chirp_fs2"}
@@ -272,10 +278,9 @@ def _dip(opts: dict, model: str, n_delays: int = 201, delay_span: float | None =
     if model != "numeric":
         opts = {**opts, "profile": model.removeprefix("numeric-")}
     source = _load_source(opts)
-    state = None if model == "gaussian" else _build_state(opts, source)
-    block = 0 if state is None else overlap_block_bytes(state.grid.n_s, n_delays)
     with _budget_names("--delay-points", n_delays):
-        check_memory_budget("the delay scan", _BYTES_PER_ROW * n_delays + block)
+        check_memory_budget("the delay scan", _BYTES_PER_ROW * n_delays)
+    state = None if model == "gaussian" else _build_state(opts, source)
     delays = default_delays(source.pm, n=n_delays, spans=4.0 if delay_span is None else delay_span)
     if state is None:
         scan = gaussian_scan(source.pump, source.pm, delays)
@@ -499,7 +504,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_blas_thread() -> None:
+    """Set numpy's OpenBLAS to one thread: a threaded product rounds a large
+    grid by how its threads split the rows.  Or warn that the bits may vary.
+
+    The setter is called through ctypes on the OpenBLAS that numpy's wheel
+    ships in ``numpy.libs``, the technique of threadpoolctl
+    (https://github.com/joblib/threadpoolctl).
+    """
+    for path in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))  # the library numpy has loaded, not a second copy
+        for setter in filter(None, (getattr(lib, name, None) for name in _BLAS_THREAD_SETTERS)):
+            setter(1)
+            return
+    print("warning: cannot set numpy's BLAS to one thread; output bits may depend on "
+          "OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS", file=sys.stderr)
+
+
 def main(argv=None) -> int:
+    _one_blas_thread()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -12,17 +12,18 @@ CSV conventions
 Every CSV file is written by :func:`write_rows`, one row per cell of its
 equal-shape columns; :func:`write_grid` adapts it to the N x N joint grids
 (signal-major), passing the two formatted axes as row labels.  The body is
-formatted in one block loop of about ``_GRID_BLOCK_CELLS`` rows, so memory
-stays bounded.  Files start with a ``# biphoton: {json}`` provenance line if
-given metadata; that of a joint grid also holds the state's ``provenance``
-and its ``grid``, the ``FrequencyGrid`` field by field.  Floats are written
-with 9 significant digits (``%.9g``, the routine behind :func:`format_float`),
-which round-trips exactly through parse/format cycles and keeps repeated runs
-byte-identical.  Every cell, axis
-labels included, is formatted by one numpy-vectorized routine that gives
-exactly the bytes of ``%.9g``; the cells it cannot settle with certainty
-(within 1e-5 of a rounding tie, non-finite, or 10 <= |v| < 1e9, which no grid
-holds) are formatted by Python's ``%``.
+formatted in one loop over the row blocks of the full-grid kernels
+(``jsa.row_blocks``, about 8192 rows), so memory stays bounded.  Files start
+with a ``# biphoton: {json}`` provenance line if given metadata; that of a
+joint grid also holds the state's ``provenance`` and its ``grid``, the
+``FrequencyGrid`` field by field.  Floats are written with 9 significant
+digits (``%.9g``, the routine behind :func:`format_float`), which
+round-trips exactly through parse/format cycles and keeps repeated runs
+byte-identical.  Every cell, axis labels included, is formatted by one
+numpy-vectorized routine that gives exactly the bytes of ``%.9g``; the
+cells it cannot settle with certainty (within 1e-5 of a rounding tie,
+non-finite, or 10 <= |v| < 1e9, which no grid holds) are formatted by
+Python's ``%``.
 
 The readers share one parser: blank lines and ``#`` lines are skipped
 anywhere, cells may be padded with whitespace, and a malformed line is
@@ -64,6 +65,7 @@ from .jsa import (
     correlation_classification,
     intensity_fwhm,
     marginals,
+    row_blocks,
 )
 from .presets import SourcePreset, preset_with_pump
 from .spectral import (
@@ -76,11 +78,6 @@ from .spectral import (
 PROVENANCE_PREFIX = "# biphoton: "
 
 _FOUR_LN2 = 4.0 * math.log(2.0)
-
-# CSV rows that each block of a file's body formats: enough to amortize the
-# numpy calls; larger blocks measured slower, as their temporaries (about 100
-# bytes a cell) no longer stay in the CPU caches.
-_GRID_BLOCK_CELLS = 1 << 13
 
 # Per decimal exponent e of a finite non-zero double (indexed by e - _E_MIN):
 # two correctly rounded powers of ten whose product is 10**(8 - e), split so
@@ -188,13 +185,11 @@ def _row_cells(columns) -> np.ndarray:
 def _body_blocks(columns, labels=None):
     """The CSV body of equal-shape float ``columns``, one byte chunk per block.
 
-    A block is a slice ``rows`` of the first axis holding about
-    ``_GRID_BLOCK_CELLS`` CSV rows, one per cell; ``labels(rows)``, if given,
+    A block is a slice ``rows`` of the first axis from ``jsa.row_blocks``,
+    about ``BLOCK_CELLS`` CSV rows, one per cell; ``labels(rows)``, if given,
     is the text that starts those rows.
     """
-    block = max(1, _GRID_BLOCK_CELLS // math.prod(columns[0].shape[1:]))
-    for start in range(0, len(columns[0]), block):
-        rows = slice(start, start + block)
+    for rows in row_blocks(len(columns[0]), math.prod(columns[0].shape[1:])):
         cells = _row_cells([c[rows] for c in columns])
         if labels is not None:
             cells = np.add(labels(rows), cells)

@@ -12,19 +12,15 @@ the sum collapses onto the diagonal sums
 
     overlap(tau) = D_0 + 2 Re sum_{m >= 1} D_m e^{i m dnu tau}.
 
-The D_m take one O(n^2) pass.  The trigonometric sum is then split by
-baby steps and giant steps (Paterson and Stockmeyer, SIAM J. Comput. 2, 60
-(1973)): with ``r = ceil(sqrt(n - 1))`` and ``q = ceil((n - 1) / r)``, each
-lag is ``m = 1 + b + r a`` for ``0 <= b < r`` and ``0 <= a < q``, so
+The D_m take one O(n^2) pass.  The lag sum is a polynomial in
+``z = e^{i theta}``, ``theta = dnu tau``, with no constant term, so Horner's
+rule (Knuth, TAOCP vol. 2, section 4.6.4) evaluates it as
 
-    sum_m D_m e^{i m theta} = sum_a e^{i r a theta} sum_b D_{1+b+ra} e^{i (1+b) theta}
+    sum_{m >= 1} D_m z^m = (...((D_{n-1} z + D_{n-2}) z + ...) + D_1) z,
 
-with ``theta = dnu tau`` and the D_m past n - 1 taken as zero.  A scan of D
-delays thus costs O(n^2) plus O(n D) multiply-adds, but only O(sqrt(n) D)
-complex exponentials, where the direct sum takes O(n D) of them and the
-double sum over the grid O(n^2 D) multiply-adds.  The delays are taken
-:data:`DELAY_BLOCK` at a time, so the scan's temporaries stay
-O(sqrt(n) DELAY_BLOCK) however many delays it has.
+one complex exponential per delay and n - 1 multiply-adds.  A scan of D
+delays thus costs O(n^2 + n D), where the double sum over the grid takes
+O(n^2 D), and holds two complex rows, z and the sum: 32 bytes a delay.
 
 The rates are exactly periodic in tau with period ``2 pi / dnu``: the grid
 cannot tell a delay from one shifted by a whole period, so a scan wider than
@@ -39,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageError, DomainError, GridError, NoDipError, UnsupportedProfileError
-from .jsa import JointSpectralAmplitude, _read_only, intensity_fwhm, jsa_bytes
-from .spectral import GAUSSIAN_FWHM_FACTOR, PhasematchSpec, PumpSpec
+from .jsa import JointSpectralAmplitude, _read_only, intensity_fwhm
+from .spectral import GAUSSIAN_FWHM_FACTOR, PhasematchSpec, PumpSpec, sigma_p_squared
 
 # A dip shallower than this is treated as "no dip" by the readout.
 MIN_VISIBILITY = 0.02
@@ -56,10 +52,6 @@ MIN_DIP_STEPS = 4.0
 _RATE_SLACK = 0.05
 
 _erf = np.vectorize(math.erf, otypes=[float])  # elementwise, and no scipy import
-
-# Delays whose phases the numeric overlap holds at once (overlap_block_bytes):
-# 0.75 MiB a block at n = 512.
-DELAY_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -103,47 +95,12 @@ class HOMResult:
             raise DomainError(f"visibility out of range: {self.visibility}")
 
 
-def _lag_steps(n: int) -> tuple[int, int]:
-    """Baby and giant step counts ``r = ceil(sqrt(n - 1))``, ``q = ceil((n - 1) / r)``."""
-    r = math.isqrt(n - 2) + 1
-    return r, -(-(n - 1) // r)
-
-
-def overlap_block_bytes(n: int, n_delays: int) -> int:
-    """Peak bytes of the numeric overlap's temporaries, ``n_delays`` delays on an n x n grid.
-
-    One block of delays holds its complex exponents, the r baby-step phases
-    and the q inner sums, then the q giant-step phases and the sum: at most
-    r + q + 2 complex rows of the block, as q <= r.
-    """
-    r, q = _lag_steps(n)
-    return jsa_bytes(r + q + 2, min(n_delays, DELAY_BLOCK))
-
-
-def _lag_sum(d_pad: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """``sum_m D_m e^{i m theta}`` per theta, from ``d_pad[a, b] = D_{1+b+ra}``.
-
-    One block of delays a call, so a block's temporaries are freed before
-    the next block's are made (:func:`overlap_block_bytes`).
-    """
-    q, r = d_pad.shape
-    exponents = 1j * theta
-    # complex by complex outer products need no cast buffers, and each
-    # exponential is taken in place of its exponents
-    baby = np.outer(np.arange(1, r + 1, dtype=complex), exponents)
-    inner = d_pad @ np.exp(baby, out=baby)
-    del baby
-    giant = np.outer(np.arange(0, r * q, r, dtype=complex), exponents)
-    inner *= np.exp(giant, out=giant)
-    return np.sum(inner, axis=0)
-
-
 def _exchange_overlap(state: JointSpectralAmplitude, delays: np.ndarray) -> np.ndarray:
     """Re Int e^{i(nu - nu')tau} f(nu,nu') f*(nu',nu) / Int |f|^2 per delay.
 
     On the uniform square grid the phase depends on j - k only, so the
-    double sum is taken over the diagonal sums D_m, and their trigonometric
-    sum by baby and giant steps (module docstring).
+    double sum is taken over the diagonal sums D_m, and their lag sum by
+    Horner's rule (module docstring).
     """
     if not state.grid.is_square:
         raise GridError(
@@ -154,14 +111,14 @@ def _exchange_overlap(state: JointSpectralAmplitude, delays: np.ndarray) -> np.n
     n = f.shape[0]
     # D_m = sum_k f[k+m, k] f*[k, k+m]; D_{-m} is its conjugate
     diag = np.array([np.vdot(f.diagonal(m), f.diagonal(-m)) for m in range(n)])
-    r, q = _lag_steps(n)
-    d_pad = np.pad(diag[1:], (0, q * r - (n - 1))).reshape(q, r)
-    steps = state.grid.d_nu_s * delays
-    overlap = np.empty(steps.size)
-    for d0 in range(0, steps.size, DELAY_BLOCK):
-        lag_sum = _lag_sum(d_pad, steps[d0 : d0 + DELAY_BLOCK])
-        overlap[d0 : d0 + DELAY_BLOCK] = diag[0].real + 2.0 * lag_sum.real
-    return overlap / float(np.sum(state.intensity))
+    z = 1j * (state.grid.d_nu_s * delays)
+    np.exp(z, out=z)
+    lag_sum = np.zeros_like(z)
+    for d_m in diag[:0:-1].tolist():
+        lag_sum += d_m
+        lag_sum *= z
+    del z  # so the two temporaries below stay within the loop's peak
+    return (diag[0].real + 2.0 * lag_sum.real) / float(np.sum(state.intensity))
 
 
 def coincidence_rate_numeric(state: JointSpectralAmplitude, tau: float) -> float:
@@ -206,7 +163,7 @@ def visibility_coefficient(pump: PumpSpec, pm: PhasematchSpec) -> float:
     """
     if pm.profile != "gaussian":
         raise UnsupportedProfileError("closed-form visibility requires the gaussian profile")
-    arg = pm.gamma * pump.sigma_p**2 * (pm.tau_s + pm.tau_i) ** 2 / 16.0
+    arg = pm.gamma * sigma_p_squared(pump) * (pm.tau_s + pm.tau_i) ** 2 / 16.0
     return 1.0 / math.sqrt(1.0 + arg)
 
 

@@ -47,6 +47,7 @@ from .spectral import (
     PumpSpec,
     phasematching_profile,
     pump_envelope,
+    sigma_p_squared,
 )
 
 # Moments for the correlation label are taken over the dominant lobe only,
@@ -79,8 +80,8 @@ MEMORY_BUDGET_BYTES = 1 << 30
 # (n = 1024 is charged 72 MiB).
 BUILD_JSA_PEAK_FACTOR = 4.5
 
-# Cells per row block of the full-grid kernels (build_jsa and the correlation
-# moments): their temporaries are one block, 128 KiB of complex, not n x n.
+# Cells per row block of the full-grid kernels (build_jsa, the correlation
+# moments, the CSV writer): their temporaries are one block, not n x n.
 BLOCK_CELLS = 8192
 
 _COMPLEX_BYTES = np.dtype(complex).itemsize
@@ -283,7 +284,10 @@ def gaussian_jsa_params(pump: PumpSpec, pm: PhasematchSpec) -> GaussianJsaParams
         raise UnsupportedProfileError(
             "closed-form coefficients exist only for the gaussian profile"
         )
-    inv_s2 = 1.0 / pump.sigma_p**2
+    sigma_p2 = sigma_p_squared(pump)  # a Python float: no numpy warning on underflow
+    if sigma_p2 == 0.0:
+        raise DomainError(f"pump width sigma_p = {pump.sigma_p:g} rad/s: its square underflows")
+    inv_s2 = 1.0 / sigma_p2
     ib = 1j * pump.beta
     return GaussianJsaParams(
         c_ss=inv_s2 + 0.25 * pm.gamma * pm.tau_s**2 - ib,

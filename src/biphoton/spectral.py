@@ -69,6 +69,16 @@ class PumpSpec:
             raise DomainError(f"pump spectral width must be > 0, got {self.sigma_p}")
 
 
+def sigma_p_squared(pump: PumpSpec) -> float:
+    """``sigma_p^2`` as a Python float, refused where it overflows (a product of
+    Python floats is then inf, where ``**`` raises and numpy floats warn)."""
+    sigma_p = float(pump.sigma_p)
+    square = sigma_p * sigma_p
+    if math.isinf(square):
+        raise DomainError(f"pump width sigma_p = {sigma_p:g} rad/s: its square overflows")
+    return square
+
+
 @dataclass(frozen=True)
 class PhasematchSpec:
     """Waveguide phasematching in the linear group-velocity-walk-off model.

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour through main(argv)."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 
 import biphoton
 from biphoton import auto_grid, build_jsa, load_preset, preset_with_pump
-from biphoton.cli import build_parser, main
+from biphoton.cli import _BYTES_PER_ROW, build_parser, main
 from biphoton.dataio import format_float, load_scan
 
 
@@ -174,35 +175,35 @@ class TestHom:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("argv,mib", [
-        (["--model", "numeric", "--grid-n", "64"], 2442),
-        (["--model", "gaussian"], 2441),
+    @pytest.mark.parametrize("argv", [
+        ["--model", "numeric", "--grid-n", "64"], ["--model", "gaussian"],
     ], ids=["numeric", "gaussian"])
-    def test_oversized_delay_points_rejected(self, tmp_path, capsys, argv, mib):
-        # charged before any large allocation: 10^7 delays at n = 64 once died
-        # allocating a 9.4 GiB phase matrix; the numeric scan is now charged
-        # the baby- and giant-step temporaries of one block of delays
-        # (hom.overlap_block_bytes, 0.28 MiB here)
+    def test_oversized_delay_points_rejected(self, tmp_path, capsys, argv):
+        # charged before any large allocation, 256 bytes a delay for every
+        # model: 10^7 delays at n = 64 once died allocating a 9.4 GiB phase matrix
         code = run(tmp_path / "out", "hom", "--preset", "ppktp-8mm", *argv,
                    "--delay-points", "10000000")
         assert code == 1
         assert capsys.readouterr().err == (
-            f"error: --delay-points 10000000 is too large: the delay scan would need about "
-            f"{mib} MiB, above the 1024 MiB memory budget\n"
+            "error: --delay-points 10000000 is too large: the delay scan would need about "
+            "2441 MiB, above the 1024 MiB memory budget\n"
         )
         assert not (tmp_path / "out").exists()
 
     def test_long_numeric_scan_peak(self, tmp_path):
-        # the whole (n - 1) x delays phase matrix made this scan peak at 405 MB
+        # within the charge per delay: the delays and the Horner sum's two
+        # complex rows read 40 B/row; the whole (n - 1) x delays phase matrix
+        # once made 200000 delays peak at 405 MB
+        rows = 10**6
         tracemalloc.start()
         try:
             code = run(tmp_path, "hom", "--preset", "ppktp-8mm", "--model", "numeric",
-                       "--grid-n", "64", "--delay-points", "200000")
+                       "--grid-n", "64", "--delay-points", str(rows))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak <= 405e6 / 8
+        assert peak <= _BYTES_PER_ROW * rows
 
     def test_long_closed_form_scan_peak(self, tmp_path):
         # delays, rates and the dip depth, 8 bytes a row each, and a boolean
@@ -362,9 +363,19 @@ def test_failed_run_leaves_no_outdir(tmp_path, capsys, argv, message):
      "dip FWHM spans 1 delay steps (< 4)"),
     (["hom", "--preset", "ppktp-8mm", "--grid-n", "64", "--delay-span", "1e3"],
      "dip FWHM spans 1 delay steps (< 4)"),
+    # pump widths whose sigma_p^2 overflows, or underflows to 0: a Python
+    # OverflowError, a division by zero, numpy warnings from a sweep's floats
+    (["hom", "--preset", "ppktp-8mm", "--pump-fwhm-nm", "1e150"],
+     "sigma_p = 1.92044e+162 rad/s: its square overflows"),
+    (["hom", "--preset", "ppktp-8mm", "--model", "numeric", "--grid-n", "64",
+      "--pump-fwhm-nm", "1e-300"], "sigma_p = 1.92044e-288 rad/s: its square underflows"),
+    (["sweep", "--preset", "ppktp-8mm", "--axis", "pump_fwhm", "--start", "1e-300",
+      "--stop", "1", "--steps", "3", "--model", "numeric-sinc", "--grid-n", "64"],
+     "sigma_p = 1.92044e-288 rad/s: its square underflows"),
 ], ids=["grid-span", "delay-span", "pump-1e17", "pump-1e300", "grid-span-1e200",
         "sinc-intensity-underflow", "hom-sinc-intensity-underflow", "filter-1e-300",
-        "delay-span-1e6", "delay-span-1e300", "numeric-delay-span-1e3"])
+        "delay-span-1e6", "delay-span-1e300", "numeric-delay-span-1e3",
+        "hom-pump-1e150", "hom-numeric-pump-1e-300", "sweep-pump-1e-300"])
 def test_overflowing_input_fails_in_one_line(tmp_path, argv, message):
     # refused before numpy warns or LAPACK prints: a fresh interpreter, so
     # that warnings and C-level output reach the streams
@@ -377,6 +388,7 @@ def test_overflowing_input_fails_in_one_line(tmp_path, argv, message):
     )
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
     assert message in proc.stderr
     assert not (tmp_path / "out").exists()
 
@@ -786,3 +798,30 @@ def test_no_command_imports_scipy(tmp_path):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # a threaded OpenBLAS product over 700 x 700 cells splits its rows by
+    # thread, and schmidt.json's bits once followed OPENBLAS_NUM_THREADS
+    src = str(Path(biphoton.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        proc = subprocess.run(
+            [sys.executable, "-m", "biphoton.cli", "simulate", "--preset", "ppktp-8mm",
+             "--profile", "sinc", "--grid-n", "700", "--out", str(out)],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in sorted(out.iterdir())})
+    assert digests[0] == digests[1]
+
+
+def test_warns_without_a_blas_thread_setter(capsys, monkeypatch):
+    monkeypatch.setattr("biphoton.cli._BLAS_THREAD_SETTERS", ())
+    assert main(["presets"]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: ") and err.count("\n") == 1
+    assert "OPENBLAS_NUM_THREADS" in err

@@ -47,7 +47,7 @@ from biphoton import (
 from biphoton import dataio, hom, jsa
 from biphoton.dataio import _format_cells, format_float, provenance_line
 from biphoton.hom import gaussian_dip_width
-from biphoton.jsa import FrequencyGrid
+from biphoton.jsa import BLOCK_CELLS, FrequencyGrid
 from biphoton.spectral import GAUSSIAN_FWHM_FACTOR, wavelength_to_angular_frequency
 
 from helpers import GRID_KEYS, make_pump, random_source, record_fields
@@ -265,7 +265,7 @@ class TestWritersByteIdentical:
 
     def test_rows_in_blocks(self, tmp_path, rng):
         # three full blocks and a remainder give the bytes of one pass
-        n = 3 * dataio._GRID_BLOCK_CELLS + 17
+        n = 3 * BLOCK_CELLS + 17
         columns = [
             rng.standard_normal(n) * 10.0 ** rng.uniform(-30, 30, n),
             np.arange(n) * 0.5,

@@ -1,14 +1,9 @@
 """Coincidence rates: numeric quadrature vs closed form, dip readout."""
 
 import math
-import os
-import subprocess
-import sys
-import textwrap
 import tracemalloc
 import warnings
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,13 +107,11 @@ class TestDiagonalSumOverlap:
         )
 
     @pytest.mark.parametrize("chirped", [False, True], ids=["unchirped", "chirped"])
-    @pytest.mark.parametrize("n", [2, 3, 17, 96, 100, 256])
+    @pytest.mark.parametrize("n", [2, 3, 17, 96, 100, 256, 1024])
     def test_lag_steps_match_double_sum_past_one_period(self, n, chirped):
-        # the n - 1 lags fill the q x r baby/giant-step matrix exactly at
-        # n = 2, 3 and 17 (r = 1, 2, 4) and leave 5, 1 and 1 zeros at 96, 100
-        # and 256; the delays run 1.5 periods 2 pi / dnu each side.  The
-        # smallest grids span fewer marginal FWHMs so their samples do not
-        # underflow.
+        # Horner's steps over the n - 1 lags, one at n = 2; the delays run
+        # 1.5 periods 2 pi / dnu each side.  The smallest grids span fewer
+        # marginal FWHMs so their samples do not underflow.
         rng = np.random.default_rng(n)
         for profile in ("gaussian", "sinc", "gaussian", "sinc"):
             pump, pm = random_source(rng, profile)
@@ -131,6 +124,30 @@ class TestDiagonalSumOverlap:
                 _exchange_overlap(state, delays), matmul_overlap(state, delays),
                 rtol=0, atol=1e-13,
             )
+
+    @pytest.mark.parametrize("n", [96, 1024])
+    def test_horner_sum_matches_direct_lag_product(self, ppktp, n):
+        # 3 x 1024 + 77 random delays over 1.5 delay periods each side,
+        # against the lag sum as a product of the D_m and the delays' phases
+        # (in 8 batches of delays, 6.5 MB each at n = 1024), with and without
+        # a random phase per cell
+        src = preset_with_pump(ppktp, profile="sinc", beta=-1e-26)
+        state = build_jsa(src.pump, src.pm, auto_grid(src.pump, src.pm, n=n))
+        rng = np.random.default_rng(5)
+        phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, state.amplitude.shape))
+        period = 2 * math.pi / state.grid.d_nu_s
+        for state in (state, JointSpectralAmplitude(state.grid, state.amplitude * phase)):
+            delays = np.sort(rng.uniform(-1.5 * period, 1.5 * period, 3 * 1024 + 77))
+            f = state.amplitude
+            diag = np.array([np.vdot(f.diagonal(m), f.diagonal(-m)) for m in range(n)])
+            lags = np.arange(1, n) * state.grid.d_nu_s
+            lag_sum = np.concatenate([
+                diag[1:] @ np.exp(1j * np.outer(lags, batch))
+                for batch in np.array_split(delays, 8)
+            ])
+            direct = (diag[0].real + 2.0 * lag_sum.real) / float(np.sum(state.intensity))
+            got = _exchange_overlap(state, delays)
+            np.testing.assert_allclose(got, direct, rtol=0, atol=1e-13)
 
 
 class TestChirpInvariance:
@@ -213,45 +230,6 @@ class TestRandomSourceInvariants:
             coincidence_scan(state, -delays[::-1]).rates[::-1],
             coincidence_scan(state, delays).rates, rtol=0, atol=1e-12,
         )
-
-
-class TestDelayBlocks:
-    def test_blocks_reproduce_one_shot_product(self):
-        # a scan over 3 full blocks and a partial one against the same
-        # factorised sum over every delay in one block, bit for bit, and
-        # against the direct product over all n - 1 lags within rounding.  A
-        # fresh interpreter with one BLAS thread: with more, OpenBLAS splits
-        # a product by its column count, so the one-block bits depend on it.
-        script = textwrap.dedent("""
-            import numpy as np
-            from biphoton import JointSpectralAmplitude, auto_grid, build_jsa
-            from biphoton import hom, load_preset, preset_with_pump
-            from biphoton.hom import DELAY_BLOCK, _exchange_overlap
-
-            src = preset_with_pump(load_preset("ppktp-8mm"), profile="sinc", beta=-1e-26)
-            state = build_jsa(src.pump, src.pm, auto_grid(src.pump, src.pm, n=96))
-            rng = np.random.default_rng(5)
-            phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, state.amplitude.shape))
-            for state in (state, JointSpectralAmplitude(state.grid, state.amplitude * phase)):
-                delays = np.sort(rng.uniform(-4e-12, 4e-12, 3 * DELAY_BLOCK + 77))
-                got = _exchange_overlap(state, delays)
-                hom.DELAY_BLOCK = delays.size
-                one_block = _exchange_overlap(state, delays)
-                hom.DELAY_BLOCK = DELAY_BLOCK
-                assert got.tobytes() == one_block.tobytes(), np.max(np.abs(got - one_block))
-                f = state.amplitude
-                diag = np.array([np.vdot(f.diagonal(m), f.diagonal(-m)) for m in range(96)])
-                phases = np.exp(1j * np.outer(np.arange(1, 96), state.grid.d_nu_s * delays))
-                direct = diag[0].real + 2.0 * np.real(diag[1:] @ phases)
-                direct /= float(np.sum(state.intensity))
-                assert np.max(np.abs(got - direct)) <= 1e-13, np.max(np.abs(got - direct))
-        """)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": src}
-        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
 
 
 class TestClosedForm:

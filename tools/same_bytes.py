@@ -163,13 +163,28 @@ RUNS = (
         ("hom", *_P, "--model", "gaussian", "--delay-points", "100000", *_OUT)),
     Run("hom-numeric-n16", ("hom", *_P, "--model", "numeric", "--grid-n", "16", *_OUT),
         quick=True),
-    # 99 lags: the baby/giant-step lag matrix is 10 x 10 with one padded zero
+    # 99 lags: a grid size that is no power of two
     Run("hom-numeric-n100", ("hom", *_P, "--model", "numeric", "--grid-n", "100", *_OUT),
         quick=True),
     # marginals of 7.95-7.99 samples per FWHM, which once printed as 8.0
     Run("hom-n64-pump-0.1",
         ("hom", *_P, "--model", "numeric", "--grid-n", "64", "--pump-fwhm-nm", "0.1", *_OUT),
         quick=True),
+    # a scan past 1024 delays, the block size of an older lag sum
+    Run("hom-numeric-64-3000",
+        ("hom", *_P, "--model", "numeric", "--grid-n", "64", "--delay-points", "3000", *_OUT),
+        quick=True),
+    # pump widths whose sigma_p^2 overflows or underflows are refused; the
+    # closed form keeps its continuous-wave limit
+    Run("hom-pump-1e150-fails", ("hom", *_P, "--pump-fwhm-nm", "1e150", *_OUT), quick=True),
+    Run("hom-numeric-pump-1e-300-fails",
+        ("hom", *_P, "--model", "numeric", "--grid-n", "64", "--pump-fwhm-nm", "1e-300", *_OUT),
+        quick=True),
+    Run("hom-gaussian-pump-1e-300",
+        ("hom", *_P, "--model", "gaussian", "--pump-fwhm-nm", "1e-300", *_OUT), quick=True),
+    Run("sweep-pump-1e-300-fails",
+        ("sweep", *_P, "--axis", "pump_fwhm", "--start", "1e-300", "--stop", "1", "--steps", "3",
+         "--model", "numeric-sinc", "--grid-n", "64", *_OUT), quick=True),
     # scans of 46.4 and 53.9 ps on a grid whose delay period is 27 ps: the
     # first reads aliased dips and warns, the second fails on them
     Run("hom-aliased-128",
