@@ -141,12 +141,8 @@ def _format_cells(values, end: bytes) -> np.ndarray:
     normal = finite & (v != 0)
     a = np.abs(v)
     np.copyto(a, 1.0, where=~normal)
-    e = np.log10(a)
-    np.floor(e, out=e)
-    e -= _E_MIN
-    ei = e.astype(np.intp)
-    s = a * _SCALE_1[ei]
-    s *= _SCALE_2[ei]
+    ei = (np.floor(np.log10(a)) - _E_MIN).astype(np.intp)
+    s = a * _SCALE_1[ei] * _SCALE_2[ei]
     # log10 can miss the decade next to a power of ten, and rounding can carry
     # s into the next one: move those cells one decade and redo them
     step = (s < 1e8 - 1e-5).view(np.int8) - (s >= 1e9 - 0.5).view(np.int8)

@@ -20,7 +20,8 @@ rule (Knuth, TAOCP vol. 2, section 4.6.4) evaluates it as
 
 one complex exponential per delay and n - 1 multiply-adds.  A scan of D
 delays thus costs O(n^2 + n D), where the double sum over the grid takes
-O(n^2 D), and holds two complex rows, z and the sum: 32 bytes a delay.
+O(n^2 D), and holds two complex rows, z and the sum: 32 bytes a delay, 48
+at the peak with the two real rows of the result.
 
 The rates are exactly periodic in tau with period ``2 pi / dnu``: the grid
 cannot tell a delay from one shifted by a whole period, so a scan wider than
@@ -111,13 +112,11 @@ def _exchange_overlap(state: JointSpectralAmplitude, delays: np.ndarray) -> np.n
     n = f.shape[0]
     # D_m = sum_k f[k+m, k] f*[k, k+m]; D_{-m} is its conjugate
     diag = np.array([np.vdot(f.diagonal(m), f.diagonal(-m)) for m in range(n)])
-    z = 1j * (state.grid.d_nu_s * delays)
-    np.exp(z, out=z)
+    z = np.exp(1j * (state.grid.d_nu_s * delays))
     lag_sum = np.zeros_like(z)
     for d_m in diag[:0:-1].tolist():
         lag_sum += d_m
         lag_sum *= z
-    del z  # so the two temporaries below stay within the loop's peak
     return (diag[0].real + 2.0 * lag_sum.real) / float(np.sum(state.intensity))
 
 

@@ -311,13 +311,23 @@ def evaluate_gaussian_jsa(params: GaussianJsaParams, grid: FrequencyGrid) -> np.
     return np.exp(-(params.c_ss * (ns + shift * ni) ** 2 + residual * ni * ni))
 
 
+def _determinant(params: GaussianJsaParams, what: str) -> float:
+    """``c_ss c_ii - c_si^2`` of the real parts, refused if it is not a positive
+    number: a product that overflows (inf - inf reads nan) names ``what``."""
+    a, b, c = params.c_ss.real, params.c_ii.real, params.c_si.real
+    det = a * b - c * c
+    if not math.isfinite(det):
+        raise DomainError(f"{what}: the determinant of its quadratic form overflows")
+    if not det > 0:
+        raise DomainError("quadratic form is not positive definite")
+    return det
+
+
 def gaussian_marginal_fwhms(pump: PumpSpec, pm: PhasematchSpec) -> tuple[float, float]:
     """Analytic intensity-FWHM of signal/idler marginals for the gaussian profile (rad/s)."""
     p = gaussian_jsa_params(pump, pm)
-    a_s, a_i, c = p.c_ss.real, p.c_ii.real, p.c_si.real
-    det = a_s * a_i - c * c
-    if not det > 0:
-        raise DomainError("quadratic form is not positive definite")
+    a_s, a_i = p.c_ss.real, p.c_ii.real
+    det = _determinant(p, f"pump width sigma_p = {pump.sigma_p:g} rad/s")
     return (
         GAUSSIAN_FWHM_FACTOR * math.sqrt(a_i / (4.0 * det)),
         GAUSSIAN_FWHM_FACTOR * math.sqrt(a_s / (4.0 * det)),
@@ -368,7 +378,9 @@ def build_jsa(
     gaussian profile the result equals :func:`evaluate_gaussian_jsa` of
     :func:`gaussian_jsa_params` pointwise, with peak modulus 1.  Kernels that
     need a norm divide by it themselves.  A grid coarser than ~8 samples per
-    marginal FWHM gets a warning recorded in the provenance.
+    marginal FWHM gets a warning recorded in the provenance, and so does one
+    whose step turns the pump's chirp phase by more than pi at sigma_p
+    (``2 |beta| sigma_p dnu > pi``, dnu the larger step).
     """
     if grid is None:
         grid = auto_grid(pump, pm)
@@ -392,8 +404,7 @@ def build_jsa(
     for rows in row_blocks(grid.n_s, grid.n_i):
         pump_rows = pump_envelope(pump, ns[rows] + ni) if pump_grid is None else pump_grid[rows]
         np.multiply(pump_rows, phasematching_profile(pm, ns[rows], ni), out=amp[rows])
-        np.abs(amp[rows], out=power[rows])
-        np.square(power[rows], out=power[rows])
+        power[rows] = np.abs(amp[rows]) ** 2
     amp.flags.writeable = False
     power.flags.writeable = False
 
@@ -426,6 +437,13 @@ def build_jsa(
             continue
         if width / d < MIN_SAMPLES_PER_FWHM:
             warnings.append(_resolution_warning(f"{label} marginal", width / d))
+    # the pump's phase beta nu^2 turns by 2 |beta| nu dnu a step, taken at nu = sigma_p
+    phase_step = 2.0 * abs(float(pump.beta)) * float(pump.sigma_p) * max(grid.d_nu_s, grid.d_nu_i)
+    if phase_step > math.pi:
+        warnings.append(
+            f"pump chirp phase turns {phase_step:.3g} rad per grid step at sigma_p (> pi); "
+            "results may be inaccurate"
+        )
     return out
 
 
@@ -639,10 +657,8 @@ def gaussian_schmidt_number(params: GaussianJsaParams) -> float:
     """
     if any(abs(z.imag) > 1e-30 for z in (params.c_ss, params.c_ii, params.c_si)):
         raise DomainError("analytic Schmidt number requires real coefficients (no chirp)")
-    a, b, c = params.c_ss.real, params.c_ii.real, params.c_si.real
-    det = a * b - c * c
-    if not det > 0:
-        raise DomainError("quadratic form is not positive definite")
+    a, b = params.c_ss.real, params.c_ii.real
+    det = _determinant(params, f"coefficients c_ss = {a:g}, c_ii = {b:g} s^2")
     return math.sqrt(a * b / det)
 
 

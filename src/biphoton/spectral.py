@@ -216,14 +216,11 @@ def phasematching_profile(pm: PhasematchSpec, nu_s, nu_i):
     With ``x = (tau_s nu_s + tau_i nu_i)/2``: ``exp(-gamma x^2)`` for the
     gaussian profile, ``sin(x)/x`` (sign kept) for the sinc profile.
     """
-    x = pm.tau_s * np.asarray(nu_s, dtype=float) + pm.tau_i * np.asarray(nu_i, dtype=float)
-    x *= 0.5
+    x = (pm.tau_s * np.asarray(nu_s, dtype=float) + pm.tau_i * np.asarray(nu_i, dtype=float)) * 0.5
     if pm.profile == "sinc":
         return sinc(x)
     with np.errstate(over="ignore"):  # exp(-inf) = 0, as in pump_envelope
-        out = -pm.gamma * x
-        out *= x
-    return np.exp(out, out=out) if np.ndim(out) else np.exp(out)
+        return np.exp(-pm.gamma * x * x)
 
 
 def walkoff_from_group_velocities(length_L: float, u_s: float, u_i: float, u_p: float):

@@ -11,11 +11,11 @@ The transform is the reference form: the JSA zero-padded to one N x N
 array, ``ifftshift``, an in-place 1-D FFT along the signal axis and then
 along the idler axis, ``fftshift``, then the scale.  It peaks at about 2x the
 JTA's complex bytes (the array and its shifted copy), which :func:`jta_bytes`
-bounds.  :func:`jta_from_jsa` checks its arguments and charges only the O(N)
-lines of the time axis and the lag sums, so timing at n = 2048 is admitted;
-the returned :class:`JointTemporalAmplitude` charges :func:`jta_bytes` and
-runs the transform on the first read of its ``amplitude``, and keeps only
-that complex array.  The timing widths never read it.
+bounds.  Making a :class:`JointTemporalAmplitude` checks its arguments and
+charges only the O(N) lines of the time axis and the lag sums, so timing at
+n = 2048 is admitted; the JTA charges :func:`jta_bytes` and runs the
+transform on the first read of its ``amplitude``, and keeps only that
+complex array.  The timing widths never read it.
 
 :func:`diagonal_widths` takes the two projections of |JTA|^2 from lag sums
 of the JSA instead.  Summing |JTA|^2 over the cells with
@@ -55,8 +55,6 @@ from .jsa import (
 )
 from .spectral import PumpSpec, tabulated_pump_duration
 
-DEFAULT_OVERSAMPLE = 4
-
 # Parseval mismatch above this aborts: it indicates a broken transform or lag sum.
 _PARSEVAL_TOL = 1e-9
 
@@ -66,16 +64,19 @@ _LINE_BLOCK = 64
 
 @dataclass(frozen=True)
 class JointTemporalAmplitude:
-    """Complex pair amplitude over (t_s, t_i), conjugate to a source JSA.
+    """Complex pair amplitude over (t_s, t_i), conjugate to a source JSA: the
+    centered 2-D Fourier transform of ``spectrum``, run when first read.
 
-    Holds the spectrum and the oversampling only, and is refused on making
-    if its O(N) time lines are above the memory budget.  The first read of
-    ``amplitude`` charges :func:`jta_bytes`, runs the transform and its
-    Parseval check, and keeps the read-only result.
+    Holds the spectrum and the oversampling only.  Raises GridError for a
+    non-square grid and DomainError for an oversample that is not an integer
+    >= 1 or whose O(N) time lines are above the memory budget.  The first
+    read of ``amplitude`` raises MemoryBudgetError before allocating if
+    :func:`jta_bytes` is above the budget, else runs the transform, checks
+    Parseval conservation to 1e-9 relative and keeps the read-only result.
     """
 
     spectrum: JointSpectralAmplitude
-    oversample: int
+    oversample: int = 4
 
     def __post_init__(self):
         oversample = self.oversample
@@ -146,7 +147,7 @@ class TimingReport:
                 raise DomainError(f"{name} must be > 0")
 
 
-def jta_bytes(n: int, oversample: int = DEFAULT_OVERSAMPLE) -> int:
+def jta_bytes(n: int, oversample: int) -> int:
     """Bytes charged for the JTA of an n x n grid: 2 x 16 (oversample n)^2.
 
     An upper bound on the transform's peak: the padded array and its
@@ -156,18 +157,8 @@ def jta_bytes(n: int, oversample: int = DEFAULT_OVERSAMPLE) -> int:
     return 2 * jsa_bytes(oversample * n, oversample * n)
 
 
-def jta_from_jsa(
-    state: JointSpectralAmplitude, oversample: int = DEFAULT_OVERSAMPLE
-) -> JointTemporalAmplitude:
-    """Centered 2-D Fourier transform of a square-grid JSA, run when first read.
-
-    Raises GridError for non-square grids and DomainError for an oversample
-    that is not an integer >= 1 or whose time lines are above the memory
-    budget.  The first read of the transform raises MemoryBudgetError before
-    allocating if :func:`jta_bytes` is above the budget, and checks Parseval
-    conservation to 1e-9 relative.
-    """
-    return JointTemporalAmplitude(state, oversample)
+# the constructor's older name, which the benchmark still calls
+jta_from_jsa = JointTemporalAmplitude
 
 
 def _check_parseval(what: str, want: float, got: float) -> None:
@@ -184,9 +175,7 @@ def _line_power(amplitude: np.ndarray, anti: bool, big_n: int) -> np.ndarray:
     Line s = 0 .. 2n - 2 holds the elements with ``j + k = s`` (``anti``) or
     ``j - k = s - (n - 1)``, element j at position j.  On a torus of
     ``big_n`` < 2n - 1 points, line s + big_n fills the rest of line s.
-    Each block of :data:`_LINE_BLOCK` lines is transformed in place and its
-    |FFT|^2 squared into one float buffer, so the two buffers are all the
-    temporaries.
+    The lines are transformed :data:`_LINE_BLOCK` at a time.
     """
     n = amplitude.shape[0]
     flat = amplitude.ravel()
@@ -194,7 +183,6 @@ def _line_power(amplitude: np.ndarray, anti: bool, big_n: int) -> np.ndarray:
     step = n - 1 if anti else n + 1
     rows = min(big_n, 2 * n - 1)
     lines = np.empty((min(_LINE_BLOCK, rows), 2 * n), dtype=complex)
-    squares = np.empty(lines.shape)
     power = np.zeros(2 * n)
     for r0 in range(0, rows, _LINE_BLOCK):
         r1 = min(r0 + _LINE_BLOCK, rows)
@@ -204,9 +192,7 @@ def _line_power(amplitude: np.ndarray, anti: bool, big_n: int) -> np.ndarray:
             lo, hi = max(0, s - n + 1), min(n - 1, s)
             first = s if anti else n - 1 - s
             block[s % big_n - r0, lo : hi + 1] = flat[first + lo * step : first + hi * step + 1 : step]
-        block_power = squares[: r1 - r0]
-        np.abs(np.fft.fft(block, axis=1, out=block), out=block_power)
-        power += np.square(block_power, out=block_power).sum(axis=0)
+        power += (np.abs(np.fft.fft(block, axis=1)) ** 2).sum(axis=0)
     return power
 
 

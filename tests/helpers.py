@@ -122,23 +122,3 @@ def whole_grid_rho(state):
         return None
     return float(ds @ (weights @ di)) / math.sqrt(var_s * var_i)
 
-
-def unblocked_line_power(amplitude, anti, big_n):
-    """``temporal._line_power`` with a new FFT, modulus and square per block of 64 lines."""
-    line_block = 64
-    n = amplitude.shape[0]
-    flat = amplitude.ravel()
-    step = n - 1 if anti else n + 1
-    rows = min(big_n, 2 * n - 1)
-    lines = np.empty((min(line_block, rows), 2 * n), dtype=complex)
-    power = np.zeros(2 * n)
-    for r0 in range(0, rows, line_block):
-        r1 = min(r0 + line_block, rows)
-        block = lines[: r1 - r0]
-        block[...] = 0.0
-        for s in (*range(r0, r1), *range(r0 + big_n, min(r1 + big_n, 2 * n - 1))):
-            lo, hi = max(0, s - n + 1), min(n - 1, s)
-            first = s if anti else n - 1 - s
-            block[s % big_n - r0, lo : hi + 1] = flat[first + lo * step : first + hi * step + 1 : step]
-        power += (np.abs(np.fft.fft(block, axis=1)) ** 2).sum(axis=0)
-    return power

@@ -372,10 +372,15 @@ def test_failed_run_leaves_no_outdir(tmp_path, capsys, argv, message):
     (["sweep", "--preset", "ppktp-8mm", "--axis", "pump_fwhm", "--start", "1e-300",
       "--stop", "1", "--steps", "3", "--model", "numeric-sinc", "--grid-n", "64"],
      "sigma_p = 1.92044e-288 rad/s: its square underflows"),
+    # representable, but 1/sigma_p^2 ~ 3e275 overflows the grid's determinant
+    (["hom", "--preset", "ppktp-8mm", "--model", "numeric-sinc", "--grid-n", "64",
+      "--pump-fwhm-nm", "1e-150"],
+     "sigma_p = 1.92044e-138 rad/s: the determinant of its quadratic form overflows"),
 ], ids=["grid-span", "delay-span", "pump-1e17", "pump-1e300", "grid-span-1e200",
         "sinc-intensity-underflow", "hom-sinc-intensity-underflow", "filter-1e-300",
         "delay-span-1e6", "delay-span-1e300", "numeric-delay-span-1e3",
-        "hom-pump-1e150", "hom-numeric-pump-1e-300", "sweep-pump-1e-300"])
+        "hom-pump-1e150", "hom-numeric-pump-1e-300", "sweep-pump-1e-300",
+        "hom-numeric-sinc-pump-1e-150"])
 def test_overflowing_input_fails_in_one_line(tmp_path, argv, message):
     # refused before numpy warns or LAPACK prints: a fresh interpreter, so
     # that warnings and C-level output reach the streams
@@ -454,7 +459,9 @@ def test_samples_just_below_eight_never_read_eight(tmp_path, capsys):
     ["sweep", "--model", "numeric-sinc", "--grid-n", "48", "--axis", "pump_fwhm",
      "--start", "1", "--stop", "2", "--steps", "2"],
     ["simulate", "--filter-fwhm-nm", "0.01"],
-], ids=["simulate-4", "hom-16", "sweep-48", "filter-0.01"])
+    # the pump's chirp phase turns 17.9 rad a grid step
+    ["simulate", "--chirp-fs2", "1e7", "--grid-n", "128"],
+], ids=["simulate-4", "hom-16", "sweep-48", "filter-0.01", "chirp-1e7-128"])
 def test_coarse_grid_warnings_on_stderr(tmp_path, capsys, argv):
     assert run(tmp_path, *argv[:1], "--preset", "ppktp-8mm", *argv[1:]) == 0
     out, err = capsys.readouterr()

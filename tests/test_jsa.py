@@ -99,8 +99,8 @@ def sum_rounding_bound(pump, grid, amp):
     return np.abs(amp) * (moved + rounding) + 4.0 * np.finfo(float).smallest_subnormal
 
 
-def reference_warnings(amp, grid):
-    """The resolution warnings, from a freshly computed |amp|^2."""
+def reference_warnings(amp, grid, pump):
+    """The resolution warnings, from a freshly computed |amp|^2 and the pump's chirp."""
     warnings = []
     intensity = np.abs(amp) ** 2
     for label, curve, d in (
@@ -119,6 +119,12 @@ def reference_warnings(amp, grid):
                 f"{label} marginal has {'7.9' if shown == '8.0' else shown} samples per FWHM "
                 f"(< {MIN_SAMPLES_PER_FWHM:g}); results may be inaccurate"
             )
+    turn = 2.0 * abs(pump.beta) * pump.sigma_p * max(grid.d_nu_s, grid.d_nu_i)
+    if turn > math.pi:
+        warnings.append(
+            f"pump chirp phase turns {turn:.3g} rad per grid step at sigma_p (> pi); "
+            "results may be inaccurate"
+        )
     return warnings
 
 
@@ -141,7 +147,7 @@ class TestBuildBitIdentity:
         state = build_jsa(pump, pm, grid)
         want = reference_amplitude(pump, pm, grid)
         assert state.amplitude.tobytes() == want.tobytes()
-        assert state.provenance["warnings"] == reference_warnings(want, grid)
+        assert state.provenance["warnings"] == reference_warnings(want, grid, pump)
         # against the pump on the sum of the two axes, as it was evaluated
         # before the Hankel form: the sums differ by a few ulp
         full = reference_amplitude(pump, pm, grid, grid.nu_s[:, None] + grid.nu_i[None, :])
@@ -273,6 +279,23 @@ class TestGridAnalyticOracle:
         grid = auto_grid(ppktp.pump, ppktp.pm, n=16)
         state = build_jsa(ppktp.pump, ppktp.pm, grid)
         assert any("samples per FWHM" in w for w in state.provenance["warnings"])
+
+    @pytest.mark.parametrize("chirp_fs2,n,turn", [
+        (1e7, 128, "17.9"), (1e7, 256, "8.92"), (1e7, 512, "4.45"),
+        (1e6, 128, None), (1e6, 256, None), (1e6, 512, None), (1e6, 1024, None),
+        (1e7, 1024, None),
+    ])
+    def test_under_sampled_chirp_warning(self, ppktp, chirp_fs2, n, turn):
+        # K of the default source at 1e7 fs^2, of either sign, reads 16.8 /
+        # 32.2 / 69.9 / 78.0 at n = 128 / 256 / 512 / 1024: the chirp phase
+        # turns 2 |beta| sigma_p dnu per step, past pi below n = 1024
+        chirped = preset_with_pump(ppktp, beta=-chirp_fs2 * 1e-30)
+        state = build_jsa(chirped.pump, chirped.pm, auto_grid(chirped.pump, chirped.pm, n=n))
+        want = [] if turn is None else [
+            f"pump chirp phase turns {turn} rad per grid step at sigma_p (> pi); "
+            "results may be inaccurate"
+        ]
+        assert state.provenance["warnings"] == want
 
 
 class TestProvenanceRecords:
@@ -548,6 +571,14 @@ class TestSchmidt:
         )
         k_after = schmidt_decompose(filtered).schmidt_number
         assert k_after <= k_before + 1e-6
+
+    def test_overflowing_determinant_refused(self, ppktp):
+        # 1/sigma_p^2 ~ 3e275: c_ss c_ii overflows and the determinant reads inf - inf
+        narrow = preset_with_pump(ppktp, pump_fwhm_nm=1e-150)
+        with pytest.raises(DomainError, match=r"sigma_p = 1.92044e-138 rad/s: the determinant"):
+            gaussian_marginal_fwhms(narrow.pump, narrow.pm)
+        with pytest.raises(DomainError, match="the determinant of its quadratic form overflows"):
+            gaussian_schmidt_number(gaussian_jsa_params(narrow.pump, narrow.pm))
 
     def test_analytic_requires_real(self):
         with pytest.raises(DomainError):

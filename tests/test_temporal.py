@@ -30,6 +30,7 @@ from biphoton import (
     extract_dip,
     gaussian_jsa_params,
     intensity_fwhm,
+    JointTemporalAmplitude,
     jta_from_jsa,
     preset_with_pump,
     timing_gain,
@@ -38,7 +39,7 @@ from biphoton import temporal
 from biphoton.errors import MemoryBudgetError
 from biphoton.jsa import MEMORY_BUDGET_BYTES, auto_grid
 from biphoton.temporal import _PARSEVAL_TOL, jta_bytes
-from helpers import random_source, unblocked_line_power
+from helpers import random_source
 
 
 def reference_jta(state, oversample, axes=(1, 0)):
@@ -312,6 +313,12 @@ class TestTransform:
         for array, again in zip(kept, (jta.times, jta.amplitude)):
             assert array is again and array.base is None and not array.flags.writeable
 
+    def test_class_is_the_constructor(self, ppktp):
+        # jta_from_jsa is the class under its older name, 4x oversampled by default
+        state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=16))
+        assert jta_from_jsa is JointTemporalAmplitude
+        assert JointTemporalAmplitude(state).oversample == 4
+
     def test_non_square_grid_rejected(self):
         grid = FrequencyGrid(32, 32, -1e13, 1e13, -0.6e13, 1e13)
         amp = np.ones((32, 32))
@@ -355,18 +362,32 @@ class TestMemoryBudget:
         assert peak < 2**20
 
 
+def cell_lines(f, anti, big_n):
+    """The rows the lag sums transform, placed cell by cell: f[j, k] at position
+    j of row (j + k) mod N (``anti``) or (j - k + n - 1) mod N, zero-padded to 2n."""
+    n = f.shape[0]
+    j, k = np.indices(f.shape)
+    rows = (j + k if anti else j - k + n - 1) % big_n
+    lines = np.zeros((min(big_n, 2 * n - 1), 2 * n), dtype=complex)
+    np.add.at(lines, (rows, j), f)
+    return lines
+
+
 class TestLinePower:
     @pytest.mark.parametrize("oversample", [1, 4], ids=["torus-wraps", "oversample-4"])
     @pytest.mark.parametrize("n", [2, 3, 33, 100, 257])
     @pytest.mark.parametrize("profile", ["gaussian", "sinc"])
     def test_in_place_blocks_match_unblocked(self, profile, n, oversample):
-        # min(N, 2n - 1) lines, 64 a block: n = 33, 100 and 257 end on a
-        # ragged block, and at oversample 1 line s + n wraps onto row s
+        # min(N, 2n - 1) lines, 64 a block in one reused buffer: n = 33, 100
+        # and 257 end on a ragged block, and at oversample 1 line s + n wraps
+        # onto row s.  The reference transforms all rows at once.
         pump, pm = random_source(np.random.default_rng([n, oversample]), profile)
         f = build_jsa(pump, pm, auto_grid(pump, pm, n=n)).amplitude
         for anti in (True, False):
             got = temporal._line_power(f, anti, oversample * n)
-            assert got.tobytes() == unblocked_line_power(f, anti, oversample * n).tobytes()
+            lines = cell_lines(f, anti, oversample * n)
+            want = (np.abs(np.fft.fft(lines, axis=1)) ** 2).sum(axis=0)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * want.max())
 
 
 class TestDiagonalWidths:

@@ -113,6 +113,9 @@ RUNS = (
         ("simulate", *_P, "--chirp-fs2", "-20000", "--grid-n", "128", *_OUT), quick=True),
     Run("simulate-filtered-301",
         ("simulate", *_P, "--filter-fwhm-nm", "3", "--grid-n", "301", *_OUT)),
+    # a chirp phase of 17.9 rad a grid step: the build warns
+    Run("simulate-chirp-1e7-128",
+        ("simulate", *_P, "--chirp-fs2", "1e7", "--grid-n", "128", *_OUT), quick=True),
     Run("simulate-n4", ("simulate", *_P, "--grid-n", "4", *_OUT), quick=True),
     # 80-row blocks of 100 cells: the build's and the moments' last block holds 20 rows
     Run("simulate-n100", ("simulate", *_P, "--grid-n", "100", *_OUT), quick=True),
@@ -180,6 +183,10 @@ RUNS = (
     Run("hom-numeric-pump-1e-300-fails",
         ("hom", *_P, "--model", "numeric", "--grid-n", "64", "--pump-fwhm-nm", "1e-300", *_OUT),
         quick=True),
+    # 1/sigma_p^2 ~ 3e275 overflows the determinant that sizes the grid
+    Run("hom-numeric-sinc-pump-1e-150-fails",
+        ("hom", *_P, "--model", "numeric-sinc", "--grid-n", "64", "--pump-fwhm-nm", "1e-150",
+         *_OUT), quick=True),
     Run("hom-gaussian-pump-1e-300",
         ("hom", *_P, "--model", "gaussian", "--pump-fwhm-nm", "1e-300", *_OUT), quick=True),
     Run("sweep-pump-1e-300-fails",
