@@ -19,18 +19,16 @@ sha256 in its place), so no option can change an output without changing
 the hash.
 The output directory defaults to $BIPHOTON_OUTDIR or the current directory.
 Each command computes all of its results before it creates that directory,
-so a run that fails writes nothing.  ``build_jsa``'s warnings about a grid
-too coarse for the source, and ``simulate``'s about a filter narrower than 8
-grid steps, go to stderr.  A failure on such a state names the flag of the
-step that warned, with its value and the samples per FWHM: ``--grid-n`` for
-the grid's warnings, ``--filter-fwhm-nm`` for the filter's, both if both
-warned.  A numeric scan whose delays span the grid's delay period 2 pi / dnu
-reads the dips of the neighbouring periods: it warns on stderr too, naming
-``--grid-n`` and ``--delay-span`` (a sweep, which has no ``--delay-span``,
-names ``--grid-n``), and a failure on it names those flags with the span and
-the period.  A grid above the memory budget names ``--grid-n`` too.  A
-``--delay-points`` or ``--steps`` whose scan or sweep would exceed that budget
-is refused, with its flag and value, before anything large is allocated.
+so a run that fails writes nothing.  Each step that may warn hands
+``_warnings_reported`` a ``(cause, warnings)`` pair naming its flag: the grid
+(``--grid-n``, or ``--grid-span-fwhms`` for a window that cuts a marginal's
+half maximum), ``simulate``'s filter (``--filter-fwhm-nm``) and a numeric scan
+whose delays span the grid's delay period 2 pi / dnu (``--grid-n`` and
+``--delay-span``; ``--grid-n`` alone in a sweep).  The warnings go to stderr,
+and a failure on a state with warnings names each cause with what it saw.  A
+grid above the memory budget names ``--grid-n`` too.  A ``--delay-points`` or
+``--steps`` whose scan or sweep would exceed that budget is refused, with its
+flag and value, before anything large is allocated.
 
 A sweep point is the run with its axis's option (``pump_fwhm_nm``, ``length_mm``
 or ``chirp_fs2``) set to the point's value, and a profile-forcing ``--model``
@@ -71,6 +69,7 @@ from .hom import (
     visibility_coefficient,
 )
 from .jsa import (
+    UNRESOLVED_MARGINAL,
     SpectralFilter,
     apply_spectral_filter,
     auto_grid,
@@ -191,48 +190,39 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _build_state(opts: dict, source):
-    """The source's JSA on the run's grid; a grid above the memory budget names ``--grid-n``."""
+    """The source's JSA on the run's grid, and the build's ``(cause, warnings)`` pairs.
+
+    A window under half the marginal estimate ``auto_grid`` sizes it by each
+    side cuts the half maximum itself: a marginal FWHM not resolved on it
+    blames ``--grid-span-fwhms``, every other warning ``--grid-n``.
+    """
     n, span = opts.get("grid_n", _GRID_N), opts.get("grid_span_fwhms", 4.0)
     grid = auto_grid(source.pump, source.pm, n=n, span_fwhms=span)
     with _budget_names("--grid-n", n):
-        return build_jsa(source.pump, source.pm, grid)
+        state = build_jsa(source.pump, source.pm, grid)
+    warnings = state.provenance["warnings"]
+    cut = [w for w in warnings if span < 0.5 and w.endswith(UNRESOLVED_MARGINAL)]
+    return state, [
+        (f"--grid-n {n} is too coarse for this source", [w for w in warnings if w not in cut]),
+        (f"--grid-span-fwhms {span} is too narrow for this source", cut),
+    ]
 
 
 @contextlib.contextmanager
-def _coarse_grid_reported(opts: dict, state, built=None, aliased=None):
-    """Report the resolution warnings of ``state`` once the kernels run on it.
+def _warnings_reported(blamed: list[tuple[str, list[str]]]):
+    """Print the warnings of ``blamed``, ``(cause, warnings)`` pairs in order, if the body succeeds.
 
-    If they succeed, each warning is printed on stderr.  A failure on a state
-    with warnings is re-raised as a ``DomainError`` naming the flag of each
-    step that warned, with its warnings: ``--grid-n`` for those of ``built``,
-    the state ``build_jsa`` made (default ``state``), ``--filter-fwhm-nm``
-    for those a filter added.  ``aliased``, a ``(cause, warning)`` pair for a
-    delay scan that spans the grid's delay period (see ``_dip``), is printed
-    and blamed after them.  A failure on a well resolved state with no
-    aliased scan passes as it is.
+    A ``ValueError`` while any cause has warnings becomes one ``DomainError``
+    naming each such cause with what its warnings saw (their text before ";").
     """
-    # every warning reads "<what was seen>; results may be inaccurate" or
-    # "... not resolved on this grid", and a blame quotes what was seen:
-    # samples per marginal or filter FWHM, or the scan's span and period
-    warnings = state.provenance.get("warnings", ())
-    # apply_spectral_filter appends its warnings to those of the state it filters
-    n_built = len((built or state).provenance.get("warnings", ()))
-    blamed = [
-        (f"--grid-n {opts.get('grid_n', _GRID_N)} is too coarse for this source",
-         warnings[:n_built]),
-        (f"--filter-fwhm-nm {opts.get('filter_fwhm_nm')} is too narrow for this grid",
-         warnings[n_built:]),
-    ]
-    if aliased is not None:
-        blamed.append((aliased[0], [aliased[1]]))
     try:
         yield
     except ValueError as exc:
         if not any(found for _, found in blamed):
             raise
         causes = " and ".join(
-            f"{flag} ({', '.join(w.partition(';')[0] for w in found)})"
-            for flag, found in blamed if found
+            f"{cause} ({', '.join(w.partition(';')[0] for w in found)})"
+            for cause, found in blamed if found
         )
         raise DomainError(f"{causes}: {exc}") from exc
     for _, found in blamed:
@@ -240,8 +230,8 @@ def _coarse_grid_reported(opts: dict, state, built=None, aliased=None):
             print(f"warning: {warning}", file=sys.stderr)
 
 
-def _aliasing(opts: dict, state, delays, delay_span) -> tuple[str, str] | None:
-    """The ``(cause, warning)`` of a scan whose delays span the grid's delay period, else None.
+def _aliasing(opts: dict, state, delays, delay_span) -> list[tuple[str, list[str]]]:
+    """``[(cause, [warning])]`` for a scan whose delays span the grid's delay period, else ``[]``.
 
     The numeric rates repeat with period 2 pi / dnu, so such a scan reads the
     dips of the neighbouring periods.  ``delay_span`` is the run's
@@ -250,18 +240,18 @@ def _aliasing(opts: dict, state, delays, delay_span) -> tuple[str, str] | None:
     span = float(delays[-1] - delays[0])
     period = 2.0 * math.pi / state.grid.d_nu_s
     if span < period:
-        return None
+        return []
     grid_n = f"--grid-n {opts.get('grid_n', _GRID_N)}"
     if delay_span is None:
         cause, fix = f"{grid_n} aliases the scan", "raise --grid-n"
     else:
         cause = f"{grid_n} and --delay-span {delay_span} alias the scan"
         fix = "raise --grid-n or lower --delay-span"
-    return cause, (
+    return [(cause, [
         f"the delay scan spans {span * 1e12:.4g} ps, at least the grid's delay period "
         f"2 pi / dnu = {period * 1e12:.4g} ps, and reads aliased dips: {fix}; "
         "results may be inaccurate"
-    )
+    ])]
 
 
 def _dip(opts: dict, model: str, n_delays: int = 201, delay_span: float | None = None):
@@ -280,7 +270,7 @@ def _dip(opts: dict, model: str, n_delays: int = 201, delay_span: float | None =
     source = _load_source(opts)
     with _budget_names("--delay-points", n_delays):
         check_memory_budget("the delay scan", _BYTES_PER_ROW * n_delays)
-    state = None if model == "gaussian" else _build_state(opts, source)
+    state, blamed = (None, []) if model == "gaussian" else _build_state(opts, source)
     delays = default_delays(source.pm, n=n_delays, spans=4.0 if delay_span is None else delay_span)
     if state is None:
         scan = gaussian_scan(source.pump, source.pm, delays)
@@ -288,25 +278,26 @@ def _dip(opts: dict, model: str, n_delays: int = 201, delay_span: float | None =
             "closed_form_t_c_ps": correlation_time_gaussian(source.pm) * 1e12,
             "visibility_coefficient": visibility_coefficient(source.pump, source.pm),
         }
-    with _coarse_grid_reported(opts, state, aliased=_aliasing(opts, state, delays, delay_span)):
+    with _warnings_reported(blamed + _aliasing(opts, state, delays, delay_span)):
         result = extract_dip(coincidence_scan(state, delays), model="numeric")
     return result, {"profile": source.pm.profile}
 
 
 def cmd_simulate(opts: dict) -> int:
     source = _load_source(opts)
-    state = built = _build_state(opts, source)
+    state, blamed = _build_state(opts, source)
     meta = _meta(opts)
     lam_pdc = 2 * np.pi * C_M_PER_S / source.pm.omega_s0
 
     filter_fwhm_nm = opts.get("filter_fwhm_nm")
     if filter_fwhm_nm is not None:
         width = filter_fwhm_nm * 1e-9 * 2 * np.pi * C_M_PER_S / lam_pdc**2
-        state = apply_spectral_filter(
-            state,
-            SpectralFilter(shape="gaussian", center=0.0, width=width, target="both"),
-        )
-    with _coarse_grid_reported(opts, state, built):
+        n_built = len(state.provenance["warnings"])
+        filt = SpectralFilter(shape="gaussian", center=0.0, width=width, target="both")
+        state = apply_spectral_filter(state, filt)
+        blamed.append((f"--filter-fwhm-nm {filter_fwhm_nm} is too narrow for this grid",
+                       state.provenance["warnings"][n_built:]))
+    with _warnings_reported(blamed):
         sig, idl = marginals(state)
         schmidt = schmidt_decompose(state)
         rho, label = correlation_classification(state)
@@ -436,7 +427,7 @@ def cmd_presets(opts: dict) -> int:
 def _add_source_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--preset", help="named source preset (see `biphoton presets`)")
     sub.add_argument("--pump-fwhm-nm", type=float, dest="pump_fwhm_nm",
-                     help="pump spectral intensity FWHM in nm")
+                     help="pump spectral amplitude FWHM in nm (1/sqrt(2) of it in intensity)")
     sub.add_argument("--chirp-fs2", type=float, dest="chirp_fs2",
                      help="pump quadratic spectral phase in fs^2")
     sub.add_argument("--profile", choices=PROFILES,

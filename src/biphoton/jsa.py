@@ -59,6 +59,7 @@ CLASSIFICATION_SUPPORT_FLOOR = 0.05
 CLASSIFICATION_DEAD_ZONE = 0.1
 
 MIN_SAMPLES_PER_FWHM = 8.0
+UNRESOLVED_MARGINAL = "marginal FWHM not resolved on this grid"
 
 # Largest set of arrays, in bytes, that one grid or transform may allocate.
 # Sizes are estimated before allocating, so an oversized request fails with a
@@ -248,8 +249,8 @@ class GaussianJsaParams:
 class SpectralFilter:
     """Amplitude filter applied along one (or both) frequency axes.
 
-    ``width`` is the transmission intensity FWHM for the gaussian shape and
-    the full width for rect; ``center`` is a detuning (rad/s).
+    ``width`` is the FWHM of the amplitude transmission for the gaussian shape
+    and the full width for rect; ``center`` is a detuning (rad/s).
     """
 
     shape: str  # "rect" | "gaussian"
@@ -433,7 +434,7 @@ def build_jsa(
         try:
             width = intensity_fwhm(np.arange(curve.size) * d, curve)
         except (DomainError, CoverageError):
-            warnings.append(f"{label} marginal FWHM not resolved on this grid")
+            warnings.append(f"{label} {UNRESOLVED_MARGINAL}")
             continue
         if width / d < MIN_SAMPLES_PER_FWHM:
             warnings.append(_resolution_warning(f"{label} marginal", width / d))

@@ -134,7 +134,7 @@ def preset_with_pump(
 ) -> SourcePreset:
     """Return a copy of ``preset`` with pump width, chirp, profile or length overridden.
 
-    ``pump_fwhm_nm`` is an intensity FWHM in nm at the preset's pump carrier;
+    ``pump_fwhm_nm`` is the spectral amplitude's FWHM in nm at the pump carrier;
     ``beta`` is the pump chirp in s^2, and None keeps the preset's chirp;
     ``length_scale`` rescales the waveguide length and both walk-offs with it.
     """

@@ -2,15 +2,16 @@
 
 Width conventions (used consistently across the package)
 ---------------------------------------------------------
-All user-facing spectral widths are intensity FWHMs, in nm for wavelength
-axes.  Internally the pump amplitude is ``exp[-(nu/sigma)^2]`` where
-``sigma`` is the amplitude 1/e half-width in rad/s.  The two are linked by
+Reported widths (marginals, dips) are intensity FWHMs, in nm for wavelength
+axes.  A stated pump width is the FWHM of the pump amplitude
+``exp[-(nu/sigma)^2]``, ``sigma`` its 1/e half-width in rad/s:
 
     sigma = delta_omega_fwhm / (2 sqrt(ln 2)),
 
-i.e. the stated FWHM is read as the full width at half maximum of the
-amplitude envelope.  This choice is what reproduces the joint-spectrum
-marginals of the reference ppKTP source; see the preset notes.
+so the pump's intensity FWHM is 1/sqrt(2) of it.  This reading keeps the
+sinc dips at 0.7/2.0/4.5 nm pumps in their bands (acceptance criterion 05)
+but leaves the 2.0 nm marginals about 15% narrow (criterion 04); the
+intensity reading passes criterion 04 and puts the 4.5 nm dip 20% wide.
 
 Durations quoted in reports use the Gaussian time-bandwidth product for
 intensity FWHMs, ``delta_f * delta_tau = 0.44``, times the chirp broadening
@@ -120,6 +121,15 @@ class PhasematchSpec:
             raise DomainError(f"profile must be one of {PROFILES}, got {self.profile!r}")
         if not self.omega_s0 > 0 or not self.omega_i0 > 0:
             raise DomainError("central PDC frequencies must be > 0")
+        # Python floats, as in sigma_p_squared; |tau_s| + |tau_i| bounds each sum squared
+        tau_s, tau_i = float(self.tau_s), float(self.tau_i)
+        bound, dip = abs(tau_s) + abs(tau_i), 0.5 * math.sqrt(self.gamma) * abs(tau_s - tau_i)
+        walkoffs = f"walk-offs tau_s = {tau_s:g} s, tau_i = {tau_i:g} s"
+        if math.isinf(bound * bound):
+            raise DomainError(f"{walkoffs}: their squares overflow")
+        if dip * dip == 0.0:
+            raise DomainError(f"{walkoffs}: the dip scale sqrt(gamma) |tau_s - tau_i| / 2 = "
+                              f"{dip:g} s underflows when squared")
 
 
 def wavelength_to_angular_frequency(wavelength):
@@ -128,7 +138,7 @@ def wavelength_to_angular_frequency(wavelength):
 
 
 def wavelength_fwhm_to_sigma(center_wavelength: float, fwhm: float) -> float:
-    """Convert an intensity FWHM in wavelength to the amplitude sigma in rad/s.
+    """Convert a wavelength FWHM of the amplitude (module notes) to its sigma in rad/s.
 
     Small-bandwidth relation ``delta_omega = 2 pi c delta_lambda / lambda^2``
     followed by the amplitude-FWHM convention of this package

@@ -318,11 +318,11 @@ class TestSweep:
     (["sweep", "--preset", "ppktp-8mm", "--axis", "length", "--start", "0", "--stop", "8",
       "--steps", "3"], "waveguide length must be > 0"),
     (["analyze", "ZERO_SCAN"], "no positive counts"),
-    # Python float ** overflows in the closed-form coefficients
+    # walk-offs whose squares overflow the closed-form coefficients
     (["hom", "--preset", "ppktp-8mm", "--model", "gaussian", "--length-mm", "1e200"],
-     "Numerical result out of range"),
+     "their squares overflow"),
     (["simulate", "--preset", "ppktp-8mm", "--length-mm", "1e300", "--grid-n", "16"],
-     "Numerical result out of range"),
+     "their squares overflow"),
 ])
 def test_failed_run_leaves_no_outdir(tmp_path, capsys, argv, message):
     # every output is computed before the output directory is made
@@ -376,11 +376,21 @@ def test_failed_run_leaves_no_outdir(tmp_path, capsys, argv, message):
     (["hom", "--preset", "ppktp-8mm", "--model", "numeric-sinc", "--grid-n", "64",
       "--pump-fwhm-nm", "1e-150"],
      "sigma_p = 1.92044e-138 rad/s: the determinant of its quadratic form overflows"),
+    # walk-offs whose squares overflow (a Python OverflowError), or whose dip
+    # scale's square underflows (a division by zero, NaN rates)
+    (["hom", "--preset", "ppktp-8mm", "--model", "gaussian", "--length-mm", "1e300"],
+     "walk-offs tau_s = -1.75109e+287 s, tau_i = 1.05216e+287 s: their squares overflow"),
+    (["simulate", "--preset", "ppktp-8mm", "--grid-n", "16", "--length-mm", "1e300"],
+     "walk-offs tau_s = -1.75109e+287 s, tau_i = 1.05216e+287 s: their squares overflow"),
+    (["sweep", "--preset", "ppktp-8mm", "--axis", "length", "--start", "1e-300",
+      "--stop", "8", "--steps", "2"],
+     "the dip scale sqrt(gamma) |tau_s - tau_i| / 2 = 6.15758e-314 s underflows when squared"),
 ], ids=["grid-span", "delay-span", "pump-1e17", "pump-1e300", "grid-span-1e200",
         "sinc-intensity-underflow", "hom-sinc-intensity-underflow", "filter-1e-300",
         "delay-span-1e6", "delay-span-1e300", "numeric-delay-span-1e3",
         "hom-pump-1e150", "hom-numeric-pump-1e-300", "sweep-pump-1e-300",
-        "hom-numeric-sinc-pump-1e-150"])
+        "hom-numeric-sinc-pump-1e-150", "hom-length-1e300", "simulate-length-1e300",
+        "sweep-length-1e-300"])
 def test_overflowing_input_fails_in_one_line(tmp_path, argv, message):
     # refused before numpy warns or LAPACK prints: a fresh interpreter, so
     # that warnings and C-level output reach the streams
@@ -396,6 +406,10 @@ def test_overflowing_input_fails_in_one_line(tmp_path, argv, message):
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
     assert message in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+SPAN_0_4 = ("--grid-span-fwhms 0.4 is too narrow for this source (idler marginal FWHM not "
+            "resolved on this grid): ")
 
 
 @pytest.mark.parametrize("argv,resolution,cause", [
@@ -421,8 +435,12 @@ def test_overflowing_input_fails_in_one_line(tmp_path, argv, message):
      "--grid-n 5 is too coarse for this source (signal marginal has 1.0 samples per FWHM (< 8), "
      "idler marginal has 1.0 samples per FWHM (< 8)) and --filter-fwhm-nm 0.5 is too narrow for "
      "this grid (filter has 0.1 samples per FWHM (< 8)): ", "zero variance"),
+    # a window of 0.4 marginal FWHMs each side cuts the half maximum at any --grid-n
+    (["simulate", "--grid-span-fwhms", "0.4"], SPAN_0_4, "half maximum not reached"),
+    (["simulate", "--grid-n", "64", "--grid-span-fwhms", "0.4"], SPAN_0_4,
+     "half maximum not reached"),
 ], ids=["simulate-2", "simulate-5", "hom-3", "hom-8", "hom-12", "sweep-8", "filter-0.005",
-        "grid-5-filter-0.5"])
+        "grid-5-filter-0.5", "span-0.4", "span-0.4-n64"])
 def test_coarse_grid_failure_names_grid_n(tmp_path, capsys, argv, resolution, cause):
     code = run(tmp_path / "out", *argv[:1], "--preset", "ppktp-8mm", *argv[1:])
     assert code == 1
@@ -630,6 +648,18 @@ class TestAnalyze:
         assert payload["visibility"] == pytest.approx(0.9733, abs=1e-3)
         # file parses back as a measured scan
         assert load_scan(scan_file).delays.size == len(rows)
+
+    def test_visibility_outside_band_warns(self, tmp_path, capsys):
+        # a dip 1.15 deep, clipped at zero counts: the Gaussian fit reads 1.068
+        delays = np.linspace(-3.0, 3.0, 121)
+        counts = np.clip(1e3 * (1 - 1.15 * np.exp(-4 * np.log(2) * (delays / 1.2) ** 2)), 0, None)
+        scan = tmp_path / "scan.csv"
+        scan.write_text("delay_ps,coincidences\n" + "".join(
+            f"{d:.3f},{c:.6g}\n" for d, c in zip(delays, counts)))
+        assert run(tmp_path / "out", "analyze", str(scan)) == 0
+        warning = "fitted visibility 1.068 outside [0, 1.05]: model mismatch?"
+        assert json.loads((tmp_path / "out" / "fit.json").read_text())["warnings"] == [warning]
+        assert capsys.readouterr().err == f"warning: {warning}\n"
 
     def test_hash_follows_scan_contents(self, tmp_path):
         delays = np.linspace(-5.0, 5.0, 101)

@@ -91,6 +91,16 @@ def _bad_row_scan_text() -> str:
     return "\n".join(["delay_ps,coincidences", *rows[:2], "# note", *rows[2:]]) + "\n"
 
 
+def _too_deep_scan_text() -> str:
+    """A noiseless 1.2 ps dip 1.15 deep, clipped at zero counts: its fit reads visibility 1.068."""
+    lines = ["delay_ps,coincidences"]
+    for k in range(121):
+        tau = -3.0 + 6.0 * k / 120
+        counts = 1000.0 * (1.0 - 1.15 * math.exp(-4.0 * math.log(2.0) * (tau / 1.2) ** 2))
+        lines.append(f"{tau:.3f},{max(counts, 0.0):.6g}")
+    return "\n".join(lines) + "\n"
+
+
 # Files written into every run's directory before it starts.
 INPUTS = {
     "run.conf": "pump_fwhm_nm = 0.7\nprofile = sinc\ngrid_n = 128\n",
@@ -99,6 +109,7 @@ INPUTS = {
     "zero_scan.csv": "delay_ps,coincidences\n" + "".join(f"{d},0\n" for d in range(12)),
     "messy_scan.csv": _messy_scan_text(),
     "bad_row_scan.csv": _bad_row_scan_text(),
+    "too_deep_scan.csv": _too_deep_scan_text(),
 }
 
 _P = ("--preset", "ppktp-8mm")
@@ -140,6 +151,12 @@ RUNS = (
          "--filter-fwhm-nm", "3", "--grid-n", "128", *_OUT), quick=True),
     Run("simulate-n2-fails", ("simulate", *_P, "--grid-n", "2", *_OUT), quick=True),
     Run("simulate-n4000-fails", ("simulate", *_P, "--grid-n", "4000", *_OUT)),
+    # a window of 0.4 marginal FWHMs each side cuts the idler's half maximum
+    Run("simulate-span-0.4-fails",
+        ("simulate", *_P, "--grid-span-fwhms", "0.4", "--grid-n", "64", *_OUT), quick=True),
+    # walk-offs whose squares overflow
+    Run("simulate-length-1e300-fails",
+        ("simulate", *_P, "--grid-n", "16", "--length-mm", "1e300", *_OUT), quick=True),
     Run("simulate-filter-0-fails", ("simulate", *_P, "--filter-fwhm-nm", "0", *_OUT)),
     # filters narrower than the grid step: a warning, then a variance product that underflows
     Run("simulate-filter-0.01", ("simulate", *_P, "--filter-fwhm-nm", "0.01", *_OUT)),
@@ -187,6 +204,8 @@ RUNS = (
     Run("hom-numeric-sinc-pump-1e-150-fails",
         ("hom", *_P, "--model", "numeric-sinc", "--grid-n", "64", "--pump-fwhm-nm", "1e-150",
          *_OUT), quick=True),
+    Run("hom-length-1e300-fails",
+        ("hom", *_P, "--model", "gaussian", "--length-mm", "1e300", *_OUT), quick=True),
     Run("hom-gaussian-pump-1e-300",
         ("hom", *_P, "--model", "gaussian", "--pump-fwhm-nm", "1e-300", *_OUT), quick=True),
     Run("sweep-pump-1e-300-fails",
@@ -233,6 +252,10 @@ RUNS = (
          "--model", "numeric-gaussian", "--grid-n", "256", *_OUT)),
     Run("sweep-length-0-fails",
         ("sweep", *_P, "--axis", "length", "--start", "0", "--stop", "8", "--steps", "3", *_OUT)),
+    # walk-offs whose dip scale's square underflows
+    Run("sweep-length-1e-300-fails",
+        ("sweep", *_P, "--axis", "length", "--start", "1e-300", "--stop", "8", "--steps", "2",
+         *_OUT), quick=True),
     Run("analyze-gaussian", ("analyze", "scan.csv", "--model", "gaussian-dip", *_OUT),
         quick=True),
     Run("analyze-sinc",
@@ -245,6 +268,7 @@ RUNS = (
     Run("analyze-nan-fails", ("analyze", "nan_scan.csv", *_OUT)),
     Run("analyze-messy", ("analyze", "messy_scan.csv", "--model", "gaussian-dip", *_OUT),
         quick=True),
+    Run("analyze-visibility-warning", ("analyze", "too_deep_scan.csv", *_OUT), quick=True),
     Run("analyze-bad-row-fails", ("analyze", "bad_row_scan.csv", *_OUT)),
     Run("analyze-sinc-no-dip-fails",
         ("analyze", "scan.csv", "--model", "sinc-kernel-dip", *_P, "--pump-fwhm-nm", "1e17",
