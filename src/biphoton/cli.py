@@ -19,13 +19,16 @@ sha256 in its place), so no option can change an output without changing
 the hash.
 The output directory defaults to $BIPHOTON_OUTDIR or the current directory.
 Each command computes all of its results before it creates that directory,
-so a run that fails writes nothing.  Each step that may warn hands
-``_warnings_reported`` a ``(cause, warnings)`` pair naming its flag: the grid
-(``--grid-n``, or ``--grid-span-fwhms`` for a window that cuts a marginal's
-half maximum), ``simulate``'s filter (``--filter-fwhm-nm``) and a numeric scan
-whose delays span the grid's delay period 2 pi / dnu (``--grid-n`` and
-``--delay-span``; ``--grid-n`` alone in a sweep).  The warnings go to stderr,
-and a failure on a state with warnings names each cause with what it saw.  A
+so a run that fails writes nothing.  Its stdout report comes last, after the
+files, and a closed stdout does not fail the run.  Each step that may warn hands
+``_warnings_reported`` a ``(cause, warnings)`` pair naming its flag, picking
+its warnings by their ``Diagnostic`` code: the grid (``--grid-n``, or
+``--grid-span-fwhms`` for an ``unresolved-marginal`` on a window that cuts a
+marginal's half maximum), ``simulate``'s filter (``--filter-fwhm-nm``, its
+``coarse-filter``) and a numeric scan whose delays span the grid's delay
+period 2 pi / dnu (``aliased-scan``: ``--grid-n`` and ``--delay-span``;
+``--grid-n`` alone in a sweep).  The warnings go to stderr, and a failure on
+a state with warnings names each cause with each warning's finding.  A
 grid above the memory budget names ``--grid-n`` too.  A ``--delay-points`` or
 ``--steps`` whose scan or sweep would exceed that budget is refused, with its
 flag and value, before anything large is allocated.
@@ -59,7 +62,7 @@ from .dataio import (
     sinc_dip_kernel,
     write_rows,
 )
-from .errors import DomainError, MemoryBudgetError, ParseError
+from .errors import Diagnostic, DomainError, MemoryBudgetError, ParseError
 from .hom import (
     coincidence_scan,
     correlation_time_gaussian,
@@ -69,7 +72,6 @@ from .hom import (
     visibility_coefficient,
 )
 from .jsa import (
-    UNRESOLVED_MARGINAL,
     SpectralFilter,
     apply_spectral_filter,
     auto_grid,
@@ -185,6 +187,18 @@ def _budget_names(flag: str, value):
         raise DomainError(f"{flag} {value} is too large: {exc}") from exc
 
 
+def _report(*lines: str) -> None:
+    """Print the run's report on stdout, its last output: a closed stdout does not fail the run.
+
+    On a ``BrokenPipeError`` stdout is pointed at devnull, since Python
+    flushes it again at exit (the ``signal`` module's note on SIGPIPE).
+    """
+    try:
+        print(*lines, sep="\n", flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
@@ -201,7 +215,7 @@ def _build_state(opts: dict, source):
     with _budget_names("--grid-n", n):
         state = build_jsa(source.pump, source.pm, grid)
     warnings = state.provenance["warnings"]
-    cut = [w for w in warnings if span < 0.5 and w.endswith(UNRESOLVED_MARGINAL)]
+    cut = [w for w in warnings if span < 0.5 and w.code == "unresolved-marginal"]
     return state, [
         (f"--grid-n {n} is too coarse for this source", [w for w in warnings if w not in cut]),
         (f"--grid-span-fwhms {span} is too narrow for this source", cut),
@@ -209,11 +223,11 @@ def _build_state(opts: dict, source):
 
 
 @contextlib.contextmanager
-def _warnings_reported(blamed: list[tuple[str, list[str]]]):
+def _warnings_reported(blamed: list[tuple[str, list[Diagnostic]]]):
     """Print the warnings of ``blamed``, ``(cause, warnings)`` pairs in order, if the body succeeds.
 
     A ``ValueError`` while any cause has warnings becomes one ``DomainError``
-    naming each such cause with what its warnings saw (their text before ";").
+    naming each such cause with its warnings' findings.
     """
     try:
         yield
@@ -221,7 +235,7 @@ def _warnings_reported(blamed: list[tuple[str, list[str]]]):
         if not any(found for _, found in blamed):
             raise
         causes = " and ".join(
-            f"{cause} ({', '.join(w.partition(';')[0] for w in found)})"
+            f"{cause} ({', '.join(w.finding for w in found)})"
             for cause, found in blamed if found
         )
         raise DomainError(f"{causes}: {exc}") from exc
@@ -230,7 +244,7 @@ def _warnings_reported(blamed: list[tuple[str, list[str]]]):
             print(f"warning: {warning}", file=sys.stderr)
 
 
-def _aliasing(opts: dict, state, delays, delay_span) -> list[tuple[str, list[str]]]:
+def _aliasing(opts: dict, state, delays, delay_span) -> list[tuple[str, list[Diagnostic]]]:
     """``[(cause, [warning])]`` for a scan whose delays span the grid's delay period, else ``[]``.
 
     The numeric rates repeat with period 2 pi / dnu, so such a scan reads the
@@ -247,11 +261,9 @@ def _aliasing(opts: dict, state, delays, delay_span) -> list[tuple[str, list[str
     else:
         cause = f"{grid_n} and --delay-span {delay_span} alias the scan"
         fix = "raise --grid-n or lower --delay-span"
-    return [(cause, [
-        f"the delay scan spans {span * 1e12:.4g} ps, at least the grid's delay period "
-        f"2 pi / dnu = {period * 1e12:.4g} ps, and reads aliased dips: {fix}; "
-        "results may be inaccurate"
-    ])]
+    return [(cause, [Diagnostic("aliased-scan", f"the delay scan spans {span * 1e12:.4g} ps, at "
+                                f"least the grid's delay period 2 pi / dnu = {period * 1e12:.4g} "
+                                f"ps, and reads aliased dips: {fix}")])]
 
 
 def _dip(opts: dict, model: str, n_delays: int = 201, delay_span: float | None = None):
@@ -292,11 +304,10 @@ def cmd_simulate(opts: dict) -> int:
     filter_fwhm_nm = opts.get("filter_fwhm_nm")
     if filter_fwhm_nm is not None:
         width = filter_fwhm_nm * 1e-9 * 2 * np.pi * C_M_PER_S / lam_pdc**2
-        n_built = len(state.provenance["warnings"])
         filt = SpectralFilter(shape="gaussian", center=0.0, width=width, target="both")
         state = apply_spectral_filter(state, filt)
         blamed.append((f"--filter-fwhm-nm {filter_fwhm_nm} is too narrow for this grid",
-                       state.provenance["warnings"][n_built:]))
+                       [w for w in state.provenance["warnings"] if w.code == "coarse-filter"]))
     with _warnings_reported(blamed):
         sig, idl = marginals(state)
         schmidt = schmidt_decompose(state)
@@ -322,8 +333,8 @@ def cmd_simulate(opts: dict) -> int:
         outdir / "marginals.csv", meta, "nu_rad_s,signal,idler", [state.grid.nu_s, sig, idl]
     )
     _write_json(outdir / "schmidt.json", payload)
-    print(f"simulate: wrote jsa.csv jsi.csv marginals.csv schmidt.json to {outdir}")
-    print(f"  correlation: {label} (rho = {rho:+.3f}), K = {schmidt.schmidt_number:.3f}")
+    _report(f"simulate: wrote jsa.csv jsi.csv marginals.csv schmidt.json to {outdir}",
+            f"  correlation: {label} (rho = {rho:+.3f}), K = {schmidt.schmidt_number:.3f}")
     return 0
 
 
@@ -348,8 +359,8 @@ def cmd_hom(opts: dict) -> int:
     outdir = _outdir(opts)
     export_delay_scan(result.scan, outdir / "scan.csv", meta)
     _write_json(outdir / "hom.json", payload)
-    print(f"hom: t_c = {result.t_c * 1e12:.4f} ps, visibility = {result.visibility:.4f}")
-    print(f"hom: wrote scan.csv hom.json to {outdir}")
+    _report(f"hom: t_c = {result.t_c * 1e12:.4f} ps, visibility = {result.visibility:.4f}",
+            f"hom: wrote scan.csv hom.json to {outdir}")
     return 0
 
 
@@ -384,7 +395,7 @@ def cmd_sweep(opts: dict) -> int:
     write_rows(
         outdir / "sweep.csv", meta, f"{axis},t_c_ps,visibility", [values, t_c_ps, visibility]
     )
-    print(f"sweep: {axis} over [{start}, {stop}] in {steps} steps -> {outdir / 'sweep.csv'}")
+    _report(f"sweep: {axis} over [{start}, {stop}] in {steps} steps -> {outdir / 'sweep.csv'}")
     return 0
 
 
@@ -407,20 +418,18 @@ def cmd_analyze(opts: dict) -> int:
     payload.update(report.to_dict())
     outdir = _outdir(opts)
     _write_json(outdir / "fit.json", payload)
-    print(
-        f"analyze: t_c = {report.t_c * 1e12:.4f} +- {report.t_c_sigma * 1e12:.4f} ps, "
-        f"visibility = {report.visibility:.4f} +- {report.visibility_sigma:.4f}"
-    )
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    print(f"analyze: wrote fit.json to {outdir}")
+    _report(
+        f"analyze: t_c = {report.t_c * 1e12:.4f} +- {report.t_c_sigma * 1e12:.4f} ps, "
+        f"visibility = {report.visibility:.4f} +- {report.visibility_sigma:.4f}",
+        f"analyze: wrote fit.json to {outdir}",
+    )
     return 0
 
 
 def cmd_presets(opts: dict) -> int:
-    for name in available_presets():
-        preset = load_preset(name)
-        print(f"{name}: {preset.notes}")
+    _report(*(f"{name}: {load_preset(name).notes}" for name in available_presets()))
     return 0
 
 

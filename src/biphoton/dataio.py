@@ -53,7 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CoverageError, DomainError, FitError, NoDipError, ParseError
+from .errors import CoverageError, Diagnostic, DomainError, FitError, NoDipError, ParseError
 from .hom import MIN_VISIBILITY, DelayScan, coincidence_rate_sinc, coincidence_scan
 from .hom import default_delays, extract_dip
 from .jsa import (
@@ -420,7 +420,8 @@ def load_jsi(path) -> JointSpectralAmplitude:
     midpoint; the amplitude is sqrt(intensity) with zero phase, and the
     provenance is flagged accordingly so downstream interference predictions
     can be labeled approximate.  Either kind of axis is snapped to a uniform
-    grid, with a warning when a point moves by more than 5% of a step.
+    grid, with a ``snapped-axes`` diagnostic when a point moves by more than
+    5% of a step.
     """
     path = Path(path)
     _, header, data = _read_csv(path, _jsi_header_problem)
@@ -465,7 +466,7 @@ def load_jsi(path) -> JointSpectralAmplitude:
 
     # the grid is uniform but the axes need not be (wavelength-spaced ones
     # never are in frequency): record how far interior points moved
-    warnings: list[str] = []
+    warnings: list[Diagnostic] = []
     dev = 0.0
     for ax in (nu_s, nu_i):
         uniform = np.linspace(ax[0], ax[-1], ax.size)
@@ -473,10 +474,9 @@ def load_jsi(path) -> JointSpectralAmplitude:
         dev = max(dev, float(np.max(np.abs(ax - uniform)) / spacing))
     if dev > 0.05:
         kind = "wavelength" if in_nm else "detuning"
-        warnings.append(
-            f"{kind} axes deviate from uniform frequency spacing by "
-            f"{dev:.1%} of one step (snapped to uniform)"
-        )
+        warnings.append(Diagnostic("snapped-axes", f"{kind} axes deviate from uniform frequency "
+                                   f"spacing by {dev:.1%} of one step (snapped to uniform)",
+                                   doubtful=False))
 
     # one scatter into the array the state adopts: read-only, owning its data
     amplitude = np.zeros((grid.n_s, grid.n_i), dtype=complex)
@@ -623,7 +623,9 @@ def fit_dip(scan: MeasuredScan, kernel=None) -> FitReport:
     Gaussian dip (``gaussian-dip``).  Counts with a sigma column are weighted
     by it; integer-looking raw counts get Poisson sqrt(n) weights; otherwise
     the fit is unweighted.  The fitted width parameter is the dip intensity
-    FWHM, reported with its covariance-based uncertainty.
+    FWHM, reported with its covariance-based uncertainty.  A fitted
+    visibility outside [0, 1.05] adds a ``fit-visibility`` diagnostic to the
+    report's warnings.
     """
     model = "gaussian-dip" if kernel is None else "sinc-kernel-dip"
     shape = _gaussian_depth if kernel is None else kernel
@@ -690,9 +692,10 @@ def fit_dip(scan: MeasuredScan, kernel=None) -> FitReport:
     if not np.all(np.isfinite(perr)):
         raise FitError("singular fit covariance; scan does not constrain the dip")
     residuals = (y - model_scaled(x, *popt)) * baseline0
-    warnings: list[str] = []
+    warnings: list[Diagnostic] = []
     if not 0.0 <= popt[1] <= 1.05:
-        warnings.append(f"fitted visibility {popt[1]:.3f} outside [0, 1.05]: model mismatch?")
+        warnings.append(Diagnostic("fit-visibility", f"fitted visibility {popt[1]:.3f} outside "
+                                   "[0, 1.05]: model mismatch?", doubtful=False))
     return FitReport(
         t_c=float(popt[3] * width0),
         t_c_sigma=float(perr[3] * width0),

@@ -1,8 +1,31 @@
-"""Exception types shared across the package.
+"""The package's problem vocabulary: the exceptions it raises and the
+``Diagnostic`` it records when a result may not be trusted.
 
-Everything derives from ValueError or RuntimeError so callers that do not
-care about the fine-grained type can still catch the builtin.
+Every exception derives from ValueError or RuntimeError so callers that do
+not care about the fine-grained type can still catch the builtin.
 """
+
+
+class Diagnostic(str):
+    """A warning recorded with a result: its text, plus the check that found it.
+
+    ``code`` names the check (``coarse-marginal``, ``coarse-filter``, ...)
+    and ``finding`` says what it saw.  The text is the finding, closed, when
+    ``doubtful``, by a note that results may be inaccurate.  Being its text,
+    a diagnostic compares, hashes and JSON-encodes as that string, so the
+    provenance lists and reports that carry it read as lists of strings.
+    """
+
+    def __new__(cls, code: str, finding: str, doubtful: bool = True):
+        text = f"{finding}; results may be inaccurate" if doubtful else finding
+        self = super().__new__(cls, text)
+        self.code = code
+        self.finding = finding
+        return self
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild a str subclass from these arguments
+        return self.code, self.finding, self != self.finding
 
 
 class DomainError(ValueError):

@@ -34,6 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     CoverageError,
+    Diagnostic,
     DomainError,
     EmptyStateError,
     GridError,
@@ -59,7 +60,6 @@ CLASSIFICATION_SUPPORT_FLOOR = 0.05
 CLASSIFICATION_DEAD_ZONE = 0.1
 
 MIN_SAMPLES_PER_FWHM = 8.0
-UNRESOLVED_MARGINAL = "marginal FWHM not resolved on this grid"
 
 # Largest set of arrays, in bytes, that one grid or transform may allocate.
 # Sizes are estimated before allocating, so an oversized request fails with a
@@ -105,13 +105,10 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _resolution_warning(what: str, samples: float) -> str:
+def _resolution_warning(code: str, what: str, samples: float) -> Diagnostic:
     """The warning for ``samples`` < 8 per FWHM: one decimal, but 7.95-7.99 read 7.9, not 8.0."""
     shown = min(round(samples, 1), MIN_SAMPLES_PER_FWHM - 0.1)
-    return (
-        f"{what} has {shown:.1f} samples per FWHM "
-        f"(< {MIN_SAMPLES_PER_FWHM:g}); results may be inaccurate"
-    )
+    return Diagnostic(code, f"{what} has {shown:.1f} samples per FWHM (< {MIN_SAMPLES_PER_FWHM:g})")
 
 
 def jsa_bytes(n_s: int, n_i: int) -> int:
@@ -378,10 +375,12 @@ def build_jsa(
     The linear phasematching phase is dropped (module docstring); for the
     gaussian profile the result equals :func:`evaluate_gaussian_jsa` of
     :func:`gaussian_jsa_params` pointwise, with peak modulus 1.  Kernels that
-    need a norm divide by it themselves.  A grid coarser than ~8 samples per
-    marginal FWHM gets a warning recorded in the provenance, and so does one
-    whose step turns the pump's chirp phase by more than pi at sigma_p
-    (``2 |beta| sigma_p dnu > pi``, dnu the larger step).
+    need a norm divide by it themselves.  The provenance records a
+    :class:`~biphoton.errors.Diagnostic` for a marginal FWHM the grid does not
+    resolve (``unresolved-marginal``) or samples fewer than 8 times
+    (``coarse-marginal``), and for a step that turns the pump's chirp phase by
+    more than pi at sigma_p (``coarse-chirp``: ``2 |beta| sigma_p dnu > pi``,
+    dnu the larger step).
     """
     if grid is None:
         grid = auto_grid(pump, pm)
@@ -410,7 +409,7 @@ def build_jsa(
     power.flags.writeable = False
 
     # filled below from the state's intensity, before the state is returned
-    warnings: list[str] = []
+    warnings: list[Diagnostic] = []
     provenance = {
         "kind": "model",
         "pump": asdict(pump),
@@ -434,17 +433,17 @@ def build_jsa(
         try:
             width = intensity_fwhm(np.arange(curve.size) * d, curve)
         except (DomainError, CoverageError):
-            warnings.append(f"{label} {UNRESOLVED_MARGINAL}")
+            warnings.append(Diagnostic("unresolved-marginal",
+                                       f"{label} marginal FWHM not resolved on this grid",
+                                       doubtful=False))
             continue
         if width / d < MIN_SAMPLES_PER_FWHM:
-            warnings.append(_resolution_warning(f"{label} marginal", width / d))
+            warnings.append(_resolution_warning("coarse-marginal", f"{label} marginal", width / d))
     # the pump's phase beta nu^2 turns by 2 |beta| nu dnu a step, taken at nu = sigma_p
     phase_step = 2.0 * abs(float(pump.beta)) * float(pump.sigma_p) * max(grid.d_nu_s, grid.d_nu_i)
     if phase_step > math.pi:
-        warnings.append(
-            f"pump chirp phase turns {phase_step:.3g} rad per grid step at sigma_p (> pi); "
-            "results may be inaccurate"
-        )
+        warnings.append(Diagnostic("coarse-chirp", f"pump chirp phase turns {phase_step:.3g} rad "
+                                   "per grid step at sigma_p (> pi)"))
     return out
 
 
@@ -502,7 +501,8 @@ def apply_spectral_filter(
     """Multiply the amplitude by a filter transmission along the target axis.
 
     A filter whose width spans fewer than :data:`MIN_SAMPLES_PER_FWHM` steps
-    of a filtered axis gets a warning in the filtered state's provenance.
+    of a filtered axis gets a ``coarse-filter`` diagnostic in the filtered
+    state's provenance.
     """
     amp = np.array(state.amplitude)
     step = 0.0
@@ -521,7 +521,8 @@ def apply_spectral_filter(
     if filt.width / step < MIN_SAMPLES_PER_FWHM:
         # a new list: the parent state keeps its own warnings
         prov["warnings"] = [
-            *prov.get("warnings", ()), _resolution_warning("filter", filt.width / step)
+            *prov.get("warnings", ()),
+            _resolution_warning("coarse-filter", "filter", filt.width / step),
         ]
     prov["filters"] = [*prov.get("filters", ()), asdict(filt)]
     return JointSpectralAmplitude(state.grid, amp, prov)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from biphoton import PhasematchSpec, PumpSpec
+from biphoton import PhasematchSpec, PumpSpec, gaussian_jsa_params
 from biphoton.jsa import CLASSIFICATION_SUPPORT_FLOOR, _read_only
 from biphoton.spectral import phasematching_profile, pump_envelope
 
@@ -57,6 +57,33 @@ def random_source(rng, profile="gaussian"):
     gamma = rng.uniform(0.1, 1.0)
     beta = rng.uniform(-1e-26, 1e-26)
     return make_pump(sigma, beta), make_pm(tau_s, tau_i, gamma, profile)
+
+
+def gaussian_norm(pump, pm):
+    """The integral of |f|^2 over the plane for the gaussian profile: pi / (2 sqrt(ab - c^2)).
+
+    |f|^2 = exp(-2 (a nu_s^2 + 2 c nu_s nu_i + b nu_i^2)), with a, b, c the
+    real parts of :func:`~biphoton.jsa.gaussian_jsa_params`.
+    """
+    params = gaussian_jsa_params(pump, pm)
+    a, b, c = params.c_ss.real, params.c_ii.real, params.c_si.real
+    return math.pi / (2.0 * math.sqrt(a * b - c * c))
+
+
+def sinc_norm(pump, pm):
+    """The integral of |f|^2 over the plane for the sinc profile.
+
+    In the coordinates u = nu_s + nu_i and x = (tau_s nu_s + tau_i nu_i) / 2
+    the area element is 2 / |tau_s - tau_i| du dx, and |f|^2 is
+    exp(-2 u^2 / sigma_p^2) sinc^2(x), whose integrals are sigma_p sqrt(pi/2)
+    and pi: the norm is 2 pi sigma_p sqrt(pi/2) / |tau_s - tau_i|.
+    """
+    return 2.0 * math.pi * pump.sigma_p * math.sqrt(math.pi / 2.0) / abs(pm.tau_s - pm.tau_i)
+
+
+def grid_norm(state):
+    """The grid's sum of |f|^2 times the cell area: the norm as the kernels sample it."""
+    return float(np.sum(state.intensity)) * state.grid.d_nu_s * state.grid.d_nu_i
 
 
 def matmul_overlap(state, delays):

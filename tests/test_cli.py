@@ -862,3 +862,58 @@ def test_warns_without_a_blas_thread_setter(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("warning: ") and err.count("\n") == 1
     assert "OPENBLAS_NUM_THREADS" in err
+
+
+def run_into_closed_pipe(tmp_path, argv, stream, **env):
+    """The CLI in a fresh interpreter in ``tmp_path``, with ``stream`` ("stdout"
+    or "stderr") a pipe whose reader has closed; ``env`` is added to a
+    buffered environment without $BIPHOTON_OUTDIR."""
+    env = {**{key: value for key, value in os.environ.items()
+              if key not in ("PYTHONUNBUFFERED", "BIPHOTON_OUTDIR")},
+           "PYTHONPATH": str(Path(biphoton.__file__).resolve().parents[1]), **env}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    streams = {"stdout": subprocess.DEVNULL, "stderr": subprocess.PIPE, stream: write_end}
+    try:
+        return subprocess.run([sys.executable, "-m", "biphoton.cli", *argv], cwd=tmp_path,
+                              text=True, env=env, timeout=120, **streams)
+    finally:
+        os.close(write_end)
+
+
+COARSE_64 = "".join(
+    f"warning: {arm} marginal has {samples} samples per FWHM (< 8); results may be inaccurate\n"
+    for arm, samples in (("signal", "6.3"), ("idler", "7.9"))
+)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv,files,err", [
+    (["presets"], [], ""),
+    (["hom", "--preset", "ppktp-8mm", "--model", "gaussian"], ["hom.json", "scan.csv"], ""),
+    (["simulate", "--preset", "ppktp-8mm", "--grid-n", "64"],
+     ["jsa.csv", "jsi.csv", "marginals.csv", "schmidt.json"], COARSE_64),
+    # the fit's warning is printed before the first stdout line
+    (["analyze", "too_deep.csv"], ["fit.json"],
+     "warning: fitted visibility 1.068 outside [0, 1.05]: model mismatch?\n"),
+], ids=["presets", "hom-gaussian", "simulate-64", "analyze-warns"])
+def test_closed_stdout_ends_a_finished_run(tmp_path, argv, files, err, unbuffered):
+    # stdout's reader closed before the run began: a finished run exits 0
+    # with its files, and nothing but its warnings on stderr
+    delays = np.linspace(-3.0, 3.0, 121)
+    counts = np.clip(1e3 * (1 - 1.15 * np.exp(-4 * np.log(2) * (delays / 1.2) ** 2)), 0, None)
+    (tmp_path / "too_deep.csv").write_text("delay_ps,coincidences\n" + "".join(
+        f"{d:.3f},{c:.6g}\n" for d, c in zip(delays, counts)))
+    proc = run_into_closed_pipe(tmp_path, argv, "stdout",
+                                **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    assert (proc.returncode, proc.stderr) == (0, err)
+    assert all((tmp_path / name).is_file() for name in files)
+
+
+def test_closed_stderr_still_fails_a_run_that_warns(tmp_path):
+    # the grid's warnings go to stderr before any file is written: a reader
+    # that has closed stderr fails the run (exit 1, or 120 when the error line
+    # cannot be written either), which writes nothing
+    argv = ["simulate", "--preset", "ppktp-8mm", "--grid-n", "64", "--out", "out"]
+    assert run_into_closed_pipe(tmp_path, argv, "stderr").returncode != 0
+    assert not (tmp_path / "out").exists()

@@ -164,6 +164,10 @@ RUNS = (
     # both the grid and the filter warn, and the failure names both flags
     Run("simulate-n5-filter-0.5-fails",
         ("simulate", *_P, "--grid-n", "5", "--filter-fwhm-nm", "0.5", *_OUT), quick=True),
+    # both the grid and the filter warn, and the run succeeds: the warnings'
+    # order on stderr, in the grid headers and in schmidt.json
+    Run("simulate-n32-filter-0.5",
+        ("simulate", *_P, "--grid-n", "32", "--filter-fwhm-nm", "0.5", *_OUT), quick=True),
     Run("simulate-span-overflow-fails",
         ("simulate", *_P, "--grid-span-fwhms", "1e300", "--grid-n", "16", *_OUT)),
     Run("simulate-span-1e200-fails",
@@ -219,6 +223,11 @@ RUNS = (
     Run("hom-aliased-128-fails",
         ("hom", *_P, "--model", "numeric", "--grid-n", "128", "--delay-span", "23.24", *_OUT),
         quick=True),
+    # a sweep's 9.28 ps scans on a grid whose delay period is 4.243 ps: the
+    # failure names --grid-n alone, as a sweep has no --delay-span
+    Run("sweep-aliased-16-fails",
+        ("sweep", *_P, "--model", "numeric-gaussian", "--grid-n", "16", "--axis", "pump_fwhm",
+         "--start", "1", "--stop", "2", "--steps", "2", *_OUT), quick=True),
     Run("hom-sinc-span-1e200-fails",
         ("hom", *_P, "--model", "numeric-sinc", "--grid-span-fwhms", "1e200", "--grid-n", "16",
          *_OUT), quick=True),
