@@ -47,7 +47,6 @@ from .jsa import (
     auto_grid,
     build_jsa,
     correlation_classification,
-    evaluate_gaussian_jsa,
     gaussian_jsa_params,
     gaussian_marginal_fwhms,
     gaussian_schmidt_number,
@@ -60,7 +59,6 @@ from .hom import (
     DelayScan,
     HOMResult,
     coincidence_rate_gaussian,
-    coincidence_rate_numeric,
     coincidence_rate_sinc,
     coincidence_scan,
     correlation_time_gaussian,

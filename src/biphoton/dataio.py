@@ -4,6 +4,8 @@ CSV conventions
 ---------------
 * measured scans: header ``delay_ps,coincidences[,sigma]`` (or ``delay_mm``
   for double-pass stage travel, converted as ``tau = 2 x / c``);
+* simulated scans: ``tau_ps,rate``, which :func:`load_scan` also reads, the
+  rates as counts;
 * joint spectra: ``lambda_s_nm,lambda_i_nm,intensity`` with wavelength axes;
   :func:`load_jsi` also reads ``nu_s_rad_s,nu_i_rad_s,intensity`` with
   detuning axes, as measured spectra may come that way;
@@ -313,6 +315,8 @@ class MeasuredScan:
 
 
 def _scan_header_problem(header: list[str]) -> str | None:
+    if header[0] == "tau_ps":  # a simulated scan, as ``hom`` writes it
+        return None if header == ["tau_ps", "rate"] else "a simulated scan's columns are tau_ps,rate"
     if header[0] not in ("delay_ps", "delay_mm"):
         return f"first column must be delay_ps or delay_mm, got {header[0]!r}"
     if len(header) < 2 or header[1] != "coincidences":
@@ -323,10 +327,11 @@ def _scan_header_problem(header: list[str]) -> str | None:
 
 
 def load_scan(path) -> MeasuredScan:
-    """Read a measured scan CSV; delay unit comes from the header, never guessed."""
+    """Read a measured scan CSV, or a simulated ``tau_ps,rate`` one, its rates
+    taken as counts; the delay unit comes from the header, never guessed."""
     path = Path(path)
     comments, header, data = _read_csv(path, _scan_header_problem)
-    if header[0] == "delay_ps":
+    if header[0] in ("delay_ps", "tau_ps"):
         delays_s = data[:, 0] * 1e-12
     else:
         # double-pass delay stage: path difference is twice the travel

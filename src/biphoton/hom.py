@@ -67,8 +67,10 @@ class DelayScan:
         rates = np.asarray(self.rates, dtype=float)
         if delays.ndim != 1 or delays.shape != rates.shape:
             raise DomainError("delays and rates must be 1-D arrays of equal length")
+        if delays.size == 0:
+            raise DomainError("delays must not be empty")
         # compared in place: np.diff would add a temporary of 8 bytes a row
-        if delays.size < 2 or not np.all(delays[1:] > delays[:-1]):
+        if not np.all(delays[1:] > delays[:-1]):
             raise DomainError("delays must be strictly increasing")
         # written so that a NaN, which fails every comparison, is refused too
         if not (np.min(rates) >= -1e-9 and np.max(rates) <= 1.0 + _RATE_SLACK):
@@ -120,13 +122,8 @@ def _exchange_overlap(state: JointSpectralAmplitude, delays: np.ndarray) -> np.n
     return (diag[0].real + 2.0 * lag_sum.real) / float(np.sum(state.intensity))
 
 
-def coincidence_rate_numeric(state: JointSpectralAmplitude, tau: float) -> float:
-    """Coincidence rate at one relative delay, by grid quadrature."""
-    return float(1.0 - _exchange_overlap(state, np.asarray([float(tau)]))[0])
-
-
 def coincidence_scan(state: JointSpectralAmplitude, delays) -> DelayScan:
-    """Vectorized coincidence rates over a delay axis."""
+    """Coincidence rates over a delay axis, by grid quadrature; one delay gives one rate."""
     delays = np.asarray(delays, dtype=float)
     rates = np.clip(1.0 - _exchange_overlap(state, delays), 0.0, None)
     rates.flags.writeable = False  # fresh: DelayScan adopts it

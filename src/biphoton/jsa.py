@@ -294,21 +294,6 @@ def gaussian_jsa_params(pump: PumpSpec, pm: PhasematchSpec) -> GaussianJsaParams
     )
 
 
-def evaluate_gaussian_jsa(params: GaussianJsaParams, grid: FrequencyGrid) -> np.ndarray:
-    """Sample the closed-form Gaussian amplitude on a grid.
-
-    The quadratic form is evaluated as a completed square,
-    ``c_ss (nu_s + (c_si/c_ss) nu_i)^2 + (c_ii - c_si^2/c_ss) nu_i^2``,
-    which avoids the catastrophic cancellation the expanded three-term sum
-    suffers along the amplitude ridge.
-    """
-    ns = grid.nu_s[:, None]
-    ni = grid.nu_i[None, :]
-    shift = params.c_si / params.c_ss
-    residual = params.c_ii - params.c_si * shift
-    return np.exp(-(params.c_ss * (ns + shift * ni) ** 2 + residual * ni * ni))
-
-
 def _determinant(params: GaussianJsaParams, what: str) -> float:
     """``c_ss c_ii - c_si^2`` of the real parts, refused if it is not a positive
     number: a product that overflows (inf - inf reads nan) names ``what``."""
@@ -373,9 +358,10 @@ def build_jsa(
     :attr:`JointSpectralAmplitude.intensity`.
 
     The linear phasematching phase is dropped (module docstring); for the
-    gaussian profile the result equals :func:`evaluate_gaussian_jsa` of
-    :func:`gaussian_jsa_params` pointwise, with peak modulus 1.  Kernels that
-    need a norm divide by it themselves.  The provenance records a
+    gaussian profile the result equals, pointwise, the closed form
+    ``exp(-(c_ss nu_s^2 + 2 c_si nu_s nu_i + c_ii nu_i^2))`` with the
+    coefficients of :func:`gaussian_jsa_params`: peak modulus 1.  Kernels
+    that need a norm divide by it themselves.  The provenance records a
     :class:`~biphoton.errors.Diagnostic` for a marginal FWHM the grid does not
     resolve (``unresolved-marginal``) or samples fewer than 8 times
     (``coarse-marginal``), and for a step that turns the pump's chirp phase by

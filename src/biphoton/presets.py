@@ -6,7 +6,8 @@ an 8 mm periodically poled KTP waveguide producing frequency-degenerate
 type-II pairs at 1535 nm.  Its walk-off parameters are not measured values:
 they are solved from two published constraints (see
 :func:`derive_walkoffs_from_ridge_and_dip`) and the file records that
-provenance.
+provenance.  ``tests/test_presets.py`` holds the published constants and
+re-executes the derivation against the file.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .spectral import (
     PhasematchSpec,
     PumpSpec,
     wavelength_fwhm_to_sigma,
-    wavelength_to_angular_frequency,
 )
 
 
@@ -152,24 +152,3 @@ def preset_with_pump(
         profile=preset.pm.profile if profile is None else profile,
     )
     return replace(preset, pump=pump, pm=pm)
-
-
-def ppktp_reference_values() -> dict:
-    """Constants the shipped ppktp-8mm preset is derived from.
-
-    Kept as a function (not the file) so tests can re-execute the derivation
-    and confirm the file content.
-    """
-    lam_pump = 767.5e-9
-    lam_pdc = 1535e-9
-    return {
-        "pump_wavelength": lam_pump,
-        "pdc_wavelength": lam_pdc,
-        "pump_omega0": float(wavelength_to_angular_frequency(lam_pump)),
-        "pdc_omega0": float(wavelength_to_angular_frequency(lam_pdc)),
-        "length": 8e-3,
-        "gamma": GAMMA_SINC_MATCH,
-        "ridge_angle_deg": 59.0,
-        "dip_fwhm": 1.16e-12,
-        "default_pump_fwhm_nm": 2.0,
-    }

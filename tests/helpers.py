@@ -59,6 +59,21 @@ def random_source(rng, profile="gaussian"):
     return make_pump(sigma, beta), make_pm(tau_s, tau_i, gamma, profile)
 
 
+def evaluate_gaussian_jsa(params, grid):
+    """The closed-form gaussian-profile amplitude on a grid: the oracle for ``build_jsa``.
+
+    The quadratic form is evaluated as a completed square,
+    ``c_ss (nu_s + (c_si/c_ss) nu_i)^2 + (c_ii - c_si^2/c_ss) nu_i^2``,
+    which avoids the catastrophic cancellation the expanded three-term sum
+    suffers along the amplitude ridge.
+    """
+    ns = grid.nu_s[:, None]
+    ni = grid.nu_i[None, :]
+    shift = params.c_si / params.c_ss
+    residual = params.c_ii - params.c_si * shift
+    return np.exp(-(params.c_ss * (ns + shift * ni) ** 2 + residual * ni * ni))
+
+
 def gaussian_norm(pump, pm):
     """The integral of |f|^2 over the plane for the gaussian profile: pi / (2 sqrt(ab - c^2)).
 

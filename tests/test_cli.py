@@ -649,6 +649,25 @@ class TestAnalyze:
         # file parses back as a measured scan
         assert load_scan(scan_file).delays.size == len(rows)
 
+    def test_reads_the_scan_hom_writes(self, tmp_path):
+        # the noiseless closed-form scan fits back to the closed-form values
+        assert run(tmp_path, "hom", "--preset", "ppktp-8mm", "--model", "gaussian") == 0
+        hom = json.loads((tmp_path / "hom.json").read_text())
+        assert run(tmp_path / "fit", "analyze", str(tmp_path / "scan.csv")) == 0
+        fit = json.loads((tmp_path / "fit" / "fit.json").read_text())
+        assert fit["t_c_ps"] == pytest.approx(hom["closed_form_t_c_ps"], rel=1e-6)
+        assert fit["visibility"] == pytest.approx(hom["visibility_coefficient"], rel=1e-6)
+
+    @pytest.mark.parametrize("header", ["tau_ps,coincidences", "tau_ps,rate,sigma", "tau_ps"])
+    def test_simulated_header_is_exact(self, tmp_path, capsys, header):
+        # the header is refused before the body is read
+        scan = tmp_path / "scan.csv"
+        scan.write_text(f"{header}\n" + "".join(f"{d},1\n" for d in range(12)))
+        assert run(tmp_path / "out", "analyze", str(scan)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {scan}:1: a simulated scan's columns are tau_ps,rate\n"
+        )
+
     def test_visibility_outside_band_warns(self, tmp_path, capsys):
         # a dip 1.15 deep, clipped at zero counts: the Gaussian fit reads 1.068
         delays = np.linspace(-3.0, 3.0, 121)

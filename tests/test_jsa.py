@@ -20,7 +20,6 @@ from biphoton import (
     auto_grid,
     build_jsa,
     correlation_classification,
-    evaluate_gaussian_jsa,
     gaussian_jsa_params,
     gaussian_schmidt_number,
     intensity_fwhm,
@@ -40,7 +39,7 @@ from biphoton.spectral import pump_envelope, sinc
 
 from helpers import FILTER_KEYS, PM_KEYS, PUMP_KEYS, make_pm, make_pump, random_source
 from helpers import record_fields, whole_grid_amplitude, whole_grid_rho
-from helpers import gaussian_norm, grid_norm, sinc_norm
+from helpers import evaluate_gaussian_jsa, gaussian_norm, grid_norm, sinc_norm
 
 
 def reference_pump_envelope(pump, nu):

@@ -14,13 +14,27 @@ from biphoton import (
     preset_with_pump,
     wavelength_fwhm_to_sigma,
 )
-from biphoton.presets import (
-    _parse_preset_text,
-    derive_walkoffs_from_ridge_and_dip,
-    ppktp_reference_values,
-)
+from biphoton.presets import _parse_preset_text, derive_walkoffs_from_ridge_and_dip
+from biphoton.spectral import GAMMA_SINC_MATCH, wavelength_to_angular_frequency
 
 from helpers import PM_KEYS, PUMP_KEYS, record_fields
+
+
+def ppktp_reference_values() -> dict:
+    """The published constants the shipped ppktp-8mm preset is derived from."""
+    lam_pump = 767.5e-9
+    lam_pdc = 1535e-9
+    return {
+        "pump_wavelength": lam_pump,
+        "pdc_wavelength": lam_pdc,
+        "pump_omega0": float(wavelength_to_angular_frequency(lam_pump)),
+        "pdc_omega0": float(wavelength_to_angular_frequency(lam_pdc)),
+        "length": 8e-3,
+        "gamma": GAMMA_SINC_MATCH,
+        "ridge_angle_deg": 59.0,
+        "dip_fwhm": 1.16e-12,
+        "default_pump_fwhm_nm": 2.0,
+    }
 
 
 class TestDerivation:

@@ -40,3 +40,19 @@ def test_a_changed_byte_is_reported(tmp_path, monkeypatch):
         "simulate-n4/exit: 0 -> 3",
         "simulate-n4/out/jsi.csv: differs",
     ]
+
+
+def test_the_order_of_stdout_and_stderr_is_compared(tmp_path):
+    # both trees print the same two lines, one on each stream, in opposite
+    # orders: only the one pipe the harness reads both through tells them apart
+    harness = load_harness()
+    lines = ('print("out", flush=True)', 'print("err", file=sys.stderr, flush=True)')
+    trees = []
+    for name, order in (("a", lines), ("b", lines[::-1])):
+        package = tmp_path / name / "src" / "biphoton"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "cli.py").write_text("import sys\n" + "\n".join(order) + "\n")
+        trees.append(tmp_path / name)
+    run = harness.Run("order", ("presets",))
+    assert harness.differences(*trees, [run]) == ["order/output: differs"]

@@ -2,15 +2,20 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from biphoton import (
     C_M_PER_S,
     DomainError,
     PhasematchSpec,
     PumpSpec,
+    coincidence_rate_sinc,
+    correlation_time_gaussian,
     pump_envelope,
     transform_limited_duration,
     walkoff_from_group_velocities,
@@ -238,6 +243,42 @@ class TestWalkoffs:
         assert tau_s == pytest.approx(ppktp.pm.tau_s, rel=1e-12)
         assert tau_i == pytest.approx(ppktp.pm.tau_i, rel=1e-12)
         assert abs(tau_s - tau_i) == pytest.approx(2.2426e-12, rel=1e-4)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        length=st.floats(1e-3, 5e-2),
+        scale=st.floats(0.1, 10.0),
+        velocities=st.lists(st.floats(1.35e8, 1.65e8), min_size=4, max_size=4),
+    )
+    def test_dispersion_alone_sets_the_dip(self, length, scale, velocities):
+        # the paper's claim: the dip width is the crystal's, L |1/u_s - 1/u_i|,
+        # so changing only the pump's group velocity u_p leaves the gaussian
+        # dip FWHM and the sinc dip's support |tau| < |tau_s - tau_i| / 2 as
+        # they are, and both grow linearly with the length
+        u_s, u_i, u_p, other_u_p = velocities
+        assume(min(abs(a - b) for a, b in [(u_s, u_i), (u_s, u_p), (u_i, u_p),
+                                           (u_s, other_u_p), (u_i, other_u_p)]) > 1.5e5)
+        pump = PumpSpec(omega_p0=2 * OMEGA_1535, sigma_p=3e12)
+
+        def source(length, u_p):
+            tau_s, tau_i = walkoff_from_group_velocities(length, u_s, u_i, u_p)
+            return make_pm(tau_s, tau_i, length=length)
+
+        def dip(pm, edge):
+            """The gaussian dip FWHM, and whether the sinc dip's support ends at ``edge``."""
+            inside, beyond = coincidence_rate_sinc(
+                pump, replace(pm, profile="sinc"), [edge * (1 - 1e-9), edge * (1 + 1e-9)]
+            )
+            return correlation_time_gaussian(pm), inside < 1.0 and beyond == 1.0
+
+        pm = source(length, u_p)
+        edge = abs(pm.tau_s - pm.tau_i) / 2
+        t_c, ends = dip(pm, edge)
+        assert ends
+        other_t_c, other_ends = dip(source(length, other_u_p), edge)
+        assert other_t_c == pytest.approx(t_c, rel=1e-9) and other_ends
+        longer_t_c, longer_ends = dip(source(scale * length, u_p), scale * edge)
+        assert longer_t_c == pytest.approx(scale * t_c, rel=1e-9) and longer_ends
 
     def test_errors(self):
         with pytest.raises(DomainError):

@@ -8,12 +8,15 @@ trees are byte-compiled first, so that neither side's runs differ by whether
 they find bytecode.  Each run in :data:`RUNS` then executes
 ``python -m biphoton.cli ARGV`` once per tree, with that tree's ``src`` on
 ``PYTHONPATH``, in a fresh temporary directory that holds the run's input
-files.  For every run the script compares the sha256 of each file the run
-leaves in its directory, its stdout, its stderr and its exit code; the
-temporary directory and the tree root are masked in the two streams.
+files.  Stdout and stderr go through one pipe, so the order of their lines
+counts, and ``PYTHONUNBUFFERED`` is removed from the child's environment, so
+stdout is block-buffered whatever the caller's shell sets.  For every run
+the script compares the sha256 of each file the run leaves in its directory,
+of that output and its exit code; the temporary directory and the tree root
+are masked in the output.
 
-It prints one line per difference, named ``RUN/FILE`` (``RUN/stdout``,
-``RUN/stderr`` and ``RUN/exit`` for the streams), and exits 1 unless every
+It prints one line per difference, named ``RUN/FILE`` (``RUN/output`` and
+``RUN/exit`` for the output and the exit code), and exits 1 unless every
 difference matches an ``--expect`` glob, which names a documented output
 change.  No hashes are stored: numpy's SIMD kernels and LAPACK differ by CPU,
 so the two sides are always run on the same machine.
@@ -84,6 +87,16 @@ def _messy_scan_text() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _simulated_scan_text() -> str:
+    """A noiseless 1.16 ps dip of visibility 0.97 in the ``tau_ps,rate`` layout of ``hom``."""
+    lines = ["tau_ps,rate"]
+    for k in range(101):
+        tau = -4.0 + 8.0 * k / 100
+        rate = 1.0 - 0.97 * math.exp(-4.0 * math.log(2.0) * (tau / 1.16) ** 2)
+        lines.append(f"{tau:.3f},{rate:.9g}")
+    return "\n".join(lines) + "\n"
+
+
 def _bad_row_scan_text() -> str:
     """A no-break-space padded good row on line 3 and a bad one on line 8."""
     rows = [f"{t},100" for t in range(12)]
@@ -110,6 +123,7 @@ INPUTS = {
     "messy_scan.csv": _messy_scan_text(),
     "bad_row_scan.csv": _bad_row_scan_text(),
     "too_deep_scan.csv": _too_deep_scan_text(),
+    "simulated_scan.csv": _simulated_scan_text(),
 }
 
 _P = ("--preset", "ppktp-8mm")
@@ -279,6 +293,7 @@ RUNS = (
         quick=True),
     Run("analyze-visibility-warning", ("analyze", "too_deep_scan.csv", *_OUT), quick=True),
     Run("analyze-bad-row-fails", ("analyze", "bad_row_scan.csv", *_OUT)),
+    Run("analyze-simulated-scan", ("analyze", "simulated_scan.csv", *_OUT), quick=True),
     Run("analyze-sinc-no-dip-fails",
         ("analyze", "scan.csv", "--model", "sinc-kernel-dip", *_P, "--pump-fwhm-nm", "1e17",
          *_OUT)),
@@ -291,7 +306,8 @@ def _digest(data: bytes) -> str:
 
 def run_once(tree: Path, run: Run) -> dict[str, str]:
     """Run ``run`` against ``tree``; map each compared item to its sha256 (exit: the code)."""
-    env = {key: value for key, value in os.environ.items() if key != "BIPHOTON_OUTDIR"}
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("BIPHOTON_OUTDIR", "PYTHONUNBUFFERED")}
     env["PYTHONPATH"] = str(tree / "src")
     env["OPENBLAS_NUM_THREADS"] = "1"
     with tempfile.TemporaryDirectory(prefix="same_bytes_") as tmp:
@@ -300,20 +316,13 @@ def run_once(tree: Path, run: Run) -> dict[str, str]:
             (work / name).write_text(text, encoding="utf-8")
         proc = subprocess.run(
             [sys.executable, "-m", "biphoton.cli", *run.argv],
-            cwd=work, env=env, capture_output=True, timeout=600,
+            cwd=work, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, timeout=600,
         )
-
-        def masked(stream: bytes) -> bytes:
-            for path, mark in ((work, b"<RUN>"), (tree, b"<TREE>")):
-                stream = stream.replace(os.fsencode(path.resolve()), mark)
-                stream = stream.replace(os.fsencode(path), mark)
-            return stream
-
-        items = {
-            "exit": str(proc.returncode),
-            "stdout": _digest(masked(proc.stdout)),
-            "stderr": _digest(masked(proc.stderr)),
-        }
+        output = proc.stdout
+        for path, mark in ((work, b"<RUN>"), (tree, b"<TREE>")):
+            output = output.replace(os.fsencode(path.resolve()), mark)
+            output = output.replace(os.fsencode(path), mark)
+        items = {"exit": str(proc.returncode), "output": _digest(output)}
         for path in sorted(work.rglob("*")):
             name = path.relative_to(work).as_posix()
             if path.is_file() and name not in INPUTS:
