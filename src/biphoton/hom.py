@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageError, DomainError, GridError, NoDipError, UnsupportedProfileError
-from .jsa import JointSpectralAmplitude, _read_only, intensity_fwhm
+from .jsa import JointSpectralAmplitude, _read_only, _squared_norm, intensity_fwhm
 from .spectral import GAUSSIAN_FWHM_FACTOR, PhasematchSpec, PumpSpec, sigma_p_squared
 
 # A dip shallower than this is treated as "no dip" by the readout.
@@ -103,13 +103,15 @@ def _exchange_overlap(state: JointSpectralAmplitude, delays: np.ndarray) -> np.n
 
     On the uniform square grid the phase depends on j - k only, so the
     double sum is taken over the diagonal sums D_m, and their lag sum by
-    Horner's rule (module docstring).
+    Horner's rule (module docstring).  A state whose ``Int |f|^2`` underflows
+    or overflows is refused first (:func:`~biphoton.jsa._squared_norm`).
     """
     if not state.grid.is_square:
         raise GridError(
             "coincidence rates need a square grid (identical signal/idler axes) "
             "so the exchanged amplitude is a transpose"
         )
+    total = _squared_norm(state)
     f = state.amplitude
     n = f.shape[0]
     # D_m = sum_k f[k+m, k] f*[k, k+m]; D_{-m} is its conjugate
@@ -119,7 +121,7 @@ def _exchange_overlap(state: JointSpectralAmplitude, delays: np.ndarray) -> np.n
     for d_m in diag[:0:-1].tolist():
         lag_sum += d_m
         lag_sum *= z
-    return (diag[0].real + 2.0 * lag_sum.real) / float(np.sum(state.intensity))
+    return (diag[0].real + 2.0 * lag_sum.real) / total
 
 
 def coincidence_scan(state: JointSpectralAmplitude, delays) -> DelayScan:

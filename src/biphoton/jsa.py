@@ -407,11 +407,7 @@ def build_jsa(
     out = JointSpectralAmplitude(grid, amp, provenance)
     # seeds the cached property with the bits it would compute
     out.__dict__["intensity"] = power
-    if not np.any(out.intensity):
-        raise EmptyStateError(
-            "joint spectral intensity underflows to zero: the amplitude peaks at "
-            f"{np.max(np.abs(amp)):.3g} on this grid"
-        )
+    _squared_norm(out)
     for label, curve, d in (
         ("signal", out.intensity.sum(axis=1), grid.d_nu_s),
         ("idler", out.intensity.sum(axis=0), grid.d_nu_i),
@@ -431,6 +427,23 @@ def build_jsa(
         warnings.append(Diagnostic("coarse-chirp", f"pump chirp phase turns {phase_step:.3g} rad "
                                    "per grid step at sigma_p (> pi)"))
     return out
+
+
+def _squared_norm(state: JointSpectralAmplitude) -> float:
+    """``sum |f|^2``, the sum of the state's ``intensity``, for a kernel to divide by.
+
+    Raises EmptyStateError if it underflows to zero and DomainError if it
+    overflows, before the caller divides by it.
+    """
+    total = float(np.sum(state.intensity))
+    if total == 0.0:
+        raise EmptyStateError(
+            "joint spectral intensity underflows to zero: the amplitude peaks at "
+            f"{np.max(np.abs(state.amplitude)):.3g} on this grid"
+        )
+    if not math.isfinite(total):
+        raise DomainError(f"amplitude is not normalizable: its intensity sums to {total}")
+    return total
 
 
 def jsi(state: JointSpectralAmplitude) -> np.ndarray:
@@ -557,18 +570,16 @@ def _extend_range(
     return y if q is None else np.linalg.qr(np.hstack([q, y]))[0]
 
 
-def _certified_spectrum(state: JointSpectralAmplitude):
-    """``(sigma, ||f||^2, tail)`` from the smallest certified sketch, or None.
+def _certified_spectrum(state: JointSpectralAmplitude, total: float):
+    """``(sigma, tail)`` from the smallest certified sketch of a state of mass
+    ``total`` = ``||f||^2``, or None.
 
-    None where the full SVD is due: the mass ``||f||^2`` is not a positive
-    finite number, or ``4 r`` reaches the grid's shorter side, at once (n <=
-    4 :data:`_SKETCH_RANK`) or after the rank has doubled.  Each doubling
-    extends the basis the last sketch found rather than starting again.
+    None where the full SVD is due: ``4 r`` reaches the grid's shorter side,
+    at once (n <= 4 :data:`_SKETCH_RANK`) or after the rank has doubled.  Each
+    doubling extends the basis the last sketch found rather than starting
+    again.
     """
     f = state.amplitude
-    total = float(np.sum(state.intensity))
-    if not 0 < total < math.inf:
-        return None
     if not f.imag.any():  # exactly real, as an unchirped source is
         f = np.ascontiguousarray(f.real)
     rng = np.random.default_rng(0)
@@ -578,7 +589,7 @@ def _certified_spectrum(state: JointSpectralAmplitude):
         s = np.linalg.svd(q.conj().T @ f, compute_uv=False)
         tail = max(total - float(np.sum(s * s)), 0.0) / total
         if tail <= _SKETCH_TAIL:
-            return s, total, tail
+            return s, tail
         rank *= 2
     return None
 
@@ -617,15 +628,17 @@ def schmidt_decompose(state: JointSpectralAmplitude) -> SchmidtResult:
     n = 512.  These are the certified bounds; on the test suite's random
     sources and the paper's operating points the sketch was far closer (K
     within 5e-15 relative, the first 16 coefficients within about 1e-15).
+
+    A mass that underflows to zero or overflows is refused before any SVD
+    (:func:`_squared_norm`).
     """
-    sketch = _certified_spectrum(state)
+    total = _squared_norm(state)
+    sketch = _certified_spectrum(state, total)
     if sketch is None:
         s = np.linalg.svd(state.amplitude, compute_uv=False)
         total, tail = float(np.sum(s * s)), 0.0
     else:
-        s, total, tail = sketch
-    if not total > 0 or not np.isfinite(total):
-        raise DomainError("amplitude is not normalizable")
+        s, tail = sketch
     lam = s / math.sqrt(total)
     k = 1.0 / float(np.sum(lam**4))
     nz = lam[lam > 1e-18] ** 2

@@ -24,15 +24,18 @@ each line of constant ``j + k`` gives ``N c^2 sum_D A[D] exp(-2 pi i D d / N)``,
 with ``c = dnu^2 / (2 pi)`` the transform's scale and
 ``A[D] = sum_jk f[j, k] f*[j - D, k + D]`` the autocorrelation along the
 anti-diagonals (``D = -(n - 1) .. n - 1``); the sum-time projection is the
-same along the diagonals, ``A[D] = sum_jk f[j, k] f*[j - D, k - D]``.  Each
-line's autocorrelation is one FFT of length 2n, the lines taken
-:data:`_LINE_BLOCK` at a time; one FFT of length N of the summed lags then
-gives the projection on the JTA's dt grid.  That is O(n^2 log n) time and
+same along the diagonals, ``A[D] = sum_jk f[j, k] f*[j - D, k - D]``.  The
+lines are taken :data:`_LINE_BLOCK` at a time, each placed from position 0,
+and a block's autocorrelations are one FFT per line at the smallest power of
+two that holds the 2L - 1 lags of the block's longest line (L cells), at
+most 2n (at n = 512 that is 0.67 of the points that padding every line to
+2n transforms).  One FFT of length N of the summed lags then gives the
+projection on the JTA's dt grid.  That is O(n^2 log n) time and
 O(n _LINE_BLOCK) memory, and nothing N x N is made.  With ``oversample`` 1
 the lines wrap around the torus: line ``j + k = s`` and line ``s + n`` fill
-disjoint parts of one line.  The zero lag summed over all lines is
-sum |f|^2, and it is checked against the state's intensity as the transform
-checks Parseval.  The torus folds ``|t_s -+ t_i| > N dt / 2`` back into the
+disjoint parts of one line, which keeps its cells at positions j and its 2n
+points.  The zero lag summed over all lines is sum |f|^2, and it is checked
+against the state's intensity as the transform checks Parseval.  The torus folds ``|t_s -+ t_i| > N dt / 2`` back into the
 window, where binning the N x N intensity would not; a width moves only as
 far as that folded mass moves its half-maximum crossings.
 """
@@ -49,6 +52,7 @@ import numpy as np
 from .errors import CoverageError, DomainError, GridError
 from .jsa import (
     JointSpectralAmplitude,
+    _squared_norm,
     check_memory_budget,
     intensity_fwhm,
     jsa_bytes,
@@ -58,7 +62,7 @@ from .spectral import PumpSpec, tabulated_pump_duration
 # Parseval mismatch above this aborts: it indicates a broken transform or lag sum.
 _PARSEVAL_TOL = 1e-9
 
-# JSA lines per block of the lag sums: 64 FFTs of length 2n at a time.
+# JSA lines per block of the lag sums: 64 FFTs of at most 2n points at a time.
 _LINE_BLOCK = 64
 
 
@@ -111,6 +115,7 @@ class JointTemporalAmplitude:
         dnu = state.grid.d_nu_s
         big_n = self.oversample * n
         check_memory_budget("the joint temporal amplitude", jta_bytes(n, self.oversample))
+        power_nu = _squared_norm(state) * dnu * dnu
         start = (big_n - n) // 2
         out = np.zeros((big_n, big_n), dtype=complex)
         out[start : start + n, start : start + n] = state.amplitude
@@ -120,7 +125,6 @@ class JointTemporalAmplitude:
         out = np.fft.fftshift(out)
         out *= dnu * dnu / (2.0 * math.pi)
         out.flags.writeable = False
-        power_nu = float(np.sum(state.intensity)) * dnu * dnu
         _check_parseval("the transform", power_nu, np.vdot(out, out).real * self.dt * self.dt)
         return out
 
@@ -169,31 +173,49 @@ def _check_parseval(what: str, want: float, got: float) -> None:
         raise RuntimeError(f"Parseval violated by {what}: {mismatch:.3e}")
 
 
-def _line_power(amplitude: np.ndarray, anti: bool, big_n: int) -> np.ndarray:
-    """Sum over the lines of ``amplitude`` of |FFT_2n(line)|^2.
+def _lag_sums(amplitude: np.ndarray, anti: bool, big_n: int) -> np.ndarray:
+    """The autocorrelations of the lines of ``amplitude``, summed: lag D in entry D mod 2n.
 
     Line s = 0 .. 2n - 2 holds the elements with ``j + k = s`` (``anti``) or
-    ``j - k = s - (n - 1)``, element j at position j.  On a torus of
-    ``big_n`` < 2n - 1 points, line s + big_n fills the rest of line s.
-    The lines are transformed :data:`_LINE_BLOCK` at a time.
+    ``j - k = s - (n - 1)``, placed from position 0 (a shift leaves |FFT|^2
+    unchanged).  On a torus of ``big_n`` < 2n - 1 points, line s + big_n
+    shares row s with line s, each element j at position j.  The rows are
+    transformed :data:`_LINE_BLOCK` at a time, each block at the smallest
+    power of two that holds the 2L - 1 lags of its longest line (L cells),
+    but at most 2n points; the inverse FFT of the block's summed |FFT|^2 adds
+    its lags |D| < L into the sum.
     """
     n = amplitude.shape[0]
     flat = amplitude.ravel()
     # element j of line s is flat[first + j * step]
     step = n - 1 if anti else n + 1
     rows = min(big_n, 2 * n - 1)
-    lines = np.empty((min(_LINE_BLOCK, rows), 2 * n), dtype=complex)
-    power = np.zeros(2 * n)
+    lines = np.empty(min(_LINE_BLOCK, rows) * 2 * n, dtype=complex)
+    lags = np.zeros(2 * n, dtype=complex)
     for r0 in range(0, rows, _LINE_BLOCK):
         r1 = min(r0 + _LINE_BLOCK, rows)
-        block = lines[: r1 - r0]
+        # the longest line is the one nearest s = n - 1; a row that a line
+        # wraps onto holds n cells
+        longest = n if big_n < 2 * n - 1 else n - max(r0 - (n - 1), n - r1, 0)
+        size = min(2 * n, 1 << (2 * longest - 2).bit_length())
+        block = lines[: (r1 - r0) * size].reshape(r1 - r0, size)
         block[...] = 0.0
         for s in (*range(r0, r1), *range(r0 + big_n, min(r1 + big_n, 2 * n - 1))):
             lo, hi = max(0, s - n + 1), min(n - 1, s)
             first = s if anti else n - 1 - s
-            block[s % big_n - r0, lo : hi + 1] = flat[first + lo * step : first + hi * step + 1 : step]
-        power += (np.abs(np.fft.fft(block, axis=1)) ** 2).sum(axis=0)
-    return power
+            cells = flat[first + lo * step : first + hi * step + 1 : step]
+            # row r starts at the first element of line r
+            row = s % big_n
+            start = lo - max(0, row - n + 1)
+            block[row - r0, start : start + cells.size] = cells
+        np.fft.fft(block, axis=1, out=block)
+        squares = block.view(float)
+        np.square(squares, out=squares)
+        power = squares.sum(axis=0)
+        autocorrelation = np.fft.ifft(power[0::2] + power[1::2])
+        lags[:longest] += autocorrelation[:longest]
+        lags[2 * n - longest + 1 :] += autocorrelation[size - longest + 1 :]
+    return lags
 
 
 def _projections(state: JointSpectralAmplitude, oversample: int) -> tuple[np.ndarray, np.ndarray]:
@@ -204,13 +226,12 @@ def _projections(state: JointSpectralAmplitude, oversample: int) -> tuple[np.nda
     f = state.amplitude
     n = f.shape[0]
     big_n = oversample * n
-    total = float(np.sum(state.intensity))
+    total = _squared_norm(state)
     lags = np.arange(-(n - 1), n)
     scale = big_n * (state.grid.d_nu_s**2 / (2.0 * math.pi)) ** 2
     out = []
     for anti in (True, False):
-        # autocorrelation at lag D in entry D mod 2n: the lags do not wrap
-        autocorrelation = np.fft.ifft(_line_power(f, anti, big_n))
+        autocorrelation = _lag_sums(f, anti, big_n)
         _check_parseval("the lag sums", total, autocorrelation[0].real)
         torus = np.zeros(big_n, dtype=complex)
         np.add.at(torus, lags % big_n, autocorrelation[lags])

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,11 +15,13 @@ from biphoton import (
     FrequencyGrid,
     GridError,
     JointSpectralAmplitude,
+    JointTemporalAmplitude,
     SpectralFilter,
     UnsupportedProfileError,
     apply_spectral_filter,
     auto_grid,
     build_jsa,
+    coincidence_scan,
     correlation_classification,
     gaussian_jsa_params,
     gaussian_schmidt_number,
@@ -27,6 +30,7 @@ from biphoton import (
     marginals,
     preset_with_pump,
     schmidt_decompose,
+    timing_gain,
 )
 from biphoton.dataio import MeasuredScan
 from biphoton.errors import CoverageError
@@ -248,6 +252,42 @@ def test_underflowing_intensity_refused(ppktp):
     grid = auto_grid(source.pump, source.pm, n=16, span_fwhms=1e200)
     with pytest.raises(EmptyStateError, match="intensity underflows to zero"):
         build_jsa(source.pump, source.pm, grid)
+
+
+def scaled_gaussian_state(scale):
+    """A 64-point Gaussian amplitude peaking at ``scale``: every cell is finite
+    and nonzero, but at 1e-170 its intensity sums to 0 and at 1e160 to inf."""
+    grid = FrequencyGrid.square_symmetric(1e13, 64)
+    nu_s, nu_i = grid.nu_s[:, None], grid.nu_i[None, :]
+    return JointSpectralAmplitude(grid, scale * np.exp(-((nu_s / 3e12) ** 2) - (nu_i / 3e12) ** 2), {})
+
+
+NORMALIZING_KERNELS = {
+    "timing_gain": lambda state, pump: timing_gain(JointTemporalAmplitude(state, 4), pump),
+    "coincidence_scan": lambda state, pump: coincidence_scan(state, np.linspace(-1e-12, 1e-12, 11)),
+    "jta_amplitude": lambda state, pump: JointTemporalAmplitude(state, 2).amplitude,
+    "schmidt_decompose": lambda state, pump: schmidt_decompose(state),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(NORMALIZING_KERNELS))
+@pytest.mark.parametrize("scale, error, text", [
+    (1e-170, EmptyStateError, "joint spectral intensity underflows to zero"),
+    (1e160, DomainError, "amplitude is not normalizable: its intensity sums to inf"),
+], ids=["sum-underflows", "sum-overflows"])
+def test_unnormalizable_state_refused_first(ppktp, monkeypatch, kernel, scale, error, text):
+    # each kernel divides by sum |f|^2: it refuses a sum of 0 or inf by name
+    # before dividing or taking an SVD, and the zero sum warns of nothing
+    def svd(*args, **kwargs):
+        raise AssertionError("SVD taken before the refusal")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    state = scaled_gaussian_state(scale)
+    with warnings.catch_warnings():
+        if scale < 1.0:
+            warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(error, match=text):
+            NORMALIZING_KERNELS[kernel](state, ppktp.pump)
 
 
 class TestGridAnalyticOracle:

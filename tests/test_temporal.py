@@ -378,16 +378,40 @@ class TestLinePower:
     @pytest.mark.parametrize("n", [2, 3, 33, 100, 257])
     @pytest.mark.parametrize("profile", ["gaussian", "sinc"])
     def test_in_place_blocks_match_unblocked(self, profile, n, oversample):
-        # min(N, 2n - 1) lines, 64 a block in one reused buffer: n = 33, 100
-        # and 257 end on a ragged block, and at oversample 1 line s + n wraps
-        # onto row s.  The reference transforms all rows at once.
+        # min(N, 2n - 1) lines, 64 a block in one reused buffer, each block
+        # moved to position 0 and transformed at its own length: n = 33, 100
+        # and 257 end on a ragged block, n = 100 and 257 are not powers of
+        # two, and at oversample 1 line s + n wraps onto row s.  The reference
+        # transforms all rows, cell j at position j, at length 2n at once.
         pump, pm = random_source(np.random.default_rng([n, oversample]), profile)
         f = build_jsa(pump, pm, auto_grid(pump, pm, n=n)).amplitude
         for anti in (True, False):
-            got = temporal._line_power(f, anti, oversample * n)
+            got = temporal._lag_sums(f, anti, oversample * n)
             lines = cell_lines(f, anti, oversample * n)
-            want = (np.abs(np.fft.fft(lines, axis=1)) ** 2).sum(axis=0)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * want.max())
+            want = np.fft.ifft((np.abs(np.fft.fft(lines, axis=1)) ** 2).sum(axis=0))
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def test_blocks_transform_at_their_longest_lines_length(self, monkeypatch):
+        # n = 512 at oversample 4: 1023 lines in 16 blocks.  Each block is
+        # transformed at the power of two that holds its longest line's lags,
+        # 704,384 points a direction, where padding every line to 2n took
+        # 1023 x 1024
+        n = 512
+        pump, pm = random_source(np.random.default_rng(n), "sinc")
+        f = build_jsa(pump, pm, auto_grid(pump, pm, n=n)).amplitude
+        shapes = []
+        real_fft = np.fft.fft
+
+        def spy(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return real_fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", spy)
+        for anti in (True, False):
+            shapes.clear()
+            temporal._lag_sums(f, anti, 4 * n)
+            assert sum(rows for rows, _ in shapes) == 2 * n - 1
+            assert sum(rows * size for rows, size in shapes) <= 0.70 * (2 * n - 1) * 2 * n
 
 
 class TestDiagonalWidths:
@@ -535,9 +559,9 @@ class TestDiagonalWidths:
     def test_zero_lag_checked(self, ppktp, monkeypatch):
         # a broken lag sum fails as a broken transform does
         state = build_jsa(ppktp.pump, ppktp.pm, auto_grid(ppktp.pump, ppktp.pm, n=32))
-        real = temporal._line_power
+        real = temporal._lag_sums
         monkeypatch.setattr(
-            temporal, "_line_power", lambda *args: real(*args) * (1.0 + 10 * _PARSEVAL_TOL)
+            temporal, "_lag_sums", lambda *args: real(*args) * (1.0 + 10 * _PARSEVAL_TOL)
         )
         with pytest.raises(RuntimeError, match="Parseval violated by the lag sums"):
             diagonal_widths(jta_from_jsa(state))
