@@ -254,14 +254,6 @@ def test_underflowing_intensity_refused(ppktp):
         build_jsa(source.pump, source.pm, grid)
 
 
-def scaled_gaussian_state(scale):
-    """A 64-point Gaussian amplitude peaking at ``scale``: every cell is finite
-    and nonzero, but at 1e-170 its intensity sums to 0 and at 1e160 to inf."""
-    grid = FrequencyGrid.square_symmetric(1e13, 64)
-    nu_s, nu_i = grid.nu_s[:, None], grid.nu_i[None, :]
-    return JointSpectralAmplitude(grid, scale * np.exp(-((nu_s / 3e12) ** 2) - (nu_i / 3e12) ** 2), {})
-
-
 NORMALIZING_KERNELS = {
     "timing_gain": lambda state, pump: timing_gain(JointTemporalAmplitude(state, 4), pump),
     "coincidence_scan": lambda state, pump: coincidence_scan(state, np.linspace(-1e-12, 1e-12, 11)),
@@ -276,13 +268,17 @@ NORMALIZING_KERNELS = {
     (1e160, DomainError, "amplitude is not normalizable: its intensity sums to inf"),
 ], ids=["sum-underflows", "sum-overflows"])
 def test_unnormalizable_state_refused_first(ppktp, monkeypatch, kernel, scale, error, text):
-    # each kernel divides by sum |f|^2: it refuses a sum of 0 or inf by name
-    # before dividing or taking an SVD, and the zero sum warns of nothing
+    # every cell of this Gaussian is finite and nonzero, but its intensity
+    # sums to 0 at 1e-170 and to inf at 1e160.  Each kernel divides by that
+    # sum: it refuses it by name before dividing or taking an SVD, and the
+    # zero sum warns of nothing.
     def svd(*args, **kwargs):
         raise AssertionError("SVD taken before the refusal")
 
     monkeypatch.setattr(np.linalg, "svd", svd)
-    state = scaled_gaussian_state(scale)
+    grid = FrequencyGrid.square_symmetric(1e13, 64)
+    nu_s, nu_i = grid.nu_s[:, None], grid.nu_i[None, :]
+    state = JointSpectralAmplitude(grid, scale * np.exp(-((nu_s / 3e12) ** 2) - (nu_i / 3e12) ** 2), {})
     with warnings.catch_warnings():
         if scale < 1.0:
             warnings.simplefilter("error", RuntimeWarning)
