@@ -11,12 +11,13 @@ else its line in the ``--config`` file (``key = value``), else nothing, and
 the command falls back to the preset's or its own default.  A config-file
 value is cast with its flag's type and checked against its flag's choices,
 so it runs and hashes exactly as the flag would; a non-finite float from
-either source is refused.  A key that is an option of another subcommand is
-ignored, so one file can serve several commands; a key that is an option of
-no subcommand is refused as a typo.  The hash covers the whole map except
-``out``, ``config`` and ``scan_file`` (``analyze`` hashes the scan file's
-sha256 in its place), so no option can change an output without changing
-the hash.
+either source is refused, and so is a value below its option's bound in
+``_LOWER_BOUNDS``, with the flag named.  A key that is an option of another
+subcommand is ignored, so one file can serve several commands; a key that is
+an option of no subcommand is refused as a typo.  The hash covers the whole
+map except ``out``, ``config`` and ``scan_file`` (``analyze`` hashes the scan
+file's sha256 in its place), so no option can change an output without
+changing the hash.
 The output directory defaults to $BIPHOTON_OUTDIR or the current directory.
 Each command computes all of its results before it creates that directory,
 so a run that fails writes nothing.  Its stdout report comes last, after the
@@ -46,6 +47,7 @@ import ctypes
 import hashlib
 import json
 import math
+import operator
 import os
 import sys
 from pathlib import Path
@@ -101,6 +103,15 @@ _BYTES_PER_ROW = 256
 _BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
                         "openblas_set_num_threads")
 
+# Each numeric option's lower bound, for its flag and its config value alike:
+# a count's least value, and 0 for a width, span or length, which must exceed it.
+_LOWER_BOUNDS = {
+    "grid_n": (">=", 2), "delay_points": (">=", 2), "steps": (">=", 1),
+    **{key: (">", 0) for key in ("grid_span_fwhms", "delay_span", "pump_fwhm_nm",
+                                 "length_mm", "filter_fwhm_nm")},
+}
+_RELATIONS = {">=": operator.ge, ">": operator.gt}
+
 # Each sweep axis and the option its points replace (see the module docstring).
 _SWEEP_AXES = {"pump_fwhm": "pump_fwhm_nm", "length": "length_mm", "chirp": "chirp_fs2"}
 
@@ -149,9 +160,15 @@ def _options(args: argparse.Namespace) -> dict:
     )
     opts = {**config, **{key: value for key, value in flags.items() if value is not None}}
     for key, value in opts.items():
+        relation, bound = _LOWER_BOUNDS.get(key, (None, None))
         if isinstance(value, float) and not math.isfinite(value):
-            flag = args._actions[key].option_strings[0]
-            raise DomainError(f"{flag} must be a finite number, got {value}")
+            need = "a finite number"
+        elif relation is not None and not _RELATIONS[relation](value, bound):
+            need = f"{relation} {bound}"
+        else:
+            continue
+        flag = args._actions[key].option_strings[0]
+        raise DomainError(f"{flag} must be {need}, got {value}")
     return opts
 
 
@@ -340,11 +357,7 @@ def cmd_simulate(opts: dict) -> int:
 
 def cmd_hom(opts: dict) -> int:
     n_delays = opts.get("delay_points", 201)
-    if n_delays < 2:
-        raise DomainError(f"--delay-points must be >= 2, got {n_delays}")
     delay_span = opts.get("delay_span", 4.0)
-    if not delay_span > 0:
-        raise DomainError(f"--delay-span must be > 0, got {delay_span}")
     meta = _meta(opts)
 
     result, fields = _dip(opts, opts.get("model", "numeric"), n_delays, delay_span)
@@ -366,8 +379,6 @@ def cmd_hom(opts: dict) -> int:
 
 def cmd_sweep(opts: dict) -> int:
     steps = opts.get("steps", 9)
-    if steps < 1:
-        raise DomainError(f"--steps must be >= 1, got {steps}")
     axis = opts.get("axis")
     if axis is None:
         print(f"error: --axis must be {' | '.join(_SWEEP_AXES)}", file=sys.stderr)

@@ -216,10 +216,13 @@ class JointSpectralAmplitude:
     def intensity(self) -> np.ndarray:
         """Joint spectral intensity |f|^2, computed at most once, read-only.
 
-        It has the bits of ``np.abs(amplitude) ** 2``, squared in place.
+        It has the bits of ``np.abs(amplitude) ** 2``, squared in place.  A
+        square that overflows is inf, without a warning: :func:`_squared_norm`
+        refuses it by name before a kernel divides by it.
         """
-        power = np.abs(self.amplitude)
-        np.square(power, out=power)
+        with np.errstate(over="ignore"):
+            power = np.abs(self.amplitude)
+            np.square(power, out=power)
         power.flags.writeable = False
         return power
 
@@ -435,7 +438,8 @@ def _squared_norm(state: JointSpectralAmplitude) -> float:
     Raises EmptyStateError if it underflows to zero and DomainError if it
     overflows, before the caller divides by it.
     """
-    total = float(np.sum(state.intensity))
+    with np.errstate(over="ignore"):
+        total = float(np.sum(state.intensity))
     if total == 0.0:
         raise EmptyStateError(
             "joint spectral intensity underflows to zero: the amplitude peaks at "
@@ -452,10 +456,13 @@ def jsi(state: JointSpectralAmplitude) -> np.ndarray:
 
 
 def marginals(state: JointSpectralAmplitude) -> tuple[np.ndarray, np.ndarray]:
-    """Signal and idler marginal spectra (JSI row/column sums times spacing)."""
+    """Signal and idler marginal spectra (JSI row/column sums times spacing).
+
+    Raises as :func:`_squared_norm` does for an intensity that sums to zero
+    or overflows.
+    """
+    _squared_norm(state)
     intensity = state.intensity
-    if not np.any(intensity):
-        raise DomainError("cannot take marginals of an all-zero intensity")
     signal = intensity.sum(axis=1) * state.grid.d_nu_i
     idler = intensity.sum(axis=0) * state.grid.d_nu_s
     return signal, idler

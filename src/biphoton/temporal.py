@@ -18,24 +18,25 @@ transform on the first read of its ``amplitude``, and keeps only that
 complex array.  The timing widths never read it.
 
 :func:`diagonal_widths` takes the two projections of |JTA|^2 from lag sums
-of the JSA instead.  Summing |JTA|^2 over the cells with
-``t_s - t_i = d dt`` on the N-point time torus and applying Parseval along
-each line of constant ``j + k`` gives ``N c^2 sum_D A[D] exp(-2 pi i D d / N)``,
-with ``c = dnu^2 / (2 pi)`` the transform's scale and
+of the JSA instead.  Integrating |JTA|^2 over ``t_s + t_i`` at fixed
+``t_s - t_i = d dt`` pairs only JSA cells on one line of constant ``j + k``,
+and gives ``N c^2 sum_D A[D] exp(-2 pi i D d / N)``, with
+``c = dnu^2 / (2 pi)`` the transform's scale and
 ``A[D] = sum_jk f[j, k] f*[j - D, k + D]`` the autocorrelation along the
 anti-diagonals (``D = -(n - 1) .. n - 1``); the sum-time projection is the
-same along the diagonals, ``A[D] = sum_jk f[j, k] f*[j - D, k - D]``.  The
+same along the diagonals, ``A[D] = sum_jk f[j, k] f*[j - D, k - D]``.  That
+polynomial in d is the exact projection at every oversample; one FFT of
+length N of the lags folded onto the N-point torus samples it on the dt
+grid.  Binning the sampled |JTA|^2 on the torus gives the same only for
+N >= 2n - 1: at oversample 1 it also pairs line s with line s + N.  The
 lines are taken :data:`_LINE_BLOCK` at a time, each placed from position 0,
 and a block's autocorrelations are one FFT per line at the smallest power of
 two that holds the 2L - 1 lags of the block's longest line (L cells), at
 most 2n (at n = 512 that is 0.67 of the points that padding every line to
-2n transforms).  One FFT of length N of the summed lags then gives the
-projection on the JTA's dt grid.  That is O(n^2 log n) time and
-O(n _LINE_BLOCK) memory, and nothing N x N is made.  With ``oversample`` 1
-the lines wrap around the torus: line ``j + k = s`` and line ``s + n`` fill
-disjoint parts of one line, which keeps its cells at positions j and its 2n
-points.  The zero lag summed over all lines is sum |f|^2, and it is checked
-against the state's intensity as the transform checks Parseval.  The torus folds ``|t_s -+ t_i| > N dt / 2`` back into the
+2n transforms).  That is O(n^2 log n) time and O(n _LINE_BLOCK) memory, and
+nothing N x N is made.  The zero lag summed over all lines is sum |f|^2, and
+it is checked against the state's intensity as the transform checks
+Parseval.  The torus folds ``|t_s -+ t_i| > N dt / 2`` back into the
 window, where binning the N x N intensity would not; a width moves only as
 far as that folded mass moves its half-maximum crossings.
 """
@@ -173,41 +174,35 @@ def _check_parseval(what: str, want: float, got: float) -> None:
         raise RuntimeError(f"Parseval violated by {what}: {mismatch:.3e}")
 
 
-def _lag_sums(amplitude: np.ndarray, anti: bool, big_n: int) -> np.ndarray:
+def _lag_sums(amplitude: np.ndarray, anti: bool) -> np.ndarray:
     """The autocorrelations of the lines of ``amplitude``, summed: lag D in entry D mod 2n.
 
     Line s = 0 .. 2n - 2 holds the elements with ``j + k = s`` (``anti``) or
-    ``j - k = s - (n - 1)``, placed from position 0 (a shift leaves |FFT|^2
-    unchanged).  On a torus of ``big_n`` < 2n - 1 points, line s + big_n
-    shares row s with line s, each element j at position j.  The rows are
-    transformed :data:`_LINE_BLOCK` at a time, each block at the smallest
-    power of two that holds the 2L - 1 lags of its longest line (L cells),
-    but at most 2n points; the inverse FFT of the block's summed |FFT|^2 adds
-    its lags |D| < L into the sum.
+    ``j - k = s - (n - 1)``, each line in its own row placed from position 0
+    (a shift leaves |FFT|^2 unchanged).  The rows are transformed
+    :data:`_LINE_BLOCK` at a time, each block at the smallest power of two
+    that holds the 2L - 1 lags of its longest line (L cells), but at most 2n
+    points; the inverse FFT of the block's summed |FFT|^2 adds its lags
+    |D| < L into the sum.
     """
     n = amplitude.shape[0]
     flat = amplitude.ravel()
     # element j of line s is flat[first + j * step]
     step = n - 1 if anti else n + 1
-    rows = min(big_n, 2 * n - 1)
+    rows = 2 * n - 1
     lines = np.empty(min(_LINE_BLOCK, rows) * 2 * n, dtype=complex)
     lags = np.zeros(2 * n, dtype=complex)
     for r0 in range(0, rows, _LINE_BLOCK):
         r1 = min(r0 + _LINE_BLOCK, rows)
-        # the longest line is the one nearest s = n - 1; a row that a line
-        # wraps onto holds n cells
-        longest = n if big_n < 2 * n - 1 else n - max(r0 - (n - 1), n - r1, 0)
+        # the longest line is the one nearest s = n - 1
+        longest = n - max(r0 - (n - 1), n - r1, 0)
         size = min(2 * n, 1 << (2 * longest - 2).bit_length())
         block = lines[: (r1 - r0) * size].reshape(r1 - r0, size)
         block[...] = 0.0
-        for s in (*range(r0, r1), *range(r0 + big_n, min(r1 + big_n, 2 * n - 1))):
+        for s in range(r0, r1):
             lo, hi = max(0, s - n + 1), min(n - 1, s)
             first = s if anti else n - 1 - s
-            cells = flat[first + lo * step : first + hi * step + 1 : step]
-            # row r starts at the first element of line r
-            row = s % big_n
-            start = lo - max(0, row - n + 1)
-            block[row - r0, start : start + cells.size] = cells
+            block[s - r0, : hi - lo + 1] = flat[first + lo * step : first + hi * step + 1 : step]
         np.fft.fft(block, axis=1, out=block)
         squares = block.view(float)
         np.square(squares, out=squares)
@@ -219,8 +214,9 @@ def _lag_sums(amplitude: np.ndarray, anti: bool, big_n: int) -> np.ndarray:
 
 
 def _projections(state: JointSpectralAmplitude, oversample: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sums of |JTA|^2 over ``t_s - t_i`` and over ``t_s + t_i`` on the N-point
-    time torus, in steps of dt from -(N // 2) dt, from the lag sums of the JSA
+    """The projections of |JTA|^2 on ``t_s - t_i`` and on ``t_s + t_i``, each the
+    exact sum over the other time coordinate, sampled on the N-point time
+    torus in steps of dt from -(N // 2) dt, from the lag sums of the JSA
     (module docstring).  Raises RuntimeError if a zero lag misses sum |f|^2.
     """
     f = state.amplitude
@@ -231,7 +227,7 @@ def _projections(state: JointSpectralAmplitude, oversample: int) -> tuple[np.nda
     scale = big_n * (state.grid.d_nu_s**2 / (2.0 * math.pi)) ** 2
     out = []
     for anti in (True, False):
-        autocorrelation = _lag_sums(f, anti, big_n)
+        autocorrelation = _lag_sums(f, anti)
         _check_parseval("the lag sums", total, autocorrelation[0].real)
         torus = np.zeros(big_n, dtype=complex)
         np.add.at(torus, lags % big_n, autocorrelation[lags])
@@ -244,7 +240,9 @@ def diagonal_widths(jta: JointTemporalAmplitude) -> tuple[float, float]:
 
     The projections are taken from lag sums of the JSA on the JTA's own dt
     grid (module docstring), so the transform does not run; they are reported
-    directly in ``t_s - t_i`` and ``t_s + t_i``.
+    directly in ``t_s - t_i`` and ``t_s + t_i``.  Each is the exact sum over
+    the other time coordinate at every oversample, which only sets how
+    finely it is sampled.
 
     For gaussian-profile states the difference width coincides with the
     interference-dip FWHM; for rect-like temporal profiles (sinc

@@ -308,9 +308,38 @@ class TestSweep:
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("argv,key,value,message", [
+    (["hom", "--model", "gaussian"], "grid_n", "0", "--grid-n must be >= 2, got 0"),
+    (["hom"], "grid_n", "1", "--grid-n must be >= 2, got 1"),
+    (["hom"], "delay_points", "1", "--delay-points must be >= 2, got 1"),
+    (["sweep"], "steps", "0", "--steps must be >= 1, got 0"),
+    (["simulate"], "grid_span_fwhms", "0", "--grid-span-fwhms must be > 0, got 0.0"),
+    (["hom"], "delay_span", "-1", "--delay-span must be > 0, got -1.0"),
+    (["hom"], "pump_fwhm_nm", "-1", "--pump-fwhm-nm must be > 0, got -1.0"),
+    (["hom"], "length_mm", "0", "--length-mm must be > 0, got 0.0"),
+    (["simulate"], "filter_fwhm_nm", "0", "--filter-fwhm-nm must be > 0, got 0.0"),
+])
+def test_out_of_range_rejected(tmp_path, capsys, argv, key, value, message, by_config):
+    # one table of bounds, checked for a flag and a config value alike
+    # before the run: each message names the flag
+    argv = [*argv, "--preset", "ppktp-8mm"]
+    if by_config:
+        config = tmp_path / "run.conf"
+        config.write_text(f"{key} = {value}\n")
+        argv += ["--config", str(config)]
+    else:
+        argv += [f"--{key.replace('_', '-')}={value}"]
+    code = run(tmp_path / "out", *argv)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv,message", [
     (["simulate", "--preset", "ppktp-8mm", "--grid-n", "2"], "half maximum not reached"),
-    (["simulate", "--preset", "ppktp-8mm", "--filter-fwhm-nm", "0"], "filter width must be > 0"),
+    (["simulate", "--preset", "ppktp-8mm", "--filter-fwhm-nm", "0"],
+     "--filter-fwhm-nm must be > 0, got 0.0"),
     (["hom", "--preset", "ppktp-8mm", "--delay-span", "0"], "--delay-span must be > 0, got 0.0"),
     (["hom", "--preset", "ppktp-8mm", "--delay-span", "-1"], "--delay-span must be > 0, got -1.0"),
     (["hom", "--preset", "ppktp-8mm", "--grid-n", "3"], "does not reach the baseline"),

@@ -259,6 +259,7 @@ NORMALIZING_KERNELS = {
     "coincidence_scan": lambda state, pump: coincidence_scan(state, np.linspace(-1e-12, 1e-12, 11)),
     "jta_amplitude": lambda state, pump: JointTemporalAmplitude(state, 2).amplitude,
     "schmidt_decompose": lambda state, pump: schmidt_decompose(state),
+    "marginals": lambda state, pump: marginals(state),
 }
 
 
@@ -266,12 +267,14 @@ NORMALIZING_KERNELS = {
 @pytest.mark.parametrize("scale, error, text", [
     (1e-170, EmptyStateError, "joint spectral intensity underflows to zero"),
     (1e160, DomainError, "amplitude is not normalizable: its intensity sums to inf"),
-], ids=["sum-underflows", "sum-overflows"])
+    (5e153, DomainError, "amplitude is not normalizable: its intensity sums to inf"),
+], ids=["sum-underflows", "sum-overflows", "finite-squares-sum-overflows"])
 def test_unnormalizable_state_refused_first(ppktp, monkeypatch, kernel, scale, error, text):
     # every cell of this Gaussian is finite and nonzero, but its intensity
-    # sums to 0 at 1e-170 and to inf at 1e160.  Each kernel divides by that
-    # sum: it refuses it by name before dividing or taking an SVD, and the
-    # zero sum warns of nothing.
+    # sums to 0 at 1e-170 and to inf at 1e160, where the peak's square
+    # overflows, and at 5e153, where every square is finite.  Each kernel
+    # divides by that sum: it refuses it by name before dividing or taking
+    # an SVD, and warns of nothing.
     def svd(*args, **kwargs):
         raise AssertionError("SVD taken before the refusal")
 
@@ -280,8 +283,7 @@ def test_unnormalizable_state_refused_first(ppktp, monkeypatch, kernel, scale, e
     nu_s, nu_i = grid.nu_s[:, None], grid.nu_i[None, :]
     state = JointSpectralAmplitude(grid, scale * np.exp(-((nu_s / 3e12) ** 2) - (nu_i / 3e12) ** 2), {})
     with warnings.catch_warnings():
-        if scale < 1.0:
-            warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(error, match=text):
             NORMALIZING_KERNELS[kernel](state, ppktp.pump)
 

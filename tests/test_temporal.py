@@ -36,7 +36,7 @@ from biphoton import (
     timing_gain,
 )
 from biphoton import temporal
-from biphoton.errors import MemoryBudgetError
+from biphoton.errors import EmptyStateError, MemoryBudgetError
 from biphoton.jsa import MEMORY_BUDGET_BYTES, auto_grid
 from biphoton.temporal import _PARSEVAL_TOL, jta_bytes
 from helpers import random_source
@@ -362,14 +362,14 @@ class TestMemoryBudget:
         assert peak < 2**20
 
 
-def cell_lines(f, anti, big_n):
-    """The rows the lag sums transform, placed cell by cell: f[j, k] at position
-    j of row (j + k) mod N (``anti``) or (j - k + n - 1) mod N, zero-padded to 2n."""
+def cell_lines(f, anti):
+    """The 2n - 1 lines the lag sums transform, placed cell by cell: f[j, k] at
+    position j of row j + k (``anti``) or j - k + n - 1, zero-padded to 2n."""
     n = f.shape[0]
     j, k = np.indices(f.shape)
-    rows = (j + k if anti else j - k + n - 1) % big_n
-    lines = np.zeros((min(big_n, 2 * n - 1), 2 * n), dtype=complex)
-    np.add.at(lines, (rows, j), f)
+    rows = j + k if anti else j - k + n - 1
+    lines = np.zeros((2 * n - 1, 2 * n), dtype=complex)
+    lines[rows, j] = f
     return lines
 
 
@@ -378,18 +378,43 @@ class TestLinePower:
     @pytest.mark.parametrize("n", [2, 3, 33, 100, 257])
     @pytest.mark.parametrize("profile", ["gaussian", "sinc"])
     def test_in_place_blocks_match_unblocked(self, profile, n, oversample):
-        # min(N, 2n - 1) lines, 64 a block in one reused buffer, each block
-        # moved to position 0 and transformed at its own length: n = 33, 100
-        # and 257 end on a ragged block, n = 100 and 257 are not powers of
-        # two, and at oversample 1 line s + n wraps onto row s.  The reference
-        # transforms all rows, cell j at position j, at length 2n at once.
+        # 2n - 1 lines, 64 a block in one reused buffer, each block moved to
+        # position 0 and transformed at its own length: n = 33, 100 and 257
+        # end on a ragged block and n = 100 and 257 are not powers of two.
+        # The reference transforms all rows, cell j at position j, at length
+        # 2n at once.  The projections then sample the lag polynomial at the
+        # N points d dt, evaluated term by term here; at oversample 1 the
+        # lags D and D - N fall on one point of the torus.
         pump, pm = random_source(np.random.default_rng([n, oversample]), profile)
-        f = build_jsa(pump, pm, auto_grid(pump, pm, n=n)).amplitude
-        for anti in (True, False):
-            got = temporal._lag_sums(f, anti, oversample * n)
-            lines = cell_lines(f, anti, oversample * n)
+        state = build_jsa(pump, pm, auto_grid(pump, pm, n=n))
+        big_n = oversample * n
+        d = np.arange(big_n) - big_n // 2
+        lags = np.arange(-(n - 1), n)
+        waves = np.exp(-2j * math.pi * np.outer(d, lags) / big_n)
+        scale = big_n * (state.grid.d_nu_s**2 / (2.0 * math.pi)) ** 2
+        for anti, got_projection in zip((True, False), temporal._projections(state, oversample)):
+            got = temporal._lag_sums(state.amplitude, anti)
+            lines = cell_lines(state.amplitude, anti)
             want = np.fft.ifft((np.abs(np.fft.fft(lines, axis=1)) ** 2).sum(axis=0))
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+            projection = (waves @ want[lags]).real * scale
+            np.testing.assert_allclose(got_projection, projection, rtol=0,
+                                       atol=1e-12 * np.abs(projection).max())
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), profile=st.sampled_from(("gaussian", "sinc")),
+           n=st.integers(2, 129))
+    def test_oversample_only_sets_the_sampling(self, seed, profile, n):
+        # every N samples one lag polynomial: the N = n points are every other
+        # point of the N = 2n ones, whose scale N c^2 is twice as large
+        pump, pm = random_source(np.random.default_rng(seed), profile)
+        try:
+            state = build_jsa(pump, pm, auto_grid(pump, pm, n=n))
+        except EmptyStateError:
+            assume(False)  # the few points of a small grid miss the pair
+        for coarse, fine in zip(temporal._projections(state, 1), temporal._projections(state, 2)):
+            np.testing.assert_allclose(coarse, 0.5 * fine[n % 2 :: 2], rtol=0,
+                                       atol=1e-12 * np.abs(coarse).max())
 
     def test_blocks_transform_at_their_longest_lines_length(self, monkeypatch):
         # n = 512 at oversample 4: 1023 lines in 16 blocks.  Each block is
@@ -409,7 +434,7 @@ class TestLinePower:
         monkeypatch.setattr(np.fft, "fft", spy)
         for anti in (True, False):
             shapes.clear()
-            temporal._lag_sums(f, anti, 4 * n)
+            temporal._lag_sums(f, anti)
             assert sum(rows for rows, _ in shapes) == 2 * n - 1
             assert sum(rows * size for rows, size in shapes) <= 0.70 * (2 * n - 1) * 2 * n
 
@@ -467,16 +492,17 @@ class TestDiagonalWidths:
         seed=st.integers(0, 2**32 - 1),
         profile=st.sampled_from(("gaussian", "sinc")),
         n=st.integers(2, 64),
-        oversample=st.integers(1, 4),
+        oversample=st.integers(2, 4),
         delays=st.tuples(st.floats(-0.25, 0.25), st.floats(-0.25, 0.25)),
     )
-    @example(seed=3, profile="sinc", n=7, oversample=1, delays=(0.0, 0.0))
     @example(seed=4, profile="gaussian", n=9, oversample=2, delays=(0.1, -0.05))
     def test_lag_sums_equal_folded_bins(self, seed, profile, n, oversample, delays):
         # the identity itself: the oracle's 2N - 1 bins, folded onto the
         # N-point torus, are the lag-sum projections up to rounding.  The
         # sources are symmetric in time, so a linear phase moves each photon
         # by a share of the window T = 2 pi / dnu to make them asymmetric.
+        # The oracle's torus holds one JSA line per bin only for N >= 2n - 1,
+        # so oversample 1 is held to oversample 2 instead (TestLinePower).
         pump, pm = random_source(np.random.default_rng(seed), profile)
         state = build_jsa(pump, pm, auto_grid(pump, pm, n=n))
         window = 2.0 * math.pi / state.grid.d_nu_s
@@ -520,19 +546,16 @@ class TestDiagonalWidths:
         chirped=st.booleans(),
         filtered=st.booleans(),
         n=st.integers(8, 256),
-        oversample=st.integers(1, 4),
+        oversample=st.integers(2, 4),
     )
-    @example(seed=1, profile="sinc", chirped=True, filtered=False, n=36, oversample=1)
-    @example(seed=133, profile="sinc", chirped=True, filtered=False, n=22, oversample=1)
-    # the oracle cannot read this unresolved draw's widths: skipped
-    @example(seed=253, profile="sinc", chirped=False, filtered=False, n=8, oversample=1)
     def test_match_binned_oracle_within_folded_mass(
         self, seed, profile, chirped, filtered, n, oversample
     ):
         # the lag sums fold the mass beyond +-T/2 back into the window.  That
         # lifts the projection by at most M, the oracle's mass out there, which
         # lifts half maximum by at most M/2: each crossing moves by at most
-        # 1.5 M over the bracketing rise per dt.  Rounding adds 1e-10.
+        # 1.5 M over the bracketing rise per dt.  Rounding adds 1e-10.  The
+        # oracle is exact for N >= 2n - 1 only, as in the test above.
         rng = np.random.default_rng(seed)
         pump, pm = random_source(rng, profile)
         if not chirped:
