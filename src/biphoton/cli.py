@@ -12,9 +12,10 @@ the command falls back to the preset's or its own default.  A config-file
 value is cast with its flag's type and checked against its flag's choices,
 so it runs and hashes exactly as the flag would; a non-finite float from
 either source is refused, and so is a value below its option's bound in
-``_LOWER_BOUNDS``, with the flag named.  A key that is an option of another
-subcommand is ignored, so one file can serve several commands; a key that is
-an option of no subcommand is refused as a typo.  The hash covers the whole
+``_LOWER_BOUNDS``, with the flag named; a sweep's ``--start`` and ``--stop``
+are held to the bound of the option its axis replaces.  A key that is an
+option of another subcommand is ignored, so one file can serve several
+commands; a key that is an option of no subcommand is refused as a typo.  The hash covers the whole
 map except ``out``, ``config`` and ``scan_file`` (``analyze`` hashes the scan
 file's sha256 in its place), so no option can change an output without
 changing the hash.
@@ -35,8 +36,9 @@ grid above the memory budget names ``--grid-n`` too.  A ``--delay-points`` or
 flag and value, before anything large is allocated.
 
 A sweep point is the run with its axis's option (``pump_fwhm_nm``, ``length_mm``
-or ``chirp_fs2``) set to the point's value, and a profile-forcing ``--model``
-sets ``profile``: both resolve through ``_load_source``, as the run does.
+or ``chirp_fs2``) set to the point's value, a Python float as the flag's
+would be, and a profile-forcing ``--model`` sets ``profile``: both resolve
+through ``_load_source``, as the run does.
 """
 
 from __future__ import annotations
@@ -159,8 +161,11 @@ def _options(args: argparse.Namespace) -> dict:
         if flags.get("config") else {}
     )
     opts = {**config, **{key: value for key, value in flags.items() if value is not None}}
+    # a sweep's ends are held to the bound of the option its axis replaces
+    replaced = _SWEEP_AXES.get(opts.get("axis"))
     for key, value in opts.items():
-        relation, bound = _LOWER_BOUNDS.get(key, (None, None))
+        bounded = replaced if key in ("start", "stop") else key
+        relation, bound = _LOWER_BOUNDS.get(bounded, (None, None))
         if isinstance(value, float) and not math.isfinite(value):
             need = "a finite number"
         elif relation is not None and not _RELATIONS[relation](value, bound):
@@ -397,7 +402,7 @@ def cmd_sweep(opts: dict) -> int:
 
     values = np.linspace(start, stop, steps)
     t_c_ps, visibility = [], []
-    for value in values:
+    for value in values.tolist():
         result, _ = _dip({**opts, _SWEEP_AXES[axis]: value}, model)
         t_c_ps.append(result.t_c * 1e12)
         visibility.append(result.visibility)

@@ -28,7 +28,9 @@ same along the diagonals, ``A[D] = sum_jk f[j, k] f*[j - D, k - D]``.  That
 polynomial in d is the exact projection at every oversample; one FFT of
 length N of the lags folded onto the N-point torus samples it on the dt
 grid.  Binning the sampled |JTA|^2 on the torus gives the same only for
-N >= 2n - 1: at oversample 1 it also pairs line s with line s + N.  The
+N >= 2n - 1: at oversample 1 it also pairs line s with line s + N.  Each
+line is a numpy ``diagonal`` view, of ``f`` or of its left-right mirror
+``f[:, ::-1]``, whose diagonals are the anti-diagonals of ``f``.  The
 lines are taken :data:`_LINE_BLOCK` at a time, each placed from position 0,
 and a block's autocorrelations are one FFT per line at the smallest power of
 two that holds the 2L - 1 lags of the block's longest line (L cells), at
@@ -174,35 +176,30 @@ def _check_parseval(what: str, want: float, got: float) -> None:
         raise RuntimeError(f"Parseval violated by {what}: {mismatch:.3e}")
 
 
-def _lag_sums(amplitude: np.ndarray, anti: bool) -> np.ndarray:
-    """The autocorrelations of the lines of ``amplitude``, summed: lag D in entry D mod 2n.
+def _lag_sums(amplitude: np.ndarray) -> np.ndarray:
+    """The autocorrelations of the diagonals of ``amplitude``, summed: lag D in entry D mod 2n.
 
-    Line s = 0 .. 2n - 2 holds the elements with ``j + k = s`` (``anti``) or
-    ``j - k = s - (n - 1)``, each line in its own row placed from position 0
-    (a shift leaves |FFT|^2 unchanged).  The rows are transformed
-    :data:`_LINE_BLOCK` at a time, each block at the smallest power of two
-    that holds the 2L - 1 lags of its longest line (L cells), but at most 2n
-    points; the inverse FFT of the block's summed |FFT|^2 adds its lags
-    |D| < L into the sum.
+    Line s = 0 .. 2n - 2 is the diagonal ``amplitude.diagonal(n - 1 - s)``,
+    the elements with ``j - k = s - (n - 1)``, each in its own row placed
+    from position 0 (a shift leaves |FFT|^2 unchanged).  The rows are
+    transformed :data:`_LINE_BLOCK` at a time, each block at the smallest
+    power of two that holds the 2L - 1 lags of its longest line (L cells),
+    but at most 2n points; the inverse FFT of the block's summed |FFT|^2 adds
+    its lags |D| < L into the sum.
     """
     n = amplitude.shape[0]
-    flat = amplitude.ravel()
-    # element j of line s is flat[first + j * step]
-    step = n - 1 if anti else n + 1
     rows = 2 * n - 1
     lines = np.empty(min(_LINE_BLOCK, rows) * 2 * n, dtype=complex)
     lags = np.zeros(2 * n, dtype=complex)
     for r0 in range(0, rows, _LINE_BLOCK):
-        r1 = min(r0 + _LINE_BLOCK, rows)
-        # the longest line is the one nearest s = n - 1
-        longest = n - max(r0 - (n - 1), n - r1, 0)
+        diagonals = [amplitude.diagonal(n - 1 - s)
+                     for s in range(r0, min(r0 + _LINE_BLOCK, rows))]
+        longest = max(len(diagonal) for diagonal in diagonals)
         size = min(2 * n, 1 << (2 * longest - 2).bit_length())
-        block = lines[: (r1 - r0) * size].reshape(r1 - r0, size)
+        block = lines[: len(diagonals) * size].reshape(len(diagonals), size)
         block[...] = 0.0
-        for s in range(r0, r1):
-            lo, hi = max(0, s - n + 1), min(n - 1, s)
-            first = s if anti else n - 1 - s
-            block[s - r0, : hi - lo + 1] = flat[first + lo * step : first + hi * step + 1 : step]
+        for row, diagonal in zip(block, diagonals):
+            row[: len(diagonal)] = diagonal
         np.fft.fft(block, axis=1, out=block)
         squares = block.view(float)
         np.square(squares, out=squares)
@@ -217,7 +214,9 @@ def _projections(state: JointSpectralAmplitude, oversample: int) -> tuple[np.nda
     """The projections of |JTA|^2 on ``t_s - t_i`` and on ``t_s + t_i``, each the
     exact sum over the other time coordinate, sampled on the N-point time
     torus in steps of dt from -(N // 2) dt, from the lag sums of the JSA
-    (module docstring).  Raises RuntimeError if a zero lag misses sum |f|^2.
+    (module docstring): those of the diagonals of its left-right mirror
+    ``f[:, ::-1]``, which are the anti-diagonals of ``f``, then those of the
+    diagonals of ``f``.  Raises RuntimeError if a zero lag misses sum |f|^2.
     """
     f = state.amplitude
     n = f.shape[0]
@@ -226,8 +225,8 @@ def _projections(state: JointSpectralAmplitude, oversample: int) -> tuple[np.nda
     lags = np.arange(-(n - 1), n)
     scale = big_n * (state.grid.d_nu_s**2 / (2.0 * math.pi)) ** 2
     out = []
-    for anti in (True, False):
-        autocorrelation = _lag_sums(f, anti)
+    for lines in (f[:, ::-1], f):
+        autocorrelation = _lag_sums(lines)
         _check_parseval("the lag sums", total, autocorrelation[0].real)
         torus = np.zeros(big_n, dtype=complex)
         np.add.at(torus, lags % big_n, autocorrelation[lags])

@@ -319,6 +319,12 @@ class TestSweep:
     (["hom"], "pump_fwhm_nm", "-1", "--pump-fwhm-nm must be > 0, got -1.0"),
     (["hom"], "length_mm", "0", "--length-mm must be > 0, got 0.0"),
     (["simulate"], "filter_fwhm_nm", "0", "--filter-fwhm-nm must be > 0, got 0.0"),
+    # a sweep's ends are held to the bound of the option its axis replaces
+    (["sweep", "--axis", "pump_fwhm", "--stop", "2"], "start", "-1",
+     "--start must be > 0, got -1.0"),
+    (["sweep", "--axis", "length", "--stop", "8"], "start", "0", "--start must be > 0, got 0.0"),
+    (["sweep", "--axis", "length", "--start", "6"], "stop", "-8",
+     "--stop must be > 0, got -8.0"),
 ])
 def test_out_of_range_rejected(tmp_path, capsys, argv, key, value, message, by_config):
     # one table of bounds, checked for a flag and a config value alike
@@ -345,7 +351,7 @@ def test_out_of_range_rejected(tmp_path, capsys, argv, key, value, message, by_c
     (["hom", "--preset", "ppktp-8mm", "--grid-n", "3"], "does not reach the baseline"),
     (["hom", "--preset", "ppktp-8mm", "--grid-n", "100000"], "memory budget"),
     (["sweep", "--preset", "ppktp-8mm", "--axis", "length", "--start", "0", "--stop", "8",
-      "--steps", "3"], "waveguide length must be > 0"),
+      "--steps", "3"], "--start must be > 0, got 0.0"),
     (["analyze", "ZERO_SCAN"], "no positive counts"),
     # walk-offs whose squares overflow the closed-form coefficients
     (["hom", "--preset", "ppktp-8mm", "--model", "gaussian", "--length-mm", "1e200"],
@@ -362,6 +368,17 @@ def test_failed_run_leaves_no_outdir(tmp_path, capsys, argv, message):
     assert code == 1
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_point_runs_as_its_flag(tmp_path, capsys):
+    # a point is the Python float its flag would be: refused with the typed
+    # error alone, as `hom --pump-fwhm-nm 1e300` is, and no numpy overflow
+    # warning before it
+    code = run(tmp_path / "out", "sweep", "--preset", "ppktp-8mm", "--axis", "pump_fwhm",
+               "--start", "1", "--stop", "1e300", "--steps", "2")
+    assert code == 1
+    assert capsys.readouterr().err == "error: pump width sigma_p = inf rad/s: its square overflows\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -393,7 +410,7 @@ def test_failed_run_leaves_no_outdir(tmp_path, capsys, argv, message):
     (["hom", "--preset", "ppktp-8mm", "--grid-n", "64", "--delay-span", "1e3"],
      "dip FWHM spans 1 delay steps (< 4)"),
     # pump widths whose sigma_p^2 overflows, or underflows to 0: a Python
-    # OverflowError, a division by zero, numpy warnings from a sweep's floats
+    # OverflowError or a division by zero, a sweep's points being Python floats
     (["hom", "--preset", "ppktp-8mm", "--pump-fwhm-nm", "1e150"],
      "sigma_p = 1.92044e+162 rad/s: its square overflows"),
     (["hom", "--preset", "ppktp-8mm", "--model", "numeric", "--grid-n", "64",

@@ -275,6 +275,13 @@ RUNS = (
          "--model", "numeric-gaussian", "--grid-n", "256", *_OUT)),
     Run("sweep-length-0-fails",
         ("sweep", *_P, "--axis", "length", "--start", "0", "--stop", "8", "--steps", "3", *_OUT)),
+    Run("sweep-pump-start-negative-fails",
+        ("sweep", *_P, "--axis", "pump_fwhm", "--start", "-1", "--stop", "2", "--steps", "3",
+         "--model", "gaussian", *_OUT), quick=True),
+    # the point 1e300 runs as the flag's float would: the typed error alone
+    Run("sweep-pump-stop-1e300-fails",
+        ("sweep", *_P, "--axis", "pump_fwhm", "--start", "1", "--stop", "1e300", "--steps", "2",
+         "--model", "gaussian", *_OUT), quick=True),
     # walk-offs whose dip scale's square underflows
     Run("sweep-length-1e-300-fails",
         ("sweep", *_P, "--axis", "length", "--start", "1e-300", "--stop", "8", "--steps", "2",
