@@ -321,11 +321,12 @@ def cmd_simulate(opts: dict) -> int:
     source = _load_source(opts)
     state, blamed = _build_state(opts, source)
     meta = _meta(opts)
-    lam_pdc = 2 * np.pi * C_M_PER_S / source.pm.omega_s0
+    # each arm's width at that arm's own carrier; the one filter width at the signal's
+    lam_s, lam_i = (2 * np.pi * C_M_PER_S / w for w in (source.pm.omega_s0, source.pm.omega_i0))
 
     filter_fwhm_nm = opts.get("filter_fwhm_nm")
     if filter_fwhm_nm is not None:
-        width = filter_fwhm_nm * 1e-9 * 2 * np.pi * C_M_PER_S / lam_pdc**2
+        width = filter_fwhm_nm * 1e-9 * 2 * np.pi * C_M_PER_S / lam_s**2
         filt = SpectralFilter(shape="gaussian", center=0.0, width=width, target="both")
         state = apply_spectral_filter(state, filt)
         blamed.append((f"--filter-fwhm-nm {filter_fwhm_nm} is too narrow for this grid",
@@ -343,8 +344,8 @@ def cmd_simulate(opts: dict) -> int:
         "coefficients": [float(c) for c in schmidt.coefficients[:_N_SCHMIDT_REPORTED]],
         "rho": rho,
         "correlation": label,
-        "marginal_fwhm_s_nm": omega_fwhm_to_wavelength_fwhm(lam_pdc, fwhm_s) * 1e9,
-        "marginal_fwhm_i_nm": omega_fwhm_to_wavelength_fwhm(lam_pdc, fwhm_i) * 1e9,
+        "marginal_fwhm_s_nm": omega_fwhm_to_wavelength_fwhm(lam_s, fwhm_s) * 1e9,
+        "marginal_fwhm_i_nm": omega_fwhm_to_wavelength_fwhm(lam_i, fwhm_i) * 1e9,
         "warnings": state.provenance.get("warnings", []),
     }
 
@@ -517,7 +518,31 @@ def build_parser() -> argparse.ArgumentParser:
     known = frozenset().union(*actions.values())
     for name, sub in subs.choices.items():
         sub.set_defaults(_actions=actions[name], _known=known)
+    parser.set_defaults(_one_value_flags=frozenset(
+        flag for acts in actions.values() for a in acts.values() if a.nargs is None
+        for flag in a.option_strings
+    ))
     return parser
+
+
+def _negatives_joined(argv: list[str], flags: frozenset) -> list[str]:
+    """``argv`` with each one-value flag followed by a negative number joined as ``--flag=-2e4``.
+
+    argparse reads a token that starts with ``-`` as a flag unless it matches
+    its negative-number pattern, which has no exponent form.
+    """
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in flags and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                joined[-1] += "=" + token
+                continue
+        joined.append(token)
+    return joined
 
 
 def _one_blas_thread() -> None:
@@ -540,7 +565,8 @@ def _one_blas_thread() -> None:
 def main(argv=None) -> int:
     _one_blas_thread()
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_negatives_joined(argv, parser.get_default("_one_value_flags")))
     try:
         return args.func(_options(args))
     except (ValueError, ArithmeticError, OSError, RuntimeError) as exc:

@@ -757,13 +757,16 @@ def table_report(
 def _table_row(preset: SourcePreset, width_nm, profile: str, grid_n: int) -> TableRow:
     """The :class:`TableRow` of one pump width; its state is freed on return."""
     lam_pump = 2.0 * math.pi * C_M_PER_S / preset.pump.omega_p0
-    lam_pdc = 2.0 * math.pi * C_M_PER_S / preset.pm.omega_s0
     src = preset_with_pump(preset, pump_fwhm_nm=width_nm, profile=profile)
     state = build_jsa(src.pump, src.pm, auto_grid(src.pump, src.pm, n=grid_n))
     dip = extract_dip(coincidence_scan(state, default_delays(src.pm)))
     sig, idl = marginals(state)
-    dl_s = omega_fwhm_to_wavelength_fwhm(lam_pdc, intensity_fwhm(state.grid.nu_s, sig))
-    dl_i = omega_fwhm_to_wavelength_fwhm(lam_pdc, intensity_fwhm(state.grid.nu_i, idl))
+    # each arm's width and duration at that arm's own carrier, as in jsi.csv
+    lam_s, lam_i = (2.0 * math.pi * C_M_PER_S / w for w in (src.pm.omega_s0, src.pm.omega_i0))
+    dl_s = omega_fwhm_to_wavelength_fwhm(lam_s, intensity_fwhm(state.grid.nu_s, sig))
+    dl_i = omega_fwhm_to_wavelength_fwhm(lam_i, intensity_fwhm(state.grid.nu_i, idl))
+    duration_s = transform_limited_duration(lam_s, dl_s)
+    duration_i = transform_limited_duration(lam_i, dl_i)
     rho, label = correlation_classification(state)
     return TableRow(
         label=label,
@@ -771,9 +774,9 @@ def _table_row(preset: SourcePreset, width_nm, profile: str, grid_n: int) -> Tab
         t_c_sim=dip.t_c,
         marginal_s_nm=dl_s * 1e9,
         marginal_i_nm=dl_i * 1e9,
-        duration_s=transform_limited_duration(lam_pdc, dl_s),
-        duration_i=transform_limited_duration(lam_pdc, dl_i),
+        duration_s=duration_s,
+        duration_i=duration_i,
         duration_pump=transform_limited_duration(lam_pump, width_nm * 1e-9),
-        duration_conv=convolved_duration(lam_pdc, dl_s, dl_i),
+        duration_conv=math.hypot(duration_s, duration_i),
         rho=rho,
     )

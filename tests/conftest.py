@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from biphoton import load_preset, preset_with_pump
+from biphoton.presets import load_preset, preset_with_pump
 
 
 @pytest.fixture(scope="session")

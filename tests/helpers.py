@@ -5,9 +5,13 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from biphoton import PhasematchSpec, PumpSpec, gaussian_jsa_params
-from biphoton.jsa import CLASSIFICATION_SUPPORT_FLOOR, _read_only
-from biphoton.spectral import phasematching_profile, pump_envelope
+from biphoton.jsa import CLASSIFICATION_SUPPORT_FLOOR, _read_only, gaussian_jsa_params
+from biphoton.spectral import (
+    PhasematchSpec,
+    PumpSpec,
+    phasematching_profile,
+    pump_envelope,
+)
 
 OMEGA0 = 1.227134571536712e15
 

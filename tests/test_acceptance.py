@@ -18,32 +18,33 @@ import time
 import numpy as np
 import pytest
 
-from biphoton import (
-    C_M_PER_S,
+from biphoton.dataio import MeasuredScan, convolved_duration, fit_dip
+from biphoton.hom import (
+    coincidence_rate_gaussian,
+    coincidence_scan,
+    correlation_time_gaussian,
+    default_delays,
+    extract_dip,
+    gaussian_dip_width,
+    gaussian_scan,
+    visibility_coefficient,
+)
+from biphoton.jsa import (
     SpectralFilter,
     apply_spectral_filter,
     auto_grid,
     build_jsa,
-    coincidence_rate_gaussian,
-    coincidence_scan,
-    correlation_time_gaussian,
-    convolved_duration,
-    default_delays,
-    diagonal_widths,
-    extract_dip,
-    fit_dip,
-    gaussian_scan,
     intensity_fwhm,
-    jta_from_jsa,
     marginals,
-    preset_with_pump,
     schmidt_decompose,
-    transform_limited_duration,
-    visibility_coefficient,
-    MeasuredScan,
 )
-from biphoton.hom import gaussian_dip_width
-from biphoton.spectral import GAUSSIAN_FWHM_FACTOR
+from biphoton.presets import preset_with_pump
+from biphoton.spectral import (
+    C_M_PER_S,
+    GAUSSIAN_FWHM_FACTOR,
+    transform_limited_duration,
+)
+from biphoton.temporal import diagonal_widths, jta_from_jsa
 from helpers import make_pm, make_pump, random_source
 
 LAMBDA_PUMP = 767.5e-9

@@ -8,15 +8,17 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import biphoton
-from biphoton import auto_grid, build_jsa, load_preset, preset_with_pump
 from biphoton.cli import _BYTES_PER_ROW, build_parser, main
 from biphoton.dataio import format_float, load_scan
+from biphoton.jsa import auto_grid, build_jsa
+from biphoton.presets import load_preset, preset_with_pump
 
 
 def data_rows(path):
@@ -175,6 +177,17 @@ class TestHom:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_exponent_negative_read_as_value(self, tmp_path):
+        # argparse's negative-number pattern has no exponent form; -2e4 still
+        # runs as --chirp-fs2=-2e4 and --chirp-fs2 -20000 do
+        outputs = []
+        for k, spelling in enumerate([["--chirp-fs2", "-2e4"], ["--chirp-fs2=-2e4"],
+                                      ["--chirp-fs2", "-20000"]]):
+            out = tmp_path / str(k)
+            assert run(out, "hom", "--preset", "ppktp-8mm", "--model", "gaussian", *spelling) == 0
+            outputs.append([(out / name).read_bytes() for name in ("scan.csv", "hom.json")])
+        assert outputs[0] == outputs[1] == outputs[2]
+
     @pytest.mark.parametrize("argv", [
         ["--model", "numeric", "--grid-n", "64"], ["--model", "gaussian"],
     ], ids=["numeric", "gaussian"])
@@ -271,6 +284,14 @@ class TestSweep:
             payload = json.loads((out / "hom.json").read_text())
             assert row == [format_float(value), format_float(payload["t_c_ps"]),
                            format_float(payload["visibility"])]
+
+    def test_exponent_negative_endpoints(self, tmp_path):
+        argv = ["sweep", "--preset", "ppktp-8mm", "--model", "gaussian", "--axis", "chirp",
+                "--steps", "3"]
+        assert run(tmp_path / "spaced", *argv, "--start", "-8e3", "--stop", "8e3") == 0
+        assert run(tmp_path / "joined", *argv, "--start=-8e3", "--stop=8e3") == 0
+        assert (config_hash(tmp_path / "spaced" / "sweep.csv")
+                == config_hash(tmp_path / "joined" / "sweep.csv"))
 
     def test_zero_steps_rejected(self, tmp_path, capsys):
         code = run(tmp_path, "sweep", "--preset", "ppktp-8mm", "--axis", "pump_fwhm",
@@ -594,6 +615,22 @@ def test_preset_chirp_kept_without_flag(tmp_path, monkeypatch):
     assert np.any(state.amplitude.imag != 0)
 
 
+def test_idler_width_at_the_idler_carrier(tmp_path, monkeypatch):
+    # the JSA lives on detunings, so moving the idler's carrier moves only its
+    # nm width, by (omega_s0 / omega_i0)^2
+    degenerate = load_preset("ppktp-8mm")
+    shifted = replace(degenerate, pm=replace(degenerate.pm, omega_i0=0.9 * degenerate.pm.omega_s0))
+    widths = []
+    for name, source in (("degenerate", degenerate), ("shifted", shifted)):
+        monkeypatch.setattr(biphoton.cli, "load_preset", lambda _, source=source: source)
+        assert run(tmp_path / name, "simulate", "--preset", "ppktp-8mm", "--grid-n", "64") == 0
+        payload = json.loads((tmp_path / name / "schmidt.json").read_text())
+        widths.append((payload["marginal_fwhm_s_nm"], payload["marginal_fwhm_i_nm"]))
+    (sig, idl), (sig_shifted, idl_shifted) = widths
+    assert sig_shifted == sig
+    assert idl_shifted == pytest.approx(idl / 0.81, rel=1e-12)
+
+
 @pytest.mark.parametrize("argv,key,allowed", [
     (["sweep", "--axis", "pump_fwhm", "--start", "1", "--stop", "2", "--steps", "2"],
      "model", "gaussian, numeric-sinc, numeric-gaussian"),
@@ -900,6 +937,16 @@ def test_no_command_imports_scipy(tmp_path):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_import_loads_no_module():
+    # each name is imported from the module that defines it
+    script = "import sys, biphoton; print(sorted(m for m in sys.modules if m.startswith('biphoton.')))"
+    src = str(Path(biphoton.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_bytes_do_not_depend_on_blas_threads(tmp_path):

@@ -14,41 +14,48 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biphoton import (
-    C_M_PER_S,
-    DomainError,
-    FitError,
+from biphoton import dataio, hom, jsa
+from biphoton.dataio import (
     MeasuredScan,
-    NoDipError,
-    ParseError,
-    SpectralFilter,
-    apply_spectral_filter,
-    auto_grid,
-    build_jsa,
-    coincidence_scan,
+    _format_cells,
     convolved_duration,
-    default_delays,
     export_delay_scan,
     export_jsa_csv,
     export_jsi_csv,
     export_scan,
-    extract_dip,
     fit_dip,
-    gaussian_scan,
-    intensity_fwhm,
+    format_float,
     load_jsi,
     load_scan,
-    preset_with_pump,
+    provenance_line,
     sinc_dip_kernel,
     table_report,
     write_grid,
     write_rows,
 )
-from biphoton import dataio, hom, jsa
-from biphoton.dataio import _format_cells, format_float, provenance_line
-from biphoton.hom import gaussian_dip_width
-from biphoton.jsa import BLOCK_CELLS, FrequencyGrid
-from biphoton.spectral import GAUSSIAN_FWHM_FACTOR, wavelength_to_angular_frequency
+from biphoton.errors import DomainError, FitError, NoDipError, ParseError
+from biphoton.hom import (
+    coincidence_scan,
+    default_delays,
+    extract_dip,
+    gaussian_dip_width,
+    gaussian_scan,
+)
+from biphoton.jsa import (
+    BLOCK_CELLS,
+    FrequencyGrid,
+    SpectralFilter,
+    apply_spectral_filter,
+    auto_grid,
+    build_jsa,
+    intensity_fwhm,
+)
+from biphoton.presets import preset_with_pump
+from biphoton.spectral import (
+    C_M_PER_S,
+    GAUSSIAN_FWHM_FACTOR,
+    wavelength_to_angular_frequency,
+)
 
 from helpers import GRID_KEYS, make_pump, random_source, record_fields
 
@@ -937,3 +944,14 @@ class TestTableReport:
             1535e-9, decorr.marginal_s_nm * 1e-9, decorr.marginal_i_nm * 1e-9
         )
         assert decorr.duration_conv == pytest.approx(expected_conv, rel=1e-12)
+
+    def test_each_arm_at_its_own_carrier(self, ppktp):
+        # the JSA lives on detunings, so moving the idler's carrier scales its
+        # nm width by (omega_s0 / omega_i0)^2 and leaves its duration, set by
+        # its frequency width, as it was
+        shifted = replace(ppktp, pm=replace(ppktp.pm, omega_i0=0.9 * ppktp.pm.omega_s0))
+        [row], [base] = (table_report(source, [2.0], grid_n=128) for source in (shifted, ppktp))
+        assert row.marginal_s_nm == base.marginal_s_nm
+        assert row.marginal_i_nm == pytest.approx(base.marginal_i_nm / 0.81, rel=1e-12)
+        assert row.duration_i == pytest.approx(base.duration_i, rel=1e-12)
+        assert row.duration_conv == math.hypot(row.duration_s, row.duration_i)

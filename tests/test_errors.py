@@ -7,19 +7,12 @@ import pickle
 import numpy as np
 import pytest
 
-from biphoton import (
-    Diagnostic,
-    SpectralFilter,
-    apply_spectral_filter,
-    auto_grid,
-    build_jsa,
-    default_delays,
-    fit_dip,
-    load_jsi,
-    load_scan,
-    preset_with_pump,
-)
 from biphoton.cli import _aliasing
+from biphoton.dataio import fit_dip, load_jsi, load_scan
+from biphoton.errors import Diagnostic
+from biphoton.hom import default_delays
+from biphoton.jsa import SpectralFilter, apply_spectral_filter, auto_grid, build_jsa
+from biphoton.presets import preset_with_pump
 
 DOUBT = "; results may be inaccurate"
 

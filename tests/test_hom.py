@@ -10,34 +10,38 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from biphoton import (
+from biphoton import hom
+from biphoton.errors import (
     CoverageError,
-    DelayScan,
     DomainError,
-    FrequencyGrid,
     GridError,
-    JointSpectralAmplitude,
     NoDipError,
     UnsupportedProfileError,
-    auto_grid,
-    build_jsa,
+)
+from biphoton.hom import (
+    DelayScan,
+    _exchange_overlap,
     coincidence_rate_gaussian,
     coincidence_rate_sinc,
     coincidence_scan,
     correlation_time_gaussian,
     default_delays,
     extract_dip,
+    gaussian_dip_width,
     gaussian_scan,
-    intensity_fwhm,
-    marginals,
-    preset_with_pump,
-    schmidt_decompose,
-    transform_limited_duration,
     visibility_coefficient,
 )
-from biphoton import hom
-from biphoton.hom import _exchange_overlap, gaussian_dip_width
-from biphoton.spectral import GAUSSIAN_FWHM_FACTOR
+from biphoton.jsa import (
+    FrequencyGrid,
+    JointSpectralAmplitude,
+    auto_grid,
+    build_jsa,
+    intensity_fwhm,
+    marginals,
+    schmidt_decompose,
+)
+from biphoton.presets import preset_with_pump
+from biphoton.spectral import GAUSSIAN_FWHM_FACTOR, transform_limited_duration
 
 from helpers import OMEGA0, make_pm, make_pump, matmul_overlap, random_source, record_adoptions
 

@@ -9,37 +9,43 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from biphoton import (
+from biphoton import jsa as jsa_module
+from biphoton.dataio import MeasuredScan
+from biphoton.errors import (
+    CoverageError,
     DomainError,
     EmptyStateError,
-    FrequencyGrid,
     GridError,
-    JointSpectralAmplitude,
-    JointTemporalAmplitude,
-    SpectralFilter,
     UnsupportedProfileError,
+)
+from biphoton.hom import DelayScan, coincidence_scan
+from biphoton.jsa import (
+    BLOCK_CELLS,
+    BUILD_JSA_PEAK_FACTOR,
+    FrequencyGrid,
+    GaussianJsaParams,
+    JointSpectralAmplitude,
+    MEMORY_BUDGET_BYTES,
+    MIN_SAMPLES_PER_FWHM,
+    SpectralFilter,
     apply_spectral_filter,
     auto_grid,
     build_jsa,
-    coincidence_scan,
+    check_memory_budget,
     correlation_classification,
     gaussian_jsa_params,
+    gaussian_marginal_fwhms,
     gaussian_schmidt_number,
     intensity_fwhm,
+    jsa_bytes,
     jsi,
     marginals,
-    preset_with_pump,
+    row_blocks,
     schmidt_decompose,
-    timing_gain,
 )
-from biphoton.dataio import MeasuredScan
-from biphoton.errors import CoverageError
-from biphoton import jsa as jsa_module
-from biphoton.hom import DelayScan
-from biphoton.jsa import MEMORY_BUDGET_BYTES, GaussianJsaParams, gaussian_marginal_fwhms, jsa_bytes
-from biphoton.jsa import BUILD_JSA_PEAK_FACTOR, MIN_SAMPLES_PER_FWHM, check_memory_budget
-from biphoton.jsa import BLOCK_CELLS, row_blocks
+from biphoton.presets import preset_with_pump
 from biphoton.spectral import pump_envelope, sinc
+from biphoton.temporal import JointTemporalAmplitude, timing_gain
 
 from helpers import FILTER_KEYS, PM_KEYS, PUMP_KEYS, make_pm, make_pump, random_source
 from helpers import record_fields, whole_grid_amplitude, whole_grid_rho

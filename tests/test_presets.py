@@ -5,17 +5,20 @@ from dataclasses import replace
 
 import pytest
 
-from biphoton import (
-    DomainError,
-    ParseError,
+from biphoton.errors import DomainError, ParseError
+from biphoton.hom import correlation_time_gaussian
+from biphoton.presets import (
+    _parse_preset_text,
     available_presets,
-    correlation_time_gaussian,
+    derive_walkoffs_from_ridge_and_dip,
     load_preset,
     preset_with_pump,
-    wavelength_fwhm_to_sigma,
 )
-from biphoton.presets import _parse_preset_text, derive_walkoffs_from_ridge_and_dip
-from biphoton.spectral import GAMMA_SINC_MATCH, wavelength_to_angular_frequency
+from biphoton.spectral import (
+    GAMMA_SINC_MATCH,
+    wavelength_fwhm_to_sigma,
+    wavelength_to_angular_frequency,
+)
 
 from helpers import PM_KEYS, PUMP_KEYS, record_fields
 

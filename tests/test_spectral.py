@@ -9,25 +9,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from biphoton import (
+from biphoton.errors import DomainError
+from biphoton.hom import coincidence_rate_sinc, correlation_time_gaussian
+from biphoton.spectral import (
+    AMPLITUDE_FWHM_FACTOR,
     C_M_PER_S,
-    DomainError,
+    GAUSSIAN_FWHM_FACTOR,
     PhasematchSpec,
     PumpSpec,
-    coincidence_rate_sinc,
-    correlation_time_gaussian,
+    omega_fwhm_to_wavelength_fwhm,
+    phasematching_profile,
     pump_envelope,
+    sinc,
+    tabulated_pump_duration,
     transform_limited_duration,
     walkoff_from_group_velocities,
     wavelength_fwhm_to_sigma,
-)
-from biphoton.spectral import (
-    AMPLITUDE_FWHM_FACTOR,
-    GAUSSIAN_FWHM_FACTOR,
-    omega_fwhm_to_wavelength_fwhm,
-    phasematching_profile,
-    sinc,
-    tabulated_pump_duration,
 )
 
 OMEGA_1535 = 2 * math.pi * C_M_PER_S / 1535e-9

@@ -13,32 +13,41 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from biphoton import (
+from biphoton import temporal
+from biphoton.errors import (
     CoverageError,
     DomainError,
+    EmptyStateError,
     GridError,
-    FrequencyGrid,
-    JointSpectralAmplitude,
-    SpectralFilter,
-    apply_spectral_filter,
-    build_jsa,
+    MemoryBudgetError,
+)
+from biphoton.hom import (
     coincidence_scan,
-    correlation_classification,
     correlation_time_gaussian,
     default_delays,
-    diagonal_widths,
     extract_dip,
+)
+from biphoton.jsa import (
+    FrequencyGrid,
+    JointSpectralAmplitude,
+    MEMORY_BUDGET_BYTES,
+    SpectralFilter,
+    apply_spectral_filter,
+    auto_grid,
+    build_jsa,
+    correlation_classification,
     gaussian_jsa_params,
     intensity_fwhm,
+)
+from biphoton.presets import preset_with_pump
+from biphoton.temporal import (
     JointTemporalAmplitude,
+    _PARSEVAL_TOL,
+    diagonal_widths,
+    jta_bytes,
     jta_from_jsa,
-    preset_with_pump,
     timing_gain,
 )
-from biphoton import temporal
-from biphoton.errors import EmptyStateError, MemoryBudgetError
-from biphoton.jsa import MEMORY_BUDGET_BYTES, auto_grid
-from biphoton.temporal import _PARSEVAL_TOL, jta_bytes
 from helpers import random_source
 
 

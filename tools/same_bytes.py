@@ -197,6 +197,9 @@ RUNS = (
         ("hom", *_P, "--model", "numeric-sinc", "--pump-fwhm-nm", "0.7", *_OUT)),
     Run("hom-gaussian-99",
         ("hom", *_P, "--model", "gaussian", "--delay-points", "99", *_OUT), quick=True),
+    # a negative value in exponent form, which argparse alone reads as a flag
+    Run("hom-chirp-exponent",
+        ("hom", *_P, "--model", "gaussian", "--chirp-fs2", "-2e4", *_OUT), quick=True),
     Run("hom-gaussian-100k",
         ("hom", *_P, "--model", "gaussian", "--delay-points", "100000", *_OUT)),
     Run("hom-numeric-n16", ("hom", *_P, "--model", "numeric", "--grid-n", "16", *_OUT),
@@ -270,6 +273,9 @@ RUNS = (
     Run("sweep-chirp-numeric-sinc",
         ("sweep", *_P, "--axis", "chirp", "--start", "-20000", "--stop", "20000", "--steps", "3",
          "--model", "numeric-sinc", "--grid-n", "128", *_OUT)),
+    Run("sweep-chirp-exponent",
+        ("sweep", *_P, "--model", "gaussian", "--axis", "chirp", "--start", "-8e3", "--stop",
+         "8e3", "--steps", "3", *_OUT), quick=True),
     Run("sweep-pump-numeric-gaussian",
         ("sweep", *_P, "--axis", "pump_fwhm", "--start", "1", "--stop", "4", "--steps", "3",
          "--model", "numeric-gaussian", "--grid-n", "256", *_OUT)),
