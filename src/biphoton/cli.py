@@ -452,17 +452,15 @@ def cmd_presets(opts: dict) -> int:
 
 def _add_source_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--preset", help="named source preset (see `biphoton presets`)")
-    sub.add_argument("--pump-fwhm-nm", type=float, dest="pump_fwhm_nm",
+    sub.add_argument("--pump-fwhm-nm", type=float,
                      help="pump spectral amplitude FWHM in nm (1/sqrt(2) of it in intensity)")
-    sub.add_argument("--chirp-fs2", type=float, dest="chirp_fs2",
-                     help="pump quadratic spectral phase in fs^2")
+    sub.add_argument("--chirp-fs2", type=float, help="pump quadratic spectral phase in fs^2")
     sub.add_argument("--profile", choices=PROFILES,
                      help="phasematching profile override")
-    sub.add_argument("--length-mm", type=float, dest="length_mm",
+    sub.add_argument("--length-mm", type=float,
                      help="waveguide length override in mm (rescales walk-offs)")
-    sub.add_argument("--grid-n", type=int, dest="grid_n", help="grid samples per axis")
-    sub.add_argument("--grid-span-fwhms", type=float, dest="grid_span_fwhms",
-                     help="grid half-span in marginal FWHMs")
+    sub.add_argument("--grid-n", type=int, help="grid samples per axis")
+    sub.add_argument("--grid-span-fwhms", type=float, help="grid half-span in marginal FWHMs")
     sub.add_argument("--config", help="key = value config file (flags win)")
     sub.add_argument("--out", help="output directory (default $BIPHOTON_OUTDIR or .)")
 
@@ -477,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = subs.add_parser("simulate", help="joint spectrum, marginals, Schmidt analysis")
     _add_source_options(sim)
-    sim.add_argument("--filter-fwhm-nm", type=float, dest="filter_fwhm_nm",
+    sim.add_argument("--filter-fwhm-nm", type=float,
                      help="apply a gaussian filter of this FWHM (nm) to both arms")
     sim.set_defaults(func=cmd_simulate)
 
@@ -485,9 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_options(hom)
     hom.add_argument("--model", choices=("numeric", "numeric-sinc", "numeric-gaussian", "gaussian"),
                      help="numeric quadrature (profile variants) or closed form")
-    hom.add_argument("--delay-points", type=int, dest="delay_points")
-    hom.add_argument("--delay-span", type=float, dest="delay_span",
-                     help="delay half-range in predicted dip widths")
+    hom.add_argument("--delay-points", type=int)
+    hom.add_argument("--delay-span", type=float, help="delay half-range in predicted dip widths")
     hom.set_defaults(func=cmd_hom)
 
     sweep = subs.add_parser("sweep", help="dip width versus a source parameter")
@@ -503,8 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("scan_file")
     analyze.add_argument("--model", choices=("gaussian-dip", "sinc-kernel-dip"))
     analyze.add_argument("--preset", help="source preset for the sinc kernel")
-    analyze.add_argument("--pump-fwhm-nm", type=float, dest="pump_fwhm_nm",
-                         help="pump width for the sinc kernel")
+    analyze.add_argument("--pump-fwhm-nm", type=float, help="pump width for the sinc kernel")
     analyze.add_argument("--config", help="key = value config file")
     analyze.add_argument("--out", help="output directory")
     analyze.set_defaults(func=cmd_analyze)

@@ -13,18 +13,18 @@ CSV conventions
 
 Every CSV file is written by :func:`write_rows`, one row per cell of its
 equal-shape columns; :func:`write_grid` adapts it to the N x N joint grids
-(signal-major), passing the two formatted axes as row labels.  The body is
-formatted in one loop over the row blocks of the full-grid kernels
-(``jsa.row_blocks``, about 8192 rows), so memory stays bounded.  Files start
-with a ``# biphoton: {json}`` provenance line if given metadata; that of a
-joint grid also holds the state's ``provenance`` and its ``grid``, the
-``FrequencyGrid`` field by field.  Floats are written with 9 significant
-digits (``%.9g``, the routine behind :func:`format_float`), which
-round-trips exactly through parse/format cycles and keeps repeated runs
-byte-identical.  Every cell, axis labels included, is formatted by one
-numpy-vectorized routine that gives exactly the bytes of ``%.9g``; the
-cells it cannot settle with certainty (within 1e-5 of a rounding tie,
-non-finite, or 10 <= |v| < 1e9, which no grid holds) are formatted by
+(signal-major), passing the two formatted axes as row labels.  The block loop
+lives in :func:`write_rows`: it formats and writes the body one row block of
+the full-grid kernels at a time (``jsa.row_blocks``, about 8192 rows), so
+memory stays bounded.  Files start with a ``# biphoton: {json}`` provenance
+line if given metadata; that of a joint grid also holds the state's
+``provenance`` and its ``grid``, the ``FrequencyGrid`` field by field.  Floats
+are written with 9 significant digits (``%.9g``, the routine behind
+:func:`format_float`), which round-trips exactly through parse/format cycles
+and keeps repeated runs byte-identical.  Every cell, axis labels included, is
+formatted by one numpy-vectorized routine that gives exactly the bytes of
+``%.9g``; the cells it cannot settle with certainty (within 1e-5 of a rounding
+tie, non-finite, or 10 <= |v| < 1e9, which no grid holds) are formatted by
 Python's ``%``.
 
 The readers share one parser: blank lines and ``#`` lines are skipped
@@ -174,36 +174,25 @@ def provenance_line(meta: dict) -> str:
     return PROVENANCE_PREFIX + json.dumps(meta, sort_keys=True, separators=(",", ":"))
 
 
-def _row_cells(columns) -> np.ndarray:
-    """CSV rows joined from equal-shape float ``columns``, one per cell."""
-    ends = [b","] * (len(columns) - 1) + [b"\n"]
-    return functools.reduce(np.add, map(_format_cells, columns, ends))
+def write_rows(path, meta: dict | None, header: str, columns, labels=None) -> None:
+    """Write a CSV file: the provenance line, ``header``, then one row per cell of the
+    equal-shape float ``columns``, each after ``labels(rows)`` if given.
 
-
-def _body_blocks(columns, labels=None):
-    """The CSV body of equal-shape float ``columns``, one byte chunk per block.
-
-    A block is a slice ``rows`` of the first axis from ``jsa.row_blocks``,
-    about ``BLOCK_CELLS`` CSV rows, one per cell; ``labels(rows)``, if given,
-    is the text that starts those rows.
+    The body is written in one loop over the blocks ``rows`` of the first axis
+    from ``jsa.row_blocks``, about ``BLOCK_CELLS`` CSV rows each.
     """
-    for rows in row_blocks(len(columns[0]), math.prod(columns[0].shape[1:])):
-        cells = _row_cells([c[rows] for c in columns])
-        if labels is not None:
-            cells = np.add(labels(rows), cells)
-        yield b"".join(cells.tolist())
-
-
-def write_rows(path, meta: dict | None, header: str, columns, comments=(), labels=None) -> None:
-    """Write a CSV file: the provenance line, ``comments``, ``header``, then one row per
-    cell of the equal-shape float ``columns``, each after ``labels(rows)`` if given."""
     columns = [np.asarray(c, dtype=float) for c in columns]
     if len({c.shape for c in columns}) != 1:
         raise ValueError(f"columns of unequal shapes {[c.shape for c in columns]}")
     head = [] if meta is None else [provenance_line(meta)]
+    ends = [b","] * (len(columns) - 1) + [b"\n"]
     with open(path, "wb") as fh:
-        fh.write(("\n".join([*head, *comments, header]) + "\n").encode("utf-8"))
-        fh.writelines(_body_blocks(columns, labels))
+        fh.write(("\n".join([*head, header]) + "\n").encode("utf-8"))
+        for rows in row_blocks(len(columns[0]), math.prod(columns[0].shape[1:])):
+            cells = functools.reduce(np.add, map(_format_cells, [c[rows] for c in columns], ends))
+            if labels is not None:
+                cells = np.add(labels(rows), cells)
+            fh.write(b"".join(cells.tolist()))
 
 
 def write_grid(path, meta: dict | None, header: str, axis_s, axis_i, values) -> None:
@@ -354,7 +343,7 @@ def export_scan(scan: MeasuredScan, path, meta: dict | None = None) -> None:
     if scan.sigma is not None:
         header += ",sigma"
         columns.append(scan.sigma)
-    write_rows(path, meta, header, columns, scan.comments)
+    write_rows(path, meta, "\n".join([*scan.comments, header]), columns)
 
 
 def export_delay_scan(scan: DelayScan, path, meta: dict | None = None) -> None:
@@ -628,9 +617,10 @@ def fit_dip(scan: MeasuredScan, kernel=None) -> FitReport:
     Gaussian dip (``gaussian-dip``).  Counts with a sigma column are weighted
     by it; integer-looking raw counts get Poisson sqrt(n) weights; otherwise
     the fit is unweighted.  The fitted width parameter is the dip intensity
-    FWHM, reported with its covariance-based uncertainty.  A fitted
-    visibility outside [0, 1.05] adds a ``fit-visibility`` diagnostic to the
-    report's warnings.
+    FWHM, reported with its covariance-based uncertainty; a scan that leaves
+    a parameter free (a flat one: the centre and width) raises ``FitError``.
+    A fitted visibility outside [0, 1.05] adds a ``fit-visibility``
+    diagnostic to the report's warnings.
     """
     model = "gaussian-dip" if kernel is None else "sinc-kernel-dip"
     shape = _gaussian_depth if kernel is None else kernel
@@ -681,21 +671,20 @@ def fit_dip(scan: MeasuredScan, kernel=None) -> FitReport:
     if fit is None:
         raise FitError(
             f"dip fit did not converge (model={model}, "
-            f"p0={[baseline0, vis0, center0, width0]})"
+            f"p0={[float(v) for v in (baseline0, vis0, center0, width0)]})"
         )
     popt, r, jac = fit
 
-    # curve_fit's covariance: the pseudo-inverse of J^T J from the SVD of J,
-    # dropping singular values at or below eps max(J.shape) s[0], scaled by
-    # the reduced chi^2 when the fit is unweighted
+    # curve_fit's covariance: the inverse of J^T J from the SVD of J, scaled
+    # by the reduced chi^2 when the fit is unweighted; a singular value at or
+    # below curve_fit's cut-off, eps max(J.shape) s[0], leaves a parameter free
     _, s, vt = np.linalg.svd(jac, full_matrices=False)
-    keep = s > np.finfo(float).eps * max(jac.shape) * s[0]
-    pcov = (vt[keep].T / s[keep] ** 2) @ vt[keep]
+    if s[-1] <= np.finfo(float).eps * max(jac.shape) * s[0]:
+        raise FitError("singular fit covariance; scan does not constrain the dip")
+    pcov = (vt.T / s**2) @ vt
     if sigma is None:
         pcov *= (r @ r) / (r.size - popt.size)
-    perr = np.sqrt(np.clip(np.diag(pcov), 0.0, None))
-    if not np.all(np.isfinite(perr)):
-        raise FitError("singular fit covariance; scan does not constrain the dip")
+    perr = np.sqrt(np.diag(pcov))
     residuals = (y - model_scaled(x, *popt)) * baseline0
     warnings: list[Diagnostic] = []
     if not 0.0 <= popt[1] <= 1.05:

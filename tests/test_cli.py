@@ -379,12 +379,18 @@ def test_out_of_range_rejected(tmp_path, capsys, argv, key, value, message, by_c
      "their squares overflow"),
     (["simulate", "--preset", "ppktp-8mm", "--length-mm", "1e300", "--grid-n", "16"],
      "their squares overflow"),
+    # no dip: the fit leaves its centre and width free
+    (["analyze", "FLAT_SCAN"], "singular fit covariance; scan does not constrain the dip"),
 ])
 def test_failed_run_leaves_no_outdir(tmp_path, capsys, argv, message):
     # every output is computed before the output directory is made
-    scan = tmp_path / "zero.csv"
-    scan.write_text("delay_ps,coincidences\n" + "".join(f"{d},0\n" for d in range(12)))
-    argv = [str(scan) if arg == "ZERO_SCAN" else arg for arg in argv]
+    scans = {
+        "ZERO_SCAN": "".join(f"{d},0\n" for d in range(12)),
+        "FLAT_SCAN": "".join(f"{d / 10:.1f},1000\n" for d in range(-20, 21)),
+    }
+    for name, body in scans.items():
+        (tmp_path / name).write_text("delay_ps,coincidences\n" + body)
+    argv = [str(tmp_path / arg) if arg in scans else arg for arg in argv]
     code = run(tmp_path / "out", *argv)
     assert code == 1
     err = capsys.readouterr().err

@@ -114,6 +114,13 @@ def _too_deep_scan_text() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _sigma_scan_text() -> str:
+    """The seeded scan with a sigma column of sqrt(max(n, 1))."""
+    rows = [line.split(",") for line in _scan_text().splitlines()[1:]]
+    lines = [f"{tau},{n},{math.sqrt(max(int(n), 1)):.6g}" for tau, n in rows]
+    return "\n".join(["delay_ps,coincidences,sigma", *lines]) + "\n"
+
+
 # Files written into every run's directory before it starts.
 INPUTS = {
     "run.conf": "pump_fwhm_nm = 0.7\nprofile = sinc\ngrid_n = 128\n",
@@ -124,6 +131,10 @@ INPUTS = {
     "bad_row_scan.csv": _bad_row_scan_text(),
     "too_deep_scan.csv": _too_deep_scan_text(),
     "simulated_scan.csv": _simulated_scan_text(),
+    # no dip: the fit leaves its centre and width free
+    "flat_scan.csv": "delay_ps,coincidences\n" + "".join(
+        f"{-2 + k / 10:.1f},1000\n" for k in range(41)),
+    "sigma_scan.csv": _sigma_scan_text(),
 }
 
 _P = ("--preset", "ppktp-8mm")
@@ -307,6 +318,8 @@ RUNS = (
     Run("analyze-visibility-warning", ("analyze", "too_deep_scan.csv", *_OUT), quick=True),
     Run("analyze-bad-row-fails", ("analyze", "bad_row_scan.csv", *_OUT)),
     Run("analyze-simulated-scan", ("analyze", "simulated_scan.csv", *_OUT), quick=True),
+    Run("analyze-flat-fails", ("analyze", "flat_scan.csv", *_OUT), quick=True),
+    Run("analyze-sigma", ("analyze", "sigma_scan.csv", *_OUT), quick=True),
     Run("analyze-sinc-no-dip-fails",
         ("analyze", "scan.csv", "--model", "sinc-kernel-dip", *_P, "--pump-fwhm-nm", "1e17",
          *_OUT)),
